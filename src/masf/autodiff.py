@@ -142,9 +142,8 @@ def _fwd_sqrt(attrs, a):
 
 
 def _fwd_scatter_rows(attrs, a):
-    n = a.shape[0]
-    out = np.zeros((n, attrs["ncols"]))
-    out[np.arange(n), attrs["idx"]] = a
+    out = np.zeros(attrs["shape"])
+    np.add.at(out, attrs["index"], a)
     return out
 
 
@@ -165,7 +164,7 @@ _FORWARD: dict[str, Callable] = {
     "sum_to": lambda attrs, a: _sum_to_value(a, attrs["shape"]),
     "broadcast": lambda attrs, a: np.broadcast_to(a, attrs["shape"]),
     "reshape": lambda attrs, a: a.reshape(attrs["shape"]),
-    "gather_rows": lambda attrs, a: a[np.arange(a.shape[0]), attrs["idx"]],
+    "gather_rows": lambda attrs, a: a[attrs["index"]],
     "scatter_rows": _fwd_scatter_rows,
 }
 
@@ -261,22 +260,41 @@ def reshape(a: Expr, shape: Sequence[int]) -> Expr:
     return _make("reshape", (a,), {"shape": tuple(shape)})
 
 
+# One indexing primitive and its adjoint. ``index`` is a tuple of integer
+# arrays as in ``a[index]``: (idx,) takes whole rows, (arange(N), idx) takes
+# one entry per row. The scatter adds into zeros, so repeated indices
+# accumulate, and each op's VJP is the other one.
+
+def _gather(a: Expr, index: tuple) -> Expr:
+    return _make("gather_rows", (a,), {"index": index})
+
+
+def _scatter(a: Expr, index: tuple, shape: tuple) -> Expr:
+    return _make("scatter_rows", (a,), {"index": index, "shape": shape})
+
+
+def _indices(idx, bound: int, op: str) -> np.ndarray:
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ValueError(f"{op} expects a vector of indices")
+    if idx.min(initial=0) < 0 or idx.max(initial=0) >= bound:
+        raise ValueError(f"{op}: index out of range")
+    return idx
+
+
 def gather_rows(a: Expr, idx: np.ndarray) -> Expr:
     """Pick a[i, idx[i]] for every row i."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.value.ndim != 2 or idx.ndim != 1 or idx.shape[0] != a.shape[0]:
+    if a.value.ndim != 2 or np.ndim(idx) != 1 or len(idx) != a.shape[0]:
         raise ValueError("gather_rows expects a [N, C] tensor and N indices")
-    if idx.min(initial=0) < 0 or idx.max(initial=0) >= a.shape[1]:
-        raise ValueError("gather_rows: index out of range")
-    return _make("gather_rows", (a,), {"idx": idx})
+    idx = _indices(idx, a.shape[1], "gather_rows")
+    return _gather(a, (np.arange(a.shape[0]), idx))
 
 
-def scatter_rows(a: Expr, idx: np.ndarray, ncols: int) -> Expr:
-    """Inverse of gather_rows: place a[i] at position (i, idx[i]) in zeros."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.value.ndim != 1 or idx.shape != a.shape:
-        raise ValueError("scatter_rows expects a vector and matching indices")
-    return _make("scatter_rows", (a,), {"idx": idx, "ncols": int(ncols)})
+def select_rows(a: Expr, idx: np.ndarray) -> Expr:
+    """Rows a[idx] of a tensor with at least one axis; indices may repeat."""
+    if a.value.ndim < 1:
+        raise ValueError("select_rows expects a tensor with rows")
+    return _gather(a, (_indices(idx, a.shape[0], "select_rows"),))
 
 
 # composites
@@ -306,28 +324,6 @@ def log_softmax(a: Expr, axis: int = -1) -> Expr:
 
 def softmax(a: Expr, axis: int = -1) -> Expr:
     return exp(log_softmax(a, axis))
-
-
-def concat_rows(parts: Sequence[Expr]) -> Expr:
-    """Stack [Ni, d] tensors vertically via constant selectors (differentiable)."""
-    total = sum(p.shape[0] for p in parts)
-    out = None
-    offset = 0
-    for p in parts:
-        sel = np.zeros((total, p.shape[0]))
-        sel[offset:offset + p.shape[0]] = np.eye(p.shape[0])
-        term = matmul(const(sel), p)
-        out = term if out is None else add(out, term)
-        offset += p.shape[0]
-    return out
-
-
-def select_rows(a: Expr, idx: np.ndarray) -> Expr:
-    """Rows a[idx] as a differentiable op (constant selector matmul)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    sel = np.zeros((idx.shape[0], a.shape[0]))
-    sel[np.arange(idx.shape[0]), idx] = 1.0
-    return matmul(const(sel), a)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +390,8 @@ _VJP: dict[str, Callable] = {
     "broadcast": lambda node, g: (sum_to(g, node.inputs[0].shape),),
     "reshape": lambda node, g: (reshape(g, node.inputs[0].shape),),
     "gather_rows": lambda node, g: (
-        scatter_rows(g, node.attrs["idx"], node.inputs[0].shape[1]),),
-    "scatter_rows": lambda node, g: (gather_rows(g, node.attrs["idx"]),),
+        _scatter(g, node.attrs["index"], node.inputs[0].shape),),
+    "scatter_rows": lambda node, g: (_gather(g, node.attrs["index"]),),
 }
 
 

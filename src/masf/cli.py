@@ -9,7 +9,8 @@ Verbs:
 
 Configuration comes from a YAML file plus flag overrides; every run writes
 a resolved copy of its configuration next to its outputs. The environment
-variable MASF_OUT_DIR overrides the output directory.
+variable MASF_OUT_DIR, when set and not empty, overrides the output
+directory.
 
 Exit codes: 0 success, 1 config error, 2 run failure (non-finite loss),
 3 I/O error.
@@ -70,7 +71,7 @@ def cmd_bench_gen(args) -> int:
     if args.seed is not None:
         base_seed = args.seed
     datasets = [bench.make_domain(s, base_seed) for s in specs]
-    out = Path(os.environ.get("MASF_OUT_DIR", args.out))
+    out = Path(os.environ.get("MASF_OUT_DIR") or args.out)
     bench.export_csv(datasets, out / "benchmark.csv")
     print(f"wrote {out / 'benchmark.csv'} "
           f"({sum(len(d) for d in datasets)} samples, {len(datasets)} domains)")

@@ -64,6 +64,8 @@ class Hyperparams:
             raise ValueError("learning rates must be positive")
         if self.beta1 < 0 or self.beta2 < 0:
             raise ValueError("meta-loss weights must be non-negative")
+        if self.decay_every < 1:
+            raise ValueError("decay_every must be >= 1")
         if self.local_loss_kind not in (CONTRASTIVE, TRIPLET):
             raise ValueError(f"unknown local loss {self.local_loss_kind!r}")
         if num_classes is not None and self.batch_size < 2 * num_classes:

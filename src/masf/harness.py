@@ -88,21 +88,24 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
     class. Samples in singleton clusters score 0, as does the 0/0 case.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
+    classes, cls = np.unique(np.asarray(labels), return_inverse=True)
     if classes.size < 2:
         raise ValueError("silhouette score needs at least 2 classes")
-    diff = embeddings[:, None, :] - embeddings[None, :, :]
-    dist = np.sqrt((diff * diff).sum(-1))
-    scores = np.zeros(len(labels))
-    for i in range(len(labels)):
-        own = np.flatnonzero(labels == labels[i])
-        if own.size == 1:
-            continue  # singleton cluster convention
-        a = dist[i, own[own != i]].mean()
-        b = min(dist[i, labels == c].mean() for c in classes if c != labels[i])
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    one_hot = (cls[:, None] == np.arange(classes.size)).astype(np.float64)
+    sizes = one_hot.sum(axis=0)
+    # summed distance from each sample to each class; the sample's own zero
+    # distance adds nothing to its class sum
+    sums = losses.distance_matrix(embeddings) @ one_hot
+    rows = np.arange(cls.size)
+    own = sizes[cls]
+    a = sums[rows, cls] / np.maximum(own - 1, 1)
+    mean_to = sums / sizes
+    mean_to[rows, cls] = np.inf
+    b = mean_to.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.zeros(cls.size)
+    scored = (own > 1) & (denom != 0)  # singletons and the 0/0 case score 0
+    scores[scored] = (b - a)[scored] / denom[scored]
     return float(scores.mean())
 
 
@@ -125,7 +128,7 @@ class ExperimentConfig:
     targets: list | None = None  # None = every leave-one-out split
 
     def resolved_out_dir(self) -> Path:
-        return Path(os.environ.get("MASF_OUT_DIR", self.out_dir))
+        return Path(os.environ.get("MASF_OUT_DIR") or self.out_dir)
 
 
 def canonical_experiment_config(**overrides) -> ExperimentConfig:

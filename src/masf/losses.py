@@ -149,37 +149,51 @@ def contrastive_loss_on_pairs(embeddings: Expr, labels: np.ndarray,
     return ad.mean(per_pair)
 
 
+def distance_matrix(values: np.ndarray) -> np.ndarray:
+    """Euclidean distances [N, N] between the rows of ``values`` (numpy)."""
+    diff = values[:, None, :] - values[None, :, :]
+    return np.sqrt((diff * diff).sum(-1))
+
+
 def mine_semihard_triplets(embedding_values: np.ndarray,
                            labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Semi-hard mining over a batch (pure numpy, no gradient flow).
 
     For every anchor-positive pair the negative is the closest one farther
     from the anchor than the positive; if none qualifies, the farthest
-    negative is used. Ties break toward the lowest sample index.
+    negative is used. Ties break toward the lowest sample index. Triplets
+    come ordered by anchor, then by positive.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    diff = embedding_values[:, None, :] - embedding_values[None, :, :]
-    dist = np.sqrt((diff * diff).sum(-1))
-    n = len(labels)
+    dist = distance_matrix(embedding_values)
     anchors, positives, negatives = [], [], []
-    for a in range(n):
-        pos_idx = np.flatnonzero((labels == labels[a]) & (np.arange(n) != a))
-        neg_idx = np.flatnonzero(labels != labels[a])
-        if pos_idx.size == 0 or neg_idx.size == 0:
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        neg_idx = np.flatnonzero(labels != c)
+        m, q = members.size, neg_idx.size
+        if m < 2 or q == 0:
             continue
-        d_neg = dist[a, neg_idx]
-        for p in pos_idx:
-            semihard = neg_idx[d_neg > dist[a, p]]
-            if semihard.size:
-                pick = semihard[np.argmin(dist[a, semihard])]
-            else:
-                pick = neg_idx[np.argmax(d_neg)]
-            anchors.append(a)
-            positives.append(p)
-            negatives.append(pick)
-    return (np.asarray(anchors, dtype=np.int64),
-            np.asarray(positives, dtype=np.int64),
-            np.asarray(negatives, dtype=np.int64))
+        # anchors of one class share their negatives; a stable sort keeps
+        # equally distant negatives in index order, so the first one past a
+        # positive's distance is also the lowest index at that distance
+        d_neg = dist[np.ix_(members, neg_idx)]
+        order = np.argsort(d_neg, axis=1, kind="stable")
+        sorted_d = np.take_along_axis(d_neg, order, axis=1)
+        pos_idx = np.broadcast_to(members, (m, m))[~np.eye(m, dtype=bool)]
+        pos_idx = pos_idx.reshape(m, m - 1)
+        d_pos = dist[members[:, None], pos_idx]
+        k = np.stack([np.searchsorted(row, d, side="right")
+                      for row, d in zip(sorted_d, d_pos)])
+        pick = np.take_along_axis(neg_idx[order], np.minimum(k, q - 1), axis=1)
+        farthest = neg_idx[np.argmax(d_neg, axis=1)]
+        anchors.append(np.repeat(members, m - 1))
+        positives.append(pos_idx.ravel())
+        negatives.append(np.where(k == q, farthest[:, None], pick).ravel())
+    if not anchors:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    a, p, n = (np.concatenate(parts) for parts in (anchors, positives, negatives))
+    by_anchor = np.argsort(a, kind="stable")
+    return a[by_anchor], p[by_anchor], n[by_anchor]
 
 
 def triplet_loss_semihard(embeddings: Expr, labels: np.ndarray,

@@ -81,13 +81,6 @@ class ParamSet:
             entries.append((name, new))
         return ParamSet(self.role, entries)
 
-    def values(self) -> list[np.ndarray]:
-        return [t.value for t in self.entries]
-
-    def detached(self) -> "ParamSet":
-        """Copy whose tensors are fresh leaves (cuts graph history)."""
-        return self.replace([ad.leaf(t.value) for t in self.tensors])
-
 
 def _mlp_params(rng: np.random.Generator, role: str, dims: list[int]) -> ParamSet:
     entries = []

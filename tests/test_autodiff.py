@@ -115,6 +115,8 @@ OPS = {
     "mean": lambda x: ad.square(ad.mean(x)),
     "gather": lambda x: ad.reduce_sum(ad.gather_rows(
         ad.reshape(ad.square(x), (1, 5)), np.array([3]))),
+    "select_rows": lambda x: ad.reduce_sum(ad.square(ad.select_rows(
+        ad.reshape(x, (5, 1)), np.array([3, 0, 3, 4, 3])))),
 }
 
 
@@ -133,6 +135,42 @@ def test_second_order_matches_finite_differences(name):
     g = ad.grad(OPS[name](x), [x])
     s = scalarize(g, rng)
     assert ad.finite_diff_check(s, [x]) < 1e-4
+
+
+class TestSelectRows:
+    def test_value_is_row_take(self):
+        a = np.arange(12.0).reshape(4, 3)
+        idx = np.array([2, 0, 2, 3])
+        np.testing.assert_array_equal(ad.select_rows(ad.leaf(a), idx).value,
+                                      a[idx])
+
+    def test_gradient_accumulates_repeats(self):
+        x = ad.leaf(np.zeros((4, 2)))
+        w = ad.const([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        f = ad.reduce_sum(ad.mul(ad.select_rows(x, np.array([1, 3, 1])), w))
+        np.testing.assert_array_equal(
+            ad.grad(f, [x])[x].value, [[0.0, 0.0], [6.0, 8.0], [0.0, 0.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("idx", [[0, 4], [-1], [5]])
+    def test_out_of_range_rejected(self, idx):
+        with pytest.raises(ValueError, match="out of range"):
+            ad.select_rows(ad.leaf(np.ones((4, 2))), idx)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_property_matches_finite_differences(self, data):
+        n = data.draw(st.integers(1, 5), label="rows")
+        d = data.draw(st.integers(1, 3), label="cols")
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                          max_size=8), label="idx"))
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        x = ad.leaf(rng.normal(size=(n, d)))
+        w = ad.const(rng.normal(size=(idx.size, d)))
+        f = ad.reduce_sum(ad.mul(ad.square(ad.select_rows(x, idx)), w))
+        assert ad.finite_diff_check(f, [x]) < 1e-6
+        s = scalarize(ad.grad(f, [x]), rng)
+        assert ad.finite_diff_check(s, [x]) < 1e-6
 
 
 class TestClipByNorm:

@@ -42,6 +42,11 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             engine.Hyperparams(batch_size=5).validate(num_classes=3)
 
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_nonpositive_decay_every_rejected(self, every):
+        with pytest.raises(ValueError, match="decay_every"):
+            engine.Hyperparams(decay_every=every).validate()
+
 
 class TestSplitDomains:
     def test_partition(self):

@@ -86,6 +86,10 @@ class TestSilhouette:
         e = np.zeros((4, 2))
         assert harness.silhouette_score(e, [0, 0, 1, 1]) == 0.0
 
+    def test_nan_embedding_propagates(self):
+        e = np.array([[0.0], [1.0], [np.nan], [5.0]])
+        assert np.isnan(harness.silhouette_score(e, [0, 0, 1, 1]))
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             harness.silhouette_score(np.zeros((3, 2)), [0, 0, 0])
@@ -196,6 +200,11 @@ class TestRunExperiment:
         cfg = tiny_config(out_dir=str(tmp_path / "ignored"))
         assert cfg.resolved_out_dir() == tmp_path / "env"
 
+    def test_empty_out_dir_env_is_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MASF_OUT_DIR", "")
+        cfg = tiny_config(out_dir=str(tmp_path / "cfg"))
+        assert cfg.resolved_out_dir() == tmp_path / "cfg"
+
 
 class TestCanonicalConfig:
     def test_override_fields(self):
@@ -231,6 +240,14 @@ class TestCli:
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
         assert cli.main(["bench-gen"]) == 0
         assert (tmp_path / "benchmark.csv").exists()
+
+    def test_bench_gen_empty_out_dir_env_is_unset(self, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.setenv("MASF_OUT_DIR", "")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["bench-gen", "--out", "gen"]) == 0
+        assert (tmp_path / "gen" / "benchmark.csv").exists()
+        assert not (tmp_path / "benchmark.csv").exists()
 
     def test_train_writes_artifacts(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))

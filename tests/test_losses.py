@@ -309,6 +309,79 @@ class TestContrastive:
             contrib[perm[0::2], perm[1::2]].mean(), abs=1e-12)
 
 
+def reference_mine_semihard_triplets(embedding_values, labels):
+    """The original per-pair double loop, kept as the miner's reference."""
+    labels = np.asarray(labels, dtype=np.int64)
+    diff = embedding_values[:, None, :] - embedding_values[None, :, :]
+    dist = np.sqrt((diff * diff).sum(-1))
+    n = len(labels)
+    anchors, positives, negatives = [], [], []
+    for a in range(n):
+        pos_idx = np.flatnonzero((labels == labels[a]) & (np.arange(n) != a))
+        neg_idx = np.flatnonzero(labels != labels[a])
+        if pos_idx.size == 0 or neg_idx.size == 0:
+            continue
+        d_neg = dist[a, neg_idx]
+        for p in pos_idx:
+            semihard = neg_idx[d_neg > dist[a, p]]
+            if semihard.size:
+                pick = semihard[np.argmin(dist[a, semihard])]
+            else:
+                pick = neg_idx[np.argmax(d_neg)]
+            anchors.append(a)
+            positives.append(p)
+            negatives.append(pick)
+    return (np.asarray(anchors, dtype=np.int64),
+            np.asarray(positives, dtype=np.int64),
+            np.asarray(negatives, dtype=np.int64))
+
+
+def assert_same_triplets(e, labels):
+    got = losses.mine_semihard_triplets(e, labels)
+    want = reference_mine_semihard_triplets(e, labels)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+    return got
+
+
+class TestMiner:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 151))
+        e = rng.normal(size=(n, int(rng.integers(1, 9))))
+        labels = rng.integers(0, int(rng.integers(2, 8)), size=n)
+        assert_same_triplets(e, labels)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_reference_with_ties(self, seed):
+        # integer grid coordinates: many equal distances, and coincident
+        # points with zero distance
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 151))
+        e = np.round(rng.normal(size=(n, 2)) * (seed % 3 + 1))
+        labels = rng.integers(0, 5, size=n)
+        assert_same_triplets(e, labels)
+
+    def test_singleton_classes(self):
+        rng = np.random.default_rng(3)
+        labels = np.array([0, 1, 1, 2, 3, 3, 3, 4])
+        a, _, _ = assert_same_triplets(rng.normal(size=(8, 3)), labels)
+        assert not np.isin(a, [0, 3, 7]).any()
+
+    def test_one_class_gives_empty_arrays(self):
+        got = assert_same_triplets(np.ones((5, 2)), np.zeros(5, dtype=int))
+        assert all(x.shape == (0,) for x in got)
+
+    def test_no_semihard_negative_falls_back(self):
+        # two crossed pairs: every positive is at 20, both negatives at
+        # sqrt(200), so each pick is the farthest negative, lowest index
+        e = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0], [0.0, -10.0]])
+        _, _, n = assert_same_triplets(e, [0, 0, 1, 1])
+        np.testing.assert_array_equal(n, [2, 2, 0, 0])
+
+
 class TestTriplet:
     def test_easy_triplet_zero(self):
         # d(a,p)=0, d(a,n)=2, margin 1 -> max(0, 0 - 4 + 1) = 0
