@@ -2,11 +2,19 @@
 
 The graph is built eagerly: every node computes its value at construction
 time, so shape errors surface where the offending op is written. Gradients
-are built lazily by :func:`grad`, and the returned gradients are themselves
-graph nodes, so differentiating an expression that contains gradients gives
-correct second-order derivatives. This is the mechanism that lets a
-meta-loss evaluated at inner-updated parameters be backpropagated to the
-original parameters.
+are built lazily by :func:`grad`, whose reverse sweep has two modes:
+
+  * graph mode (the default): the gradients are graph nodes themselves, so
+    differentiating an expression that contains them gives correct
+    second-order derivatives. This is what lets a meta-loss evaluated at
+    inner-updated parameters be backpropagated to the original parameters.
+  * value mode (inside ``with values_only():``): the sweep computes plain
+    arrays and builds no node; each gradient comes back as a ``const``.
+    Use it for gradients that nothing differentiates again.
+
+Each VJP rule is written once against an op namespace, either the node
+constructors or their forward functions applied to arrays, so both modes
+do the same floating-point operations and give bit-identical values.
 
 Numerical conventions:
   * everything is float64,
@@ -16,8 +24,12 @@ Numerical conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,34 +68,6 @@ class Expr:
     def __repr__(self):
         return f"Expr(id={self.id}, op={self.op!r}, shape={self.shape})"
 
-    # arithmetic sugar; scalars/arrays on either side are lifted to constants
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def leaf(value) -> Expr:
     """Differentiable input node (parameters, data). Copies its argument."""
@@ -97,11 +81,6 @@ def const(value) -> Expr:
 
 def as_expr(x) -> Expr:
     return x if isinstance(x, Expr) else const(x)
-
-
-def evaluate(expr: Expr) -> np.ndarray:
-    """Value of a node. Values are computed eagerly, so this is a lookup."""
-    return expr.value
 
 
 # ---------------------------------------------------------------------------
@@ -175,34 +154,30 @@ def _make(op: str, inputs: tuple[Expr, ...], attrs: dict | None = None) -> Expr:
     return Expr(op, inputs, value, attrs)
 
 
-def _check_broadcast(a: Expr, b: Expr, op: str) -> None:
+# elementwise ops (numpy broadcasting allowed)
+
+def _elementwise(op: str, a: Expr, b: Expr) -> Expr:
     try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError as exc:
+        return _make(op, (a, b))
+    except ValueError as exc:  # numpy's own broadcast error
         raise ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from exc
 
 
-# elementwise ops (numpy broadcasting allowed)
-
 def add(a: Expr, b: Expr) -> Expr:
-    _check_broadcast(a, b, "add")
-    return _make("add", (a, b))
+    return _elementwise("add", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    _check_broadcast(a, b, "sub")
-    return _make("sub", (a, b))
+    return _elementwise("sub", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    _check_broadcast(a, b, "mul")
-    return _make("mul", (a, b))
+    return _elementwise("mul", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
     """Epsilon-guarded division: a / (b + 1e-12)."""
-    _check_broadcast(a, b, "div")
-    return _make("div", (a, b))
+    return _elementwise("div", a, b)
 
 
 def neg(a: Expr) -> Expr:
@@ -304,12 +279,14 @@ def mean(a: Expr, axis: int | None = None) -> Expr:
     return mul(reduce_sum(a, axis), const(1.0 / n))
 
 
+def mean_of(terms: Sequence[Expr]) -> Expr:
+    """Mean of a non-empty sequence of nodes, summed left to right."""
+    return mul(const(1.0 / len(terms)), functools.reduce(add, terms))
+
+
 def log_sum_exp(a: Expr, axis: int | None = None) -> Expr:
     """Stable log-sum-exp; the subtracted max is a constant, which leaves
     both the value and the derivatives exact."""
-    if axis is None:
-        m = const(a.value.max())
-        return add(log(reduce_sum(exp(sub(a, m)))), m)
     m_val = a.value.max(axis=axis, keepdims=True)
     s = reduce_sum(exp(sub(a, const(m_val))), axis=axis)
     return add(log(s), const(np.squeeze(m_val, axis=axis)))
@@ -330,69 +307,97 @@ def softmax(a: Expr, axis: int = -1) -> Expr:
 # reverse pass
 
 
-def _vjp_add(node, g):
-    a, b = node.inputs
-    return (sum_to(g, a.shape), sum_to(g, b.shape))
+# One rule per input of each op: (op namespace O, node, output adjoint g,
+# *node.inputs) -> that input's adjoint. Operands may be nodes or adjoints;
+# O decides whether the result is a node (graph mode) or an array (value
+# mode). The sweep runs only the rules of inputs that lead to a parameter.
 
-
-def _vjp_sub(node, g):
-    a, b = node.inputs
-    return (sum_to(g, a.shape), sum_to(neg(g), b.shape))
-
-
-def _vjp_mul(node, g):
-    a, b = node.inputs
-    return (sum_to(mul(g, b), a.shape), sum_to(mul(g, a), b.shape))
-
-
-def _vjp_div(node, g):
-    a, b = node.inputs
-    # node = a/(b+eps); d/da = 1/(b+eps), d/db = -node/(b+eps)
-    return (sum_to(div(g, b), a.shape),
-            sum_to(neg(mul(g, div(node, b))), b.shape))
-
-
-def _vjp_matmul(node, g):
-    a, b = node.inputs
-    return (matmul(g, transpose(b)), matmul(transpose(a), g))
-
-
-def _vjp_sum(node, g):
-    (a,) = node.inputs
+def _vjp_sum(O, node, g, a):
     axis = node.attrs["axis"]
     if axis is None:
-        return (broadcast_to(g, a.shape),)
+        return O.broadcast_to(g, a.shape)
     keep = list(a.shape)
     keep[axis] = 1
-    return (broadcast_to(reshape(g, keep), a.shape),)
+    return O.broadcast_to(O.reshape(g, tuple(keep)), a.shape)
 
 
-def _vjp_relu(node, g):
-    (a,) = node.inputs
-    return (mul(g, const((a.value > 0).astype(np.float64))),)
-
-
-_VJP: dict[str, Callable] = {
-    "add": _vjp_add,
-    "sub": _vjp_sub,
-    "mul": _vjp_mul,
-    "div": _vjp_div,
-    "neg": lambda node, g: (neg(g),),
-    "matmul": _vjp_matmul,
-    "transpose": lambda node, g: (transpose(g),),
-    "relu": _vjp_relu,
-    "exp": lambda node, g: (mul(g, node),),
-    "log": lambda node, g: (div(g, node.inputs[0]),),
-    "sqrt": lambda node, g: (div(mul(g, const(0.5)), node),),
-    "square": lambda node, g: (mul(g, mul(const(2.0), node.inputs[0])),),
-    "sum": _vjp_sum,
-    "sum_to": lambda node, g: (broadcast_to(g, node.inputs[0].shape),),
-    "broadcast": lambda node, g: (sum_to(g, node.inputs[0].shape),),
-    "reshape": lambda node, g: (reshape(g, node.inputs[0].shape),),
-    "gather_rows": lambda node, g: (
-        _scatter(g, node.attrs["index"], node.inputs[0].shape),),
-    "scatter_rows": lambda node, g: (_gather(g, node.attrs["index"]),),
+_VJP: dict[str, tuple[Callable, ...]] = {
+    "add": (lambda O, node, g, a, b: O.sum_to(g, a.shape),
+            lambda O, node, g, a, b: O.sum_to(g, b.shape)),
+    "sub": (lambda O, node, g, a, b: O.sum_to(g, a.shape),
+            lambda O, node, g, a, b: O.sum_to(O.neg(g), b.shape)),
+    "mul": (lambda O, node, g, a, b: O.sum_to(O.mul(g, b), a.shape),
+            lambda O, node, g, a, b: O.sum_to(O.mul(g, a), b.shape)),
+    # node = a/(b+eps); d/da = 1/(b+eps), d/db = -node/(b+eps)
+    "div": (lambda O, node, g, a, b: O.sum_to(O.div(g, b), a.shape),
+            lambda O, node, g, a, b: O.sum_to(O.neg(O.mul(g, O.div(node, b))),
+                                              b.shape)),
+    "neg": (lambda O, node, g, a: O.neg(g),),
+    "matmul": (lambda O, node, g, a, b: O.matmul(g, O.transpose(b)),
+               lambda O, node, g, a, b: O.matmul(O.transpose(a), g)),
+    "transpose": (lambda O, node, g, a: O.transpose(g),),
+    "relu": (lambda O, node, g, a: O.mul(
+        g, O.const((a.value > 0).astype(np.float64))),),
+    "exp": (lambda O, node, g, a: O.mul(g, node),),
+    "log": (lambda O, node, g, a: O.div(g, a),),
+    "sqrt": (lambda O, node, g, a: O.div(O.mul(g, O.const(0.5)), node),),
+    "square": (lambda O, node, g, a: O.mul(g, O.mul(O.const(2.0), a)),),
+    "sum": (_vjp_sum,),
+    "sum_to": (lambda O, node, g, a: O.broadcast_to(g, a.shape),),
+    "broadcast": (lambda O, node, g, a: O.sum_to(g, a.shape),),
+    "reshape": (lambda O, node, g, a: O.reshape(g, a.shape),),
+    "gather_rows": (lambda O, node, g, a: O.scatter(
+        g, node.attrs["index"], a.shape),),
+    "scatter_rows": (lambda O, node, g, a: O.gather(g, node.attrs["index"]),),
 }
+
+
+_GRAPH = SimpleNamespace(
+    add=add, sub=sub, mul=mul, div=div, neg=neg, matmul=matmul,
+    transpose=transpose, sum_to=sum_to, broadcast_to=broadcast_to,
+    reshape=reshape, gather=_gather, scatter=_scatter, const=const)
+
+
+def _value(x):
+    return x.value if isinstance(x, Expr) else x
+
+
+# The value namespace: each op constructor's forward function applied to
+# arrays (a node operand stands for its value), building no node.
+
+def _binary_on_values(op: str) -> Callable:
+    forward = _FORWARD[op]
+    return lambda a, b: forward(None, _value(a), _value(b))
+
+
+def _unary_on_values(op: str, *attr_names: str) -> Callable:
+    forward = _FORWARD[op]
+    return lambda a, *attrs: forward(dict(zip(attr_names, attrs)), _value(a))
+
+
+_VALUES = SimpleNamespace(
+    **{op: _binary_on_values(op) for op in ("add", "sub", "mul", "div", "matmul")},
+    neg=_unary_on_values("neg"), transpose=_unary_on_values("transpose"),
+    sum_to=_unary_on_values("sum_to", "shape"),
+    broadcast_to=_unary_on_values("broadcast", "shape"),
+    reshape=_unary_on_values("reshape", "shape"),
+    gather=_unary_on_values("gather_rows", "index"),
+    scatter=_unary_on_values("scatter_rows", "index", "shape"),
+    const=lambda value: np.asarray(value, dtype=np.float64))
+
+_sweep_ops: ContextVar[SimpleNamespace] = ContextVar("sweep_ops", default=_GRAPH)
+
+
+@contextmanager
+def values_only():
+    """Run every :func:`grad` inside the block in value mode: gradients come
+    back as ``const`` nodes that cannot be differentiated again. The previous
+    mode returns when the block exits, also on an exception."""
+    token = _sweep_ops.set(_VALUES)
+    try:
+        yield
+    finally:
+        _sweep_ops.reset(token)
 
 
 def _toposort(root: Expr) -> list[Expr]:
@@ -403,22 +408,16 @@ def _toposort(root: Expr) -> list[Expr]:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-            continue
-        if node.id in seen:
-            continue
-        seen.add(node.id)
-        stack.append((node, True))
-        for child in node.inputs:
-            if child.id not in seen:
-                stack.append((child, False))
+        elif node.id not in seen:
+            seen.add(node.id)
+            stack.append((node, True))
+            stack.extend((c, False) for c in node.inputs if c.id not in seen)
     return order  # children before parents
 
 
 class GradMap:
-    """Gradients of one scalar with respect to a set of leaf parameters.
-
-    Entries are Expr nodes, so they can be differentiated again.
-    """
+    """Gradients of one scalar with respect to a set of leaf parameters, as
+    Expr nodes (differentiable again when :func:`grad` ran in graph mode)."""
 
     def __init__(self, params: Sequence[Expr], grads: Sequence[Expr]):
         self.params = tuple(params)
@@ -441,9 +440,11 @@ class GradMap:
 def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
     """Gradient of a scalar node with respect to leaf parameters.
 
-    Parameters not reachable from ``scalar`` get zero gradients. The result
-    entries are graph nodes built from differentiable ops, so ``grad`` of an
-    expression containing them yields second-order derivatives.
+    Parameters not reachable from ``scalar`` get zero gradients. In graph
+    mode the result entries are graph nodes built from differentiable ops,
+    so ``grad`` of an expression containing them yields second-order
+    derivatives. Inside ``values_only()`` the sweep builds no node and each
+    entry is a ``const`` holding the same values.
     """
     if scalar.shape != ():
         raise ValueError(f"grad root must be scalar, got shape {scalar.shape}")
@@ -460,19 +461,23 @@ def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
         if node.id in param_ids or any(c.id in needed for c in node.inputs):
             needed.add(node.id)
 
-    adjoints: dict[int, Expr] = {scalar.id: const(1.0)}
+    O = _sweep_ops.get()
+    adjoints = {scalar.id: O.const(1.0)}
     for node in reversed(order):
-        g = adjoints.get(node.id)
-        if g is None or node.op in ("leaf", "const"):
+        if node.op in ("leaf", "const"):
             continue
-        for inp, gi in zip(node.inputs, _VJP[node.op](node, g)):
-            if gi is None or inp.id not in needed:
+        g = adjoints.pop(node.id, None)  # a swept node's adjoint is done
+        if g is None:
+            continue
+        for inp, rule in zip(node.inputs, _VJP[node.op]):
+            if inp.id not in needed:
                 continue
+            gi = rule(O, node, g, *node.inputs)
             prev = adjoints.get(inp.id)
-            adjoints[inp.id] = gi if prev is None else add(prev, gi)
+            adjoints[inp.id] = gi if prev is None else O.add(prev, gi)
 
-    grads = [adjoints[p.id] if p.id in adjoints else const(np.zeros(p.shape))
-             for p in params]
+    grads = [as_expr(adjoints[p.id]) if p.id in adjoints
+             else const(np.zeros(p.shape)) for p in params]
     return GradMap(params, grads)
 
 
@@ -481,22 +486,21 @@ def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
 
 
 def global_norm(grads: GradMap) -> Expr:
-    total = None
-    for _, g in grads:
-        term = reduce_sum(square(g))
-        total = term if total is None else add(total, term)
-    return sqrt(total)
+    return sqrt(functools.reduce(add, [reduce_sum(square(g)) for _, g in grads]))
 
 
-def clip_by_norm(grads: GradMap, threshold: float) -> GradMap:
+def clip_by_norm(grads: GradMap, threshold: float,
+                 norm: Expr | None = None) -> GradMap:
     """Scale the whole GradMap so its global L2 norm is at most ``threshold``.
 
-    The branch is decided eagerly on the current value; when scaling is
-    active, the scale factor stays differentiable through the norm.
+    ``norm`` is ``global_norm(grads)`` if the caller already has it. The
+    branch is decided eagerly on the current value; when scaling is active,
+    the scale factor stays differentiable through the norm.
     """
     if threshold <= 0:
         raise ValueError("clip threshold must be positive")
-    norm = global_norm(grads)
+    if norm is None:
+        norm = global_norm(grads)
     if float(norm.value) <= threshold:
         return grads
     scale = div(const(threshold), norm)
@@ -533,23 +537,20 @@ def finite_diff_check(scalar: Expr, params: Sequence[Expr],
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    gm = grad(scalar, params)
+    with values_only():
+        gm = grad(scalar, params)
     worst = 0.0
     for p, g in gm:
         analytic = g.value
         base = np.array(p.value)
         numeric = np.zeros_like(base)
-        it = np.nditer(base, flags=["multi_index"])
-        while not it.finished:
-            ix = it.multi_index
-            plus = np.array(base)
+        for ix in np.ndindex(base.shape):
+            plus, minus = np.array(base), np.array(base)
             plus[ix] += h
-            minus = np.array(base)
             minus[ix] -= h
             fp = recompute(scalar, {p.id: plus})
             fm = recompute(scalar, {p.id: minus})
             numeric[ix] = (float(fp) - float(fm)) / (2.0 * h)
-            it.iternext()
         denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
         err = np.abs(analytic - numeric) / denom
         if err.size:

@@ -275,10 +275,3 @@ def load_spec_file(path: str | Path) -> tuple[list[DomainSpec], int]:
     base = dict(CANONICAL)
     base.update(cfg or {})
     return canonical_domain_specs(base), base["base_seed"]
-
-
-def write_spec_file(path: str | Path, cfg: dict | None = None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        yaml.safe_dump(cfg or CANONICAL, f, sort_keys=False)

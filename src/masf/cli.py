@@ -35,6 +35,20 @@ from .harness import ExperimentConfig
 EXIT_OK, EXIT_CONFIG, EXIT_RUN, EXIT_IO = 0, 1, 2, 3
 
 
+def _coerce(key: str, value, declared: str):
+    """``value`` as the declared int or float type of config field ``key``
+    (YAML reads ``1e-5`` as a string); other fields pass through."""
+    if declared not in ("int", "float"):
+        return value
+    try:
+        number = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None or (declared == "int" and not number.is_integer()):
+        raise ValueError(f"config key {key!r} expects {declared}, got {value!r}")
+    return number if declared == "float" else int(number)
+
+
 def _load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
     raw: dict = {}
     if path:
@@ -46,13 +60,16 @@ def _load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
             raise ValueError(f"override {item!r} is not KEY=VALUE")
         raw[key] = yaml.safe_load(value)
 
-    hp_fields = {f.name for f in dataclasses.fields(Hyperparams)}
-    cfg_fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"hp"}
-    hp_kwargs = {k: v for k, v in raw.items() if k in hp_fields}
-    cfg_kwargs = {k: v for k, v in raw.items() if k in cfg_fields}
-    unknown = set(raw) - hp_fields - cfg_fields
+    hp_fields = {f.name: f.type for f in dataclasses.fields(Hyperparams)}
+    cfg_fields = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)
+                  if f.name != "hp"}
+    unknown = set(raw) - set(hp_fields) - set(cfg_fields)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    hp_kwargs = {k: _coerce(k, v, hp_fields[k]) for k, v in raw.items()
+                 if k in hp_fields}
+    cfg_kwargs = {k: _coerce(k, v, cfg_fields[k]) for k, v in raw.items()
+                  if k in cfg_fields}
     if "rows" in cfg_kwargs:
         cfg_kwargs["rows"] = [tuple(bool(v) for v in r) for r in cfg_kwargs["rows"]]
     return ExperimentConfig(hp=Hyperparams(**hp_kwargs), **cfg_kwargs)

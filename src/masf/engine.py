@@ -4,7 +4,8 @@ Each iteration splits the source domains into meta-train and meta-test,
 takes one plain gradient step on the task loss (the inner update, kept
 differentiable), evaluates the meta objective at the updated parameters,
 and then updates the original parameters with the combined gradient. The
-metric net gets its own update from the local loss only.
+metric net gets its own update from the local loss only. Nothing
+differentiates those two gradients again, so their sweeps run in value mode.
 
 Two RNG streams are kept per run: one for data (batch sampling) and one for
 algorithmic choices (domain split, pair shuffling). Ablation flags never
@@ -13,6 +14,7 @@ touch the data stream, so all ablation rows of one seed see identical data.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -51,13 +53,10 @@ class Hyperparams:
     n_meta_train: int = 2
     n_meta_test: int = 1
     local_loss_kind: str = TRIPLET
-    max_iterations: int = 1000
     episodic: bool = True
     use_global: bool = True
     use_local: bool = True
     clip_outer: bool = True
-    outer_optimizer: str = "sgd"   # reserved for a later adaptive variant
-    outer_task_domains: str = "meta_train"  # or "all"
 
     def validate(self, num_classes: int | None = None) -> None:
         if min(self.alpha, self.eta, self.gamma) <= 0:
@@ -141,22 +140,17 @@ def _mean_task_loss(psi: ParamSet, theta: ParamSet, batches) -> Expr:
     for x, labels in batches:
         logits = nets.task_forward(theta, nets.feature_forward(psi, ad.as_expr(x)))
         terms.append(losses.task_loss(logits, labels))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.mul(ad.const(1.0 / len(terms)), total)
+    return ad.mean_of(terms)
 
 
 def _apply_inner(psi: ParamSet, theta: ParamSet, loss: Expr, alpha: float,
                  clip_threshold: float) -> tuple[ParamSet, ParamSet, float]:
     params = psi.tensors + theta.tensors
     grads = ad.grad(loss, params)
-    norm = float(ad.global_norm(grads).value)
-    grads = ad.clip_by_norm(grads, clip_threshold)
-    n_psi = len(psi.tensors)
-    psi2 = nets.sgd_step(psi, GradMap(params[:n_psi], grads.grads[:n_psi]), alpha)
-    theta2 = nets.sgd_step(theta, GradMap(params[n_psi:], grads.grads[n_psi:]), alpha)
-    return psi2, theta2, norm
+    norm = ad.global_norm(grads)
+    grads = ad.clip_by_norm(grads, clip_threshold, norm)
+    return (nets.sgd_step(psi, grads, alpha), nets.sgd_step(theta, grads, alpha),
+            float(norm.value))
 
 
 def inner_update(psi: ParamSet, theta: ParamSet, meta_train_batches,
@@ -183,6 +177,12 @@ def _local_loss(psi2: ParamSet, phi: ParamSet, batches, hp: Hyperparams,
     return losses.triplet_loss_semihard(e, labels, hp.xi)
 
 
+def _descend(pset: ParamSet, grads: GradMap, lr: float) -> ParamSet:
+    """The next step's parameters: fresh leaves holding t - lr * grad."""
+    return pset.replace([ad.leaf(t.value - lr * grads[t].value)
+                         for t in pset.tensors])
+
+
 def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, MetricsRecord]:
     """One full episode. ``batches`` maps domain id -> (features, labels).
 
@@ -195,10 +195,7 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
                                state.algo_rng)
     num_classes = state.theta["w0"].shape[1]
 
-    if hp.episodic:
-        task_batches = [batches[k] for k in d_tr]
-    else:
-        task_batches = [batches[k] for k in ids]
+    task_batches = [batches[k] for k in (d_tr if hp.episodic else ids)]
     l_task = _mean_task_loss(state.psi, state.theta, task_batches)
     _check_finite(float(l_task.value), "task loss")
 
@@ -217,16 +214,9 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
                 psi2, theta2, hp.tau, num_classes)
         else:
             # no split: align over all unordered domain pairs
-            terms = []
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    terms.append(losses.global_alignment_loss(
-                        [batches[ids[i]]], [batches[ids[j]]],
-                        psi2, theta2, hp.tau, num_classes))
-            total = terms[0]
-            for t in terms[1:]:
-                total = ad.add(total, t)
-            l_global = ad.mul(ad.const(1.0 / len(terms)), total)
+            l_global = ad.mean_of([losses.global_alignment_loss(
+                [batches[i]], [batches[j]], psi2, theta2, hp.tau, num_classes)
+                for i, j in itertools.combinations(ids, 2)])
         _check_finite(float(l_global.value), "global alignment loss")
 
     l_local = None
@@ -243,28 +233,21 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
     _check_finite(float(outer_obj.value), "meta objective")
 
     params = state.psi.tensors + state.theta.tensors
-    grads = ad.grad(outer_obj, params)
-    outer_norm = float(ad.global_norm(grads).value)
+    with ad.values_only():
+        grads = ad.grad(outer_obj, params)
+    norm = ad.global_norm(grads)
+    outer_norm = float(norm.value)
     if hp.clip_outer:
-        grads = ad.clip_by_norm(grads, hp.clip_threshold)
+        grads = ad.clip_by_norm(grads, hp.clip_threshold, norm)
     eta_t = decayed_lr(hp.eta, state.t, hp.decay_rate, hp.decay_every)
-
-    def stepped(pset: ParamSet, offset: int) -> ParamSet:
-        new = []
-        for i, tensor in enumerate(pset.tensors):
-            g = grads.grads[offset + i].value
-            new.append(ad.leaf(tensor.value - eta_t * g))
-        return pset.replace(new)
-
-    new_psi = stepped(state.psi, 0)
-    new_theta = stepped(state.theta, len(state.psi.tensors))
+    new_psi = _descend(state.psi, grads, eta_t)
+    new_theta = _descend(state.theta, grads, eta_t)
 
     new_phi = state.phi
     if l_local is not None:
-        phi_grads = ad.grad(l_local, state.phi.tensors)
-        new_phi = state.phi.replace(
-            [ad.leaf(t.value - hp.gamma * g.value)
-             for t, g in zip(state.phi.tensors, phi_grads.grads)])
+        with ad.values_only():
+            phi_grads = ad.grad(l_local, state.phi.tensors)
+        new_phi = _descend(state.phi, phi_grads, hp.gamma)
 
     record = MetricsRecord(
         iteration=state.t,

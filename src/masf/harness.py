@@ -55,19 +55,25 @@ def margin_statistic(psi: ParamSet, phi: ParamSet, domain_a: DomainDataset,
             raise ValueError("margin statistic needs >= 2 classes per domain")
     e_a = _embed(psi, phi, domain_a.features)
     e_b = _embed(psi, phi, domain_b.features)
-    pos, neg = [], []
-    draws = 0
-    while draws < n_pairs:
+    pools = {c: (np.flatnonzero(domain_b.labels == c),
+                 np.flatnonzero(domain_b.labels != c))
+             for c in np.unique(domain_a.labels)}
+    if not any(same.size and diff.size for same, diff in pools.values()):
+        raise ValueError("no class of domain_a has a positive in domain_b")
+    anchors, positives, negatives = [], [], []
+    while len(anchors) < n_pairs:
         a = rng.integers(len(domain_a))
-        same = np.flatnonzero(domain_b.labels == domain_a.labels[a])
-        diff = np.flatnonzero(domain_b.labels != domain_a.labels[a])
+        same, diff = pools[domain_a.labels[a]]
         if same.size == 0 or diff.size == 0:
             continue  # no positive available for this class; resample
-        p = same[rng.integers(same.size)]
-        n = diff[rng.integers(diff.size)]
-        pos.append(np.linalg.norm(e_a[a] - e_b[p]))
-        neg.append(np.linalg.norm(e_a[a] - e_b[n]))
-        draws += 1
+        anchors.append(a)
+        positives.append(same[rng.integers(same.size)])
+        negatives.append(diff[rng.integers(diff.size)])
+    # a stacked row-by-column matmul takes each row's dot product, the same
+    # sum np.linalg.norm takes of a single row
+    rows_a = e_a[anchors]
+    pos, neg = (np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
+                for d in (rows_a - e_b[positives], rows_a - e_b[negatives]))
     return float(np.mean(neg) - np.mean(pos))
 
 
@@ -124,7 +130,6 @@ class ExperimentConfig:
     feature_widths: tuple[int, ...] = (64, 32)
     metric_widths: tuple[int, ...] = (32, 16)
     out_dir: str = "runs"
-    make_plots: bool = False
     targets: list | None = None  # None = every leave-one-out split
 
     def resolved_out_dir(self) -> Path:

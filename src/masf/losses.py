@@ -104,10 +104,7 @@ def global_alignment_loss(train_batches, test_batches, psi: ParamSet,
             if not shared.any():
                 raise ValueError("no shared class between a domain pair")
             terms.append(_pair_alignment(s_i, s_j, shared))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.mul(ad.const(1.0 / len(terms)), total)
+    return ad.mean_of(terms)
 
 
 def pairwise_distance(e_n: Expr, e_m: Expr) -> Expr:

@@ -17,10 +17,10 @@ def scalarize(gm, rng):
 
 class TestEvaluate:
     def test_square_leaf(self):
-        assert ad.evaluate(ad.square(ad.leaf(3.0))) == 9.0
+        assert ad.square(ad.leaf(3.0)).value == 9.0
 
     def test_relu_negative(self):
-        assert ad.evaluate(ad.relu(ad.leaf(-2.0))) == 0.0
+        assert ad.relu(ad.leaf(-2.0)).value == 0.0
 
     def test_log_sum_exp(self):
         got = float(ad.log_sum_exp(ad.leaf([0.0, 0.0])).value)
@@ -37,6 +37,13 @@ class TestEvaluate:
             ad.matmul(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 3))))
         with pytest.raises(ValueError):
             ad.add(ad.leaf(np.ones(3)), ad.leaf(np.ones(4)))
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_broadcast_error_names_op_and_shapes(self, op):
+        a, b = ad.leaf(np.ones((2, 3))), ad.leaf(np.ones(4))
+        with pytest.raises(ValueError,
+                           match=rf"{op}: incompatible shapes \(2, 3\) and \(4,\)"):
+            getattr(ad, op)(a, b)
 
     def test_log_domain_error(self):
         with pytest.raises(ad.DomainError):
@@ -117,6 +124,13 @@ OPS = {
         ad.reshape(ad.square(x), (1, 5)), np.array([3]))),
     "select_rows": lambda x: ad.reduce_sum(ad.square(ad.select_rows(
         ad.reshape(x, (5, 1)), np.array([3, 0, 3, 4, 3])))),
+    "broadcast_sub": lambda x: ad.reduce_sum(ad.square(ad.sub(
+        ad.broadcast_to(ad.reshape(x, (5, 1)), (5, 3)),
+        ad.const(np.arange(3.0))))),
+    "transpose_neg": lambda x: ad.reduce_sum(ad.exp(ad.reduce_sum(
+        ad.neg(ad.transpose(ad.reshape(ad.square(x), (5, 1)))), axis=1))),
+    "sum_to": lambda x: ad.reduce_sum(ad.square(ad.sum_to(
+        ad.mul(ad.reshape(x, (5, 1)), ad.const(np.arange(1.0, 4.0))), (1, 3)))),
 }
 
 
@@ -135,6 +149,81 @@ def test_second_order_matches_finite_differences(name):
     g = ad.grad(OPS[name](x), [x])
     s = scalarize(g, rng)
     assert ad.finite_diff_check(s, [x]) < 1e-4
+
+
+def both_modes(scalar, params):
+    """grad in graph mode and in value mode."""
+    graph = ad.grad(scalar, params)
+    with ad.values_only():
+        values = ad.grad(scalar, params)
+    return graph, values
+
+
+def assert_same_grads(graph, values):
+    for (p, g), (q, v) in zip(graph, values):
+        assert p is q
+        assert v.op == "const"
+        assert np.array_equal(g.value, v.value), g.value - v.value
+
+
+class TestValueMode:
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_matches_graph_mode(self, name):
+        rng = np.random.default_rng(5)
+        x = ad.leaf(rng.normal(size=5))
+        graph, values = both_modes(OPS[name](x), [x])
+        assert_same_grads(graph, values)
+        # through the graph-mode gradient, i.e. every rule's VJP node
+        assert_same_grads(*both_modes(scalarize(graph, rng), [x]))
+
+    def test_matches_graph_mode_through_inner_step(self):
+        # the shape of a meta step: an inner gradient (clipped, so the
+        # clip scale is differentiated too), an SGD step, then a loss
+        rng = np.random.default_rng(2)
+        w = ad.leaf(rng.normal(size=(4, 3)))
+        b = ad.leaf(rng.normal(size=3) * 0.1)
+
+        def loss(w, b, x, labels):
+            logits = ad.add(ad.matmul(ad.relu(ad.const(x)), w), b)
+            return ad.mean(ad.sub(ad.log_sum_exp(logits, axis=1),
+                                  ad.gather_rows(logits, labels)))
+
+        inner = loss(w, b, rng.normal(size=(6, 4)), rng.integers(0, 3, 6))
+        gm = ad.grad(inner, [w, b])
+        norm = ad.global_norm(gm)
+        assert float(norm.value) > 0.1
+        gm = ad.clip_by_norm(gm, 0.1, norm)
+        w2 = ad.sub(w, ad.mul(ad.const(0.5), gm[w]))
+        b2 = ad.sub(b, ad.mul(ad.const(0.5), gm[b]))
+        outer = ad.add(inner, loss(w2, b2, rng.normal(size=(6, 4)),
+                                   rng.integers(0, 3, 6)))
+        assert_same_grads(*both_modes(outer, [w, b]))
+
+    def test_unreachable_and_root_params(self):
+        x, y = ad.leaf(2.0), ad.leaf([1.0, 2.0])
+        with ad.values_only():
+            gm = ad.grad(ad.square(x), [x, y])
+            own = ad.grad(x, [x])
+        assert float(gm[x].value) == 4.0 and gm[x].op == "const"
+        np.testing.assert_array_equal(gm[y].value, [0.0, 0.0])
+        assert float(own[x].value) == 1.0 and own[x].op == "const"
+
+    def test_mode_restored_when_body_raises(self):
+        x = ad.leaf(3.0)
+        with pytest.raises(RuntimeError):
+            with ad.values_only():
+                raise RuntimeError("boom")
+        g = ad.grad(ad.square(x), [x])[x]
+        assert g.op != "const"
+        assert float(ad.grad(g, [x])[x].value) == 2.0
+
+    def test_nested_blocks_keep_value_mode(self):
+        x = ad.leaf(3.0)
+        with ad.values_only():
+            with ad.values_only():
+                pass
+            assert ad.grad(ad.square(x), [x])[x].op == "const"
+        assert ad.grad(ad.square(x), [x])[x].op != "const"
 
 
 class TestSelectRows:

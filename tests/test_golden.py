@@ -1,0 +1,74 @@
+"""Golden check of trained parameters and per-step metrics.
+
+A few meta steps of the canonical study are trained for three rows (full
+method with each local-loss kind, and the non-episodic global + local row)
+and compared with ``data/golden_meta_steps.npz``. The tolerance is explicit
+so that a change which only reorders floating-point sums (a different graph
+shape, say) can still pass; an exact refactor matches it bit for bit.
+
+Regenerate the file (only when a change of the trained values is intended)
+with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from masf import bench, engine, harness, nets
+
+GOLDEN = Path(__file__).parent / "data" / "golden_meta_steps.npz"
+RTOL = 1e-12
+STEPS = 4
+TARGET = 3
+SEED = 0
+CASES = {
+    "full_triplet": dict(local_loss_kind=engine.TRIPLET),
+    # a lower threshold makes the inner and outer clipping fire
+    "full_contrastive": dict(local_loss_kind=engine.CONTRASTIVE,
+                             clip_threshold=1.0),
+    "pooled_global_local": dict(local_loss_kind=engine.TRIPLET, episodic=False),
+}
+
+
+def train_case(name: str) -> dict[str, np.ndarray]:
+    """Final psi/theta/phi and the MetricsRecord rows of one case."""
+    cfg = harness.canonical_experiment_config()
+    datasets = bench.canonical_datasets()
+    sources = {k: d for k, d in datasets.items() if k != TARGET}
+    arch = nets.Architecture(
+        input_dim=datasets[TARGET].features.shape[1],
+        num_classes=max(d.num_classes for d in datasets.values()),
+        feature_widths=tuple(cfg.feature_widths),
+        metric_widths=tuple(cfg.metric_widths))
+    hp = replace(cfg.hp, n_meta_train=len(sources) - cfg.hp.n_meta_test,
+                 **CASES[name])
+    records = []
+    state = engine.train(engine.make_state(arch, hp, SEED), sources, STEPS,
+                         records.append)
+    out = {f"{name}/records": np.array([r.row() for r in records], dtype=np.float64)}
+    for pset in (state.psi, state.theta, state.phi):
+        for key, tensor in pset.entries:
+            out[f"{name}/{pset.role}/{key}"] = np.array(tensor.value)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name):
+    golden = np.load(GOLDEN)
+    got = train_case(name)
+    expected = {k: golden[k] for k in golden.files if k.startswith(f"{name}/")}
+    assert sorted(got) == sorted(expected)
+    for key, value in got.items():
+        np.testing.assert_allclose(value, expected[key], rtol=RTOL, atol=0,
+                                   err_msg=key)
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    arrays = {}
+    for case in sorted(CASES):
+        arrays.update(train_case(case))
+    np.savez_compressed(GOLDEN, **arrays)
+    print(f"wrote {GOLDEN} ({len(arrays)} arrays)")

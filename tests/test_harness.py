@@ -102,6 +102,27 @@ class TestSilhouette:
             assert -1.0 <= harness.silhouette_score(e, labels) <= 1.0
 
 
+def reference_margin_statistic(psi, phi, domain_a, domain_b, n_pairs, rng):
+    """The per-draw loop margin_statistic replaced; it must give the same
+    float from the same rng."""
+    e_a = harness._embed(psi, phi, domain_a.features)
+    e_b = harness._embed(psi, phi, domain_b.features)
+    pos, neg = [], []
+    draws = 0
+    while draws < n_pairs:
+        a = rng.integers(len(domain_a))
+        same = np.flatnonzero(domain_b.labels == domain_a.labels[a])
+        diff = np.flatnonzero(domain_b.labels != domain_a.labels[a])
+        if same.size == 0 or diff.size == 0:
+            continue  # no positive available for this class; resample
+        p = same[rng.integers(same.size)]
+        n = diff[rng.integers(diff.size)]
+        pos.append(np.linalg.norm(e_a[a] - e_b[p]))
+        neg.append(np.linalg.norm(e_a[a] - e_b[n]))
+        draws += 1
+    return float(np.mean(neg) - np.mean(pos))
+
+
 class TestMarginStatistic:
     def _nets(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -140,6 +161,36 @@ class TestMarginStatistic:
         m = harness.margin_statistic(psi, phi, ds, ds, 40,
                                      np.random.default_rng(0))
         assert m > 0.5
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        psi, phi = self._nets(seed)
+
+        def domain(n, classes):
+            labels = rng.choice(classes, size=n)
+            labels[:2] = classes[:2]  # at least two classes
+            return bench.DomainDataset(rng.normal(size=(n, 8)), labels, 0)
+
+        domain_a = domain(int(rng.integers(5, 40)), [0, 1, 2])
+        # even seeds: class 2 is absent from domain_b, so its anchors resample
+        domain_b = domain(int(rng.integers(5, 40)),
+                          [0, 1] if seed % 2 == 0 else [1, 2, 0])
+        n_pairs = int(rng.integers(1, 300))
+        got = harness.margin_statistic(psi, phi, domain_a, domain_b, n_pairs,
+                                       np.random.default_rng(seed))
+        want = reference_margin_statistic(psi, phi, domain_a, domain_b,
+                                          n_pairs, np.random.default_rng(seed))
+        assert got == want
+
+    def test_no_shared_class_rejected(self):
+        psi, phi = self._nets()
+        ds = small_datasets(2)
+        a = bench.DomainDataset(ds[0].features, np.arange(60) % 2, 0)
+        b = bench.DomainDataset(ds[1].features, 2 + np.arange(60) % 2, 1)
+        with pytest.raises(ValueError, match="no class"):
+            harness.margin_statistic(psi, phi, a, b, 10,
+                                     np.random.default_rng(0))
 
 
 class TestTargetAlignment:
@@ -278,6 +329,44 @@ class TestCli:
         assert cli.main(["plot", "--metrics", str(metrics),
                          "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_train_with_scientific_notation_override(self, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        code = cli.main(["train", "--seed", "0", "--target", "3",
+                         "--set", "iterations=2", "--set", "batch_size=12",
+                         "--set", "alpha=1e-5", "--set", "eta=5e-2",
+                         "--set", "feature_widths=[10, 6]",
+                         "--set", "metric_widths=[8, 4]",
+                         "--set", "n_meta_train=2"])
+        assert code == 0, capsys.readouterr().err
+
+    def test_config_file_numbers_take_declared_types(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("alpha: 1e-5\ngamma: 2\nbatch_size: 1e2\n"
+                        "iterations: '7'\ntrain_fraction: 1\n")
+        config = cli._load_config(str(path), ["eta=3E-4"])
+        assert (config.hp.alpha, config.hp.eta) == (1e-5, 3e-4)
+        assert type(config.hp.gamma) is float and config.hp.gamma == 2.0
+        assert type(config.hp.batch_size) is int and config.hp.batch_size == 100
+        assert type(config.iterations) is int and config.iterations == 7
+        assert type(config.train_fraction) is float
+
+    @pytest.mark.parametrize("item", ["alpha=abc", "batch_size=2.5",
+                                      "tau=true", "iterations=[3]"])
+    def test_unconvertible_number_names_key(self, item):
+        key = item.split("=")[0]
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            cli._load_config(None, [item])
+
+    def test_unconvertible_number_in_file_is_config_error(self, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        path = tmp_path / "cfg.yaml"
+        path.write_text("eta: fast\n")
+        assert cli.main(["train", "--config", str(path),
+                         "--set", "iterations=1"]) == 1
+        assert "config error: config key 'eta'" in capsys.readouterr().err
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         assert cli.main(["ablate", "--set", "bogus=1"]) == 1
