@@ -12,9 +12,10 @@ are built lazily by :func:`grad`, whose reverse sweep has two modes:
     arrays and builds no node; each gradient comes back as a ``const``.
     Use it for gradients that nothing differentiates again.
 
-Each VJP rule is written once against an op namespace, either the node
-constructors or their forward functions applied to arrays, so both modes
-do the same floating-point operations and give bit-identical values.
+Each VJP rule is written once against one dispatch function that builds an
+op by name, either as a node or by applying the op's forward function to
+arrays, so both modes do the same floating-point operations and give
+bit-identical values.
 
 Numerical conventions:
   * everything is float64,
@@ -28,7 +29,6 @@ import functools
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -244,10 +244,6 @@ def _gather(a: Expr, index: tuple) -> Expr:
     return _make("gather_rows", (a,), {"index": index})
 
 
-def _scatter(a: Expr, index: tuple, shape: tuple) -> Expr:
-    return _make("scatter_rows", (a,), {"index": index, "shape": shape})
-
-
 def _indices(idx, bound: int, op: str) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
@@ -307,85 +303,70 @@ def softmax(a: Expr, axis: int = -1) -> Expr:
 # reverse pass
 
 
-# One rule per input of each op: (op namespace O, node, output adjoint g,
-# *node.inputs) -> that input's adjoint. Operands may be nodes or adjoints;
-# O decides whether the result is a node (graph mode) or an array (value
-# mode). The sweep runs only the rules of inputs that lead to a parameter.
+# One rule per input of each op: (O, node, output adjoint g, *node.inputs)
+# -> that input's adjoint. A rule builds each op as O(op, *operands, **attrs),
+# naming it by its _FORWARD key; operands may be nodes, adjoints or arrays,
+# and O decides whether the result is a node (graph mode) or an array (value
+# mode). Shapes come from the forward graph, which the constructors checked.
+# The sweep runs only the rules of inputs that lead to a parameter.
 
 def _vjp_sum(O, node, g, a):
     axis = node.attrs["axis"]
-    if axis is None:
-        return O.broadcast_to(g, a.shape)
-    keep = list(a.shape)
-    keep[axis] = 1
-    return O.broadcast_to(O.reshape(g, tuple(keep)), a.shape)
+    if axis is not None:
+        keep = list(a.shape)
+        keep[axis] = 1
+        g = O("reshape", g, shape=tuple(keep))
+    return O("broadcast", g, shape=a.shape)
 
 
 _VJP: dict[str, tuple[Callable, ...]] = {
-    "add": (lambda O, node, g, a, b: O.sum_to(g, a.shape),
-            lambda O, node, g, a, b: O.sum_to(g, b.shape)),
-    "sub": (lambda O, node, g, a, b: O.sum_to(g, a.shape),
-            lambda O, node, g, a, b: O.sum_to(O.neg(g), b.shape)),
-    "mul": (lambda O, node, g, a, b: O.sum_to(O.mul(g, b), a.shape),
-            lambda O, node, g, a, b: O.sum_to(O.mul(g, a), b.shape)),
+    "add": (lambda O, node, g, a, b: O("sum_to", g, shape=a.shape),
+            lambda O, node, g, a, b: O("sum_to", g, shape=b.shape)),
+    "sub": (lambda O, node, g, a, b: O("sum_to", g, shape=a.shape),
+            lambda O, node, g, a, b: O("sum_to", O("neg", g), shape=b.shape)),
+    "mul": (lambda O, node, g, a, b: O("sum_to", O("mul", g, b), shape=a.shape),
+            lambda O, node, g, a, b: O("sum_to", O("mul", g, a), shape=b.shape)),
     # node = a/(b+eps); d/da = 1/(b+eps), d/db = -node/(b+eps)
-    "div": (lambda O, node, g, a, b: O.sum_to(O.div(g, b), a.shape),
-            lambda O, node, g, a, b: O.sum_to(O.neg(O.mul(g, O.div(node, b))),
-                                              b.shape)),
-    "neg": (lambda O, node, g, a: O.neg(g),),
-    "matmul": (lambda O, node, g, a, b: O.matmul(g, O.transpose(b)),
-               lambda O, node, g, a, b: O.matmul(O.transpose(a), g)),
-    "transpose": (lambda O, node, g, a: O.transpose(g),),
-    "relu": (lambda O, node, g, a: O.mul(
-        g, O.const((a.value > 0).astype(np.float64))),),
-    "exp": (lambda O, node, g, a: O.mul(g, node),),
-    "log": (lambda O, node, g, a: O.div(g, a),),
-    "sqrt": (lambda O, node, g, a: O.div(O.mul(g, O.const(0.5)), node),),
-    "square": (lambda O, node, g, a: O.mul(g, O.mul(O.const(2.0), a)),),
+    "div": (lambda O, node, g, a, b: O("sum_to", O("div", g, b), shape=a.shape),
+            lambda O, node, g, a, b: O("sum_to", O("neg", O(
+                "mul", g, O("div", node, b))), shape=b.shape)),
+    "neg": (lambda O, node, g, a: O("neg", g),),
+    "matmul": (lambda O, node, g, a, b: O("matmul", g, O("transpose", b)),
+               lambda O, node, g, a, b: O("matmul", O("transpose", a), g)),
+    "transpose": (lambda O, node, g, a: O("transpose", g),),
+    "relu": (lambda O, node, g, a: O(
+        "mul", g, (a.value > 0).astype(np.float64)),),
+    "exp": (lambda O, node, g, a: O("mul", g, node),),
+    "log": (lambda O, node, g, a: O("div", g, a),),
+    "sqrt": (lambda O, node, g, a: O("div", O("mul", g, 0.5), node),),
+    "square": (lambda O, node, g, a: O("mul", g, O("mul", 2.0, a)),),
     "sum": (_vjp_sum,),
-    "sum_to": (lambda O, node, g, a: O.broadcast_to(g, a.shape),),
-    "broadcast": (lambda O, node, g, a: O.sum_to(g, a.shape),),
-    "reshape": (lambda O, node, g, a: O.reshape(g, a.shape),),
-    "gather_rows": (lambda O, node, g, a: O.scatter(
-        g, node.attrs["index"], a.shape),),
-    "scatter_rows": (lambda O, node, g, a: O.gather(g, node.attrs["index"]),),
+    "sum_to": (lambda O, node, g, a: O("broadcast", g, shape=a.shape),),
+    "broadcast": (lambda O, node, g, a: O("sum_to", g, shape=a.shape),),
+    "reshape": (lambda O, node, g, a: O("reshape", g, shape=a.shape),),
+    "gather_rows": (lambda O, node, g, a: O(
+        "scatter_rows", g, index=node.attrs["index"], shape=a.shape),),
+    "scatter_rows": (lambda O, node, g, a: O(
+        "gather_rows", g, index=node.attrs["index"]),),
 }
 
 
-_GRAPH = SimpleNamespace(
-    add=add, sub=sub, mul=mul, div=div, neg=neg, matmul=matmul,
-    transpose=transpose, sum_to=sum_to, broadcast_to=broadcast_to,
-    reshape=reshape, gather=_gather, scatter=_scatter, const=const)
+def _on_graph(op: str, *operands, **attrs) -> Expr:
+    """Graph mode: a node (an array operand becomes a ``const``)."""
+    return _make(op, tuple(map(as_expr, operands)), attrs)
 
 
-def _value(x):
-    return x.value if isinstance(x, Expr) else x
+def _on_values(op: str, a, b=None, **attrs) -> np.ndarray:
+    """Value mode: the op's forward function on arrays; a node operand stands
+    for its value. Every op has one or two operands, spelled out here because
+    this runs once per op of every value-mode sweep."""
+    a = a.value if isinstance(a, Expr) else a
+    if b is None:
+        return _FORWARD[op](attrs, a)
+    return _FORWARD[op](attrs, a, b.value if isinstance(b, Expr) else b)
 
 
-# The value namespace: each op constructor's forward function applied to
-# arrays (a node operand stands for its value), building no node.
-
-def _binary_on_values(op: str) -> Callable:
-    forward = _FORWARD[op]
-    return lambda a, b: forward(None, _value(a), _value(b))
-
-
-def _unary_on_values(op: str, *attr_names: str) -> Callable:
-    forward = _FORWARD[op]
-    return lambda a, *attrs: forward(dict(zip(attr_names, attrs)), _value(a))
-
-
-_VALUES = SimpleNamespace(
-    **{op: _binary_on_values(op) for op in ("add", "sub", "mul", "div", "matmul")},
-    neg=_unary_on_values("neg"), transpose=_unary_on_values("transpose"),
-    sum_to=_unary_on_values("sum_to", "shape"),
-    broadcast_to=_unary_on_values("broadcast", "shape"),
-    reshape=_unary_on_values("reshape", "shape"),
-    gather=_unary_on_values("gather_rows", "index"),
-    scatter=_unary_on_values("scatter_rows", "index", "shape"),
-    const=lambda value: np.asarray(value, dtype=np.float64))
-
-_sweep_ops: ContextVar[SimpleNamespace] = ContextVar("sweep_ops", default=_GRAPH)
+_sweep_op: ContextVar[Callable] = ContextVar("sweep_op", default=_on_graph)
 
 
 @contextmanager
@@ -393,11 +374,11 @@ def values_only():
     """Run every :func:`grad` inside the block in value mode: gradients come
     back as ``const`` nodes that cannot be differentiated again. The previous
     mode returns when the block exits, also on an exception."""
-    token = _sweep_ops.set(_VALUES)
+    token = _sweep_op.set(_on_values)
     try:
         yield
     finally:
-        _sweep_ops.reset(token)
+        _sweep_op.reset(token)
 
 
 def _toposort(root: Expr) -> list[Expr]:
@@ -461,8 +442,8 @@ def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
         if node.id in param_ids or any(c.id in needed for c in node.inputs):
             needed.add(node.id)
 
-    O = _sweep_ops.get()
-    adjoints = {scalar.id: O.const(1.0)}
+    O = _sweep_op.get()
+    adjoints = {scalar.id: const(1.0)}
     for node in reversed(order):
         if node.op in ("leaf", "const"):
             continue
@@ -474,7 +455,7 @@ def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
                 continue
             gi = rule(O, node, g, *node.inputs)
             prev = adjoints.get(inp.id)
-            adjoints[inp.id] = gi if prev is None else O.add(prev, gi)
+            adjoints[inp.id] = gi if prev is None else O("add", prev, gi)
 
     grads = [as_expr(adjoints[p.id]) if p.id in adjoints
              else const(np.zeros(p.shape)) for p in params]

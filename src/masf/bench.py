@@ -263,9 +263,11 @@ def canonical_domain_specs(overrides: dict | None = None) -> list[DomainSpec]:
     return specs
 
 
-def canonical_datasets(base_seed: int | None = None) -> dict[int, DomainDataset]:
-    seed = CANONICAL["base_seed"] if base_seed is None else base_seed
-    return {s.domain_id: make_domain(s, seed) for s in canonical_domain_specs()}
+def canonical_datasets(overrides: dict | None = None) -> dict[int, DomainDataset]:
+    """The canonical domains, with ``overrides`` (keys of CANONICAL) applied."""
+    seed = (overrides or {}).get("base_seed", CANONICAL["base_seed"])
+    return {s.domain_id: make_domain(s, seed)
+            for s in canonical_domain_specs(overrides)}
 
 
 def load_spec_file(path: str | Path) -> tuple[list[DomainSpec], int]:

@@ -99,7 +99,7 @@ def cmd_train(args) -> int:
     config = _load_config(args.config, args.set or [])
     out_dir = config.resolved_out_dir()
     _dump_resolved(config, out_dir)
-    datasets = bench.canonical_datasets()
+    datasets = bench.canonical_datasets(config.bench_overrides)
     target = args.target if args.target is not None else sorted(datasets)[-1]
     flags = (config.hp.episodic, config.hp.use_global, config.hp.use_local)
     acc, state, _, _ = harness.run_single(

@@ -56,7 +56,6 @@ class Hyperparams:
     episodic: bool = True
     use_global: bool = True
     use_local: bool = True
-    clip_outer: bool = True
 
     def validate(self, num_classes: int | None = None) -> None:
         if min(self.alpha, self.eta, self.gamma) <= 0:
@@ -208,15 +207,11 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
 
     l_global = None
     if hp.use_global and hp.beta1 > 0:
-        if hp.episodic:
-            l_global = losses.global_alignment_loss(
-                [batches[k] for k in d_tr], [batches[k] for k in d_te],
-                psi2, theta2, hp.tau, num_classes)
-        else:
-            # no split: align over all unordered domain pairs
-            l_global = ad.mean_of([losses.global_alignment_loss(
-                [batches[i]], [batches[j]], psi2, theta2, hp.tau, num_classes)
-                for i, j in itertools.combinations(ids, 2)])
+        # without the split, align over all unordered domain pairs
+        pairs = (itertools.product(d_tr, d_te) if hp.episodic
+                 else itertools.combinations(ids, 2))
+        l_global = losses.global_alignment_loss(batches, pairs, psi2, theta2,
+                                                hp.tau, num_classes)
         _check_finite(float(l_global.value), "global alignment loss")
 
     l_local = None
@@ -237,8 +232,7 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
         grads = ad.grad(outer_obj, params)
     norm = ad.global_norm(grads)
     outer_norm = float(norm.value)
-    if hp.clip_outer:
-        grads = ad.clip_by_norm(grads, hp.clip_threshold, norm)
+    grads = ad.clip_by_norm(grads, hp.clip_threshold, norm)
     eta_t = decayed_lr(hp.eta, state.t, hp.decay_rate, hp.decay_every)
     new_psi = _descend(state.psi, grads, eta_t)
     new_theta = _descend(state.theta, grads, eta_t)

@@ -81,9 +81,10 @@ def target_alignment(psi: ParamSet, theta: ParamSet, source: DomainDataset,
                      target: DomainDataset, tau: float) -> float:
     """Soft-confusion alignment loss between a source and the target domain."""
     num_classes = max(source.num_classes, target.num_classes)
-    loss = losses.global_alignment_loss(
-        [(source.features, source.labels)], [(target.features, target.labels)],
-        psi, theta, tau, num_classes)
+    batches = {"source": (source.features, source.labels),
+               "target": (target.features, target.labels)}
+    loss = losses.global_alignment_loss(batches, [("source", "target")],
+                                        psi, theta, tau, num_classes)
     return float(loss.value)
 
 
@@ -248,10 +249,7 @@ def run_experiment(config: ExperimentConfig,
                    write_files: bool = True) -> Report:
     """Full grid: every leave-one-out split x ablation row x seed."""
     if datasets is None:
-        specs = bench.canonical_domain_specs(config.bench_overrides)
-        base_seed = config.bench_overrides.get(
-            "base_seed", bench.CANONICAL["base_seed"])
-        datasets = {s.domain_id: bench.make_domain(s, base_seed) for s in specs}
+        datasets = bench.canonical_datasets(config.bench_overrides)
     targets = config.targets
     if targets is None:
         targets = [t for _, t in bench.leave_one_out_splits(sorted(datasets))]

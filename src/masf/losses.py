@@ -2,9 +2,9 @@
 
 The global term aligns per-domain soft confusion matrices (temperature-
 softened class predictions of class-mean features) with a symmetrized KL
-divergence, averaged over meta-train/meta-test domain pairs. The local term
-is metric learning over embeddings: contrastive pairs or triplets with
-online semi-hard mining.
+divergence, averaged over domain pairs (meta-train x meta-test, or every
+pair when there is no split). The local term is metric learning over
+embeddings: contrastive pairs or triplets with online semi-hard mining.
 """
 
 from __future__ import annotations
@@ -57,12 +57,6 @@ def soft_label_matrix(theta: ParamSet, means: Expr, tau: float) -> Expr:
     return ad.softmax(ad.mul(logits, ad.const(1.0 / tau)))
 
 
-def soft_labels(theta: ParamSet, class_mean: Expr, tau: float) -> Expr:
-    """Soft class distribution [C] for a single class-mean feature [d]."""
-    row = ad.reshape(class_mean, (1, class_mean.shape[0]))
-    return ad.reshape(soft_label_matrix(theta, row, tau), (-1,))
-
-
 def symm_kl(p: Expr, q: Expr) -> Expr:
     """0.5 * [KL(p||q) + KL(q||p)] for two distributions (epsilon-guarded logs)."""
     for dist in (p, q):
@@ -83,33 +77,32 @@ def _pair_alignment(s_i: Expr, s_j: Expr, mask: np.ndarray) -> Expr:
     return ad.reduce_sum(ad.mul(per_class, ad.const(weights)))
 
 
-def global_alignment_loss(train_batches, test_batches, psi: ParamSet,
-                          theta: ParamSet, tau: float, num_classes: int) -> Expr:
-    """Average pair alignment over meta-train x meta-test domain batches.
+def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
+                          tau: float, num_classes: int) -> Expr:
+    """Average pair alignment over ``(i, j)`` pairs of domain ids.
 
-    Batches are (features [N, d_in], labels [N]) pairs, one per domain.
+    ``batches`` maps a domain id to its (features [N, d_in], labels [N])
+    batch. Each domain's soft matrix is built once, however many pairs
+    share it.
     """
-    def soft_matrix(batch):
-        x, labels = batch
-        z = nets.feature_forward(psi, ad.as_expr(x))
-        means, mask = class_means(z, labels, num_classes)
-        return soft_label_matrix(theta, means, tau), mask
+    soft: dict = {}
 
-    tr = [soft_matrix(b) for b in train_batches]
-    te = [soft_matrix(b) for b in test_batches]
+    def soft_matrix(k):
+        if k not in soft:
+            x, labels = batches[k]
+            z = nets.feature_forward(psi, ad.as_expr(x))
+            means, mask = class_means(z, labels, num_classes)
+            soft[k] = soft_label_matrix(theta, means, tau), mask
+        return soft[k]
+
     terms = []
-    for s_i, m_i in tr:
-        for s_j, m_j in te:
-            shared = m_i & m_j
-            if not shared.any():
-                raise ValueError("no shared class between a domain pair")
-            terms.append(_pair_alignment(s_i, s_j, shared))
+    for i, j in pairs:
+        (s_i, m_i), (s_j, m_j) = soft_matrix(i), soft_matrix(j)
+        shared = m_i & m_j
+        if not shared.any():
+            raise ValueError("no shared class between a domain pair")
+        terms.append(_pair_alignment(s_i, s_j, shared))
     return ad.mean_of(terms)
-
-
-def pairwise_distance(e_n: Expr, e_m: Expr) -> Expr:
-    """Euclidean distance between two embedding vectors."""
-    return ad.sqrt(ad.reduce_sum(ad.square(ad.sub(e_n, e_m))))
 
 
 def _row_sq_dists(a: Expr, b: Expr) -> Expr:

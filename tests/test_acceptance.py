@@ -81,7 +81,8 @@ class TestGradientCorrectness:
         l_task = losses.task_loss(logits, b0[1])
         assert ad.finite_diff_check(l_task, psi.tensors + theta.tensors) <= 1e-5
 
-        l_glob = losses.global_alignment_loss([b0, b1], [b2], psi, theta, 2.0, 5)
+        pairs = [(0, 2), (1, 2)]
+        l_glob = losses.global_alignment_loss(batches, pairs, psi, theta, 2.0, 5)
         assert ad.finite_diff_check(l_glob, psi.tensors + theta.tensors) <= 1e-5
 
         emb = nets.metric_forward(phi, nets.feature_forward(psi, ad.const(b0[0])))
@@ -95,7 +96,7 @@ class TestGradientCorrectness:
         # differentiated with respect to the ORIGINAL parameters
         psi2, theta2 = engine.inner_update(psi, theta, [b0, b1], 0.05, 2.0)
         l_meta = ad.add(
-            losses.global_alignment_loss([b0, b1], [b2], psi2, theta2, 2.0, 5),
+            losses.global_alignment_loss(batches, pairs, psi2, theta2, 2.0, 5),
             ad.mul(ad.const(0.3), losses.triplet_loss_semihard(
                 nets.metric_forward(phi, nets.feature_forward(
                     psi2, ad.const(np.concatenate([b0[0], b1[0]])))),

@@ -369,8 +369,21 @@ class TestCli:
         assert "config error: config key 'eta'" in capsys.readouterr().err
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
-        assert cli.main(["ablate", "--set", "bogus=1"]) == 1
-        assert "config error" in capsys.readouterr().err
+        for item in ["bogus=1", "clip_outer=false"]:
+            assert cli.main(["ablate", "--set", item]) == 1
+            assert "config error: unknown config keys" in capsys.readouterr().err
+
+    def test_train_honours_bench_overrides(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        code = cli.main(["train", "--seed", "0", "--target", "3",
+                         "--set", "iterations=1", "--set", "batch_size=12",
+                         "--set", "feature_widths=[10, 6]",
+                         "--set", "metric_widths=[8, 4]",
+                         "--set", "bench_overrides={num_classes: 3}"])
+        assert code == 0, capsys.readouterr().err
+        (ckpt,) = tmp_path.glob("ckpt_*")
+        theta = nets.load_params(ckpt / "theta.bin", nets.TASK_NET)
+        assert theta["w0"].shape[1] == 3
 
     def test_missing_metrics_is_io_error(self, tmp_path, capsys):
         assert cli.main(["plot", "--metrics", str(tmp_path / "nope.csv")]) == 3

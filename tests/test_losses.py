@@ -90,16 +90,17 @@ class TestSoftLabels:
     def test_uniform_for_equal_logits(self):
         _, theta, _ = make_params(0, randomize=False)
         theta = theta.replace([ad.leaf(np.zeros(t.shape)) for t in theta.tensors])
-        dist = losses.soft_labels(theta, ad.leaf(np.ones(5)), 3.0)
+        dist = losses.soft_label_matrix(theta, ad.leaf(np.ones((1, 5))), 3.0)
         np.testing.assert_allclose(dist.value, 1.0 / 3, atol=1e-12)
 
     def test_tau_one_is_plain_softmax(self):
         _, theta, _ = make_params(2)
-        mean = ad.leaf(np.random.default_rng(0).normal(size=5))
-        logits = nets.task_forward(theta, ad.reshape(mean, (1, 5))).value
+        mean = ad.leaf(np.random.default_rng(0).normal(size=(1, 5)))
+        logits = nets.task_forward(theta, mean).value
         expected = np.exp(logits) / np.exp(logits).sum()
-        np.testing.assert_allclose(losses.soft_labels(theta, mean, 1.0).value,
-                                   expected[0], atol=1e-12)
+        np.testing.assert_allclose(
+            losses.soft_label_matrix(theta, mean, 1.0).value, expected,
+            atol=1e-12)
 
     def test_hand_softened(self):
         # logits (ln 2, 0) at tau=1 -> (2/3, 1/3)
@@ -107,8 +108,8 @@ class TestSoftLabels:
                                  feature_widths=(1,), metric_widths=(2, 2))
         _, theta, _ = nets.init_params(arch, 0)
         theta = theta.replace([ad.leaf([[np.log(2.0), 0.0]]), ad.leaf([0.0, 0.0])])
-        dist = losses.soft_labels(theta, ad.leaf([1.0]), 1.0)
-        np.testing.assert_allclose(dist.value, [2.0 / 3, 1.0 / 3], atol=1e-12)
+        dist = losses.soft_label_matrix(theta, ad.leaf([[1.0]]), 1.0)
+        np.testing.assert_allclose(dist.value, [[2.0 / 3, 1.0 / 3]], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         _, theta, _ = make_params(3)
@@ -126,7 +127,7 @@ class TestSoftLabels:
     def test_nonpositive_tau_rejected(self):
         _, theta, _ = make_params(0)
         with pytest.raises(ValueError):
-            losses.soft_labels(theta, ad.leaf(np.ones(5)), 0.0)
+            losses.soft_label_matrix(theta, ad.leaf(np.ones((1, 5))), 0.0)
 
 
 def brute_force_symm_kl(p, q):
@@ -172,30 +173,49 @@ class TestGlobalAlignment:
     def test_identical_batches_zero(self):
         psi, theta, _ = make_params(0)
         batch, _ = self._batches(0)
-        loss = losses.global_alignment_loss([batch], [batch], psi, theta, 2.0, 3)
+        loss = losses.global_alignment_loss({0: batch, 1: batch}, [(0, 1)],
+                                            psi, theta, 2.0, 3)
         assert float(loss.value) == pytest.approx(0.0, abs=1e-9)
 
     def test_two_train_one_test_averages_two_pairs(self):
         psi, theta, _ = make_params(1)
         (b0, b1), (b2, _) = self._batches(1), self._batches(2)
-        pair_a = losses.global_alignment_loss([b0], [b2], psi, theta, 2.0, 3)
-        pair_b = losses.global_alignment_loss([b1], [b2], psi, theta, 2.0, 3)
-        both = losses.global_alignment_loss([b0, b1], [b2], psi, theta, 2.0, 3)
+        batches = {0: b0, 1: b1, 2: b2}
+
+        def loss(pairs):
+            return losses.global_alignment_loss(batches, pairs, psi, theta, 2.0, 3)
+
+        pair_a, pair_b = loss([(0, 2)]), loss([(1, 2)])
+        both = loss([(0, 2), (1, 2)])
         assert float(both.value) == pytest.approx(
             0.5 * (float(pair_a.value) + float(pair_b.value)), abs=1e-12)
+
+    def test_each_domain_forwarded_once(self, monkeypatch):
+        psi, theta, _ = make_params(6)
+        (b0, b1), (b2, _) = self._batches(3), self._batches(4)
+        calls = []
+        forward = nets.feature_forward
+        monkeypatch.setattr(nets, "feature_forward",
+                            lambda p, x: calls.append(x) or forward(p, x))
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        losses.global_alignment_loss({0: b0, 1: b1, 2: b2}, iter(pairs),
+                                     psi, theta, 2.0, 3)
+        assert len(calls) == 3
 
     def test_single_shared_class_reduces_to_symm_kl(self):
         psi, theta, _ = make_params(2)
         rng = np.random.default_rng(5)
         ba = (rng.normal(size=(3, 4)), np.array([0, 0, 0]))
         bb = (rng.normal(size=(3, 4)), np.array([0, 0, 0]))
-        loss = losses.global_alignment_loss([ba], [bb], psi, theta, 2.0, 3)
+        loss = losses.global_alignment_loss({"a": ba, "b": bb}, [("a", "b")],
+                                            psi, theta, 2.0, 3)
 
         def soft_row(batch):
             z = nets.feature_forward(psi, ad.const(batch[0]))
             means, _ = losses.class_means(z, batch[1], 3)
-            return losses.soft_labels(
-                theta, ad.reshape(ad.select_rows(means, [0]), (5,)), 2.0)
+            row = losses.soft_label_matrix(
+                theta, ad.select_rows(means, [0]), 2.0)
+            return ad.reshape(row, (3,))
 
         direct = losses.symm_kl(soft_row(ba), soft_row(bb))
         assert float(loss.value) == pytest.approx(float(direct.value), abs=1e-9)
@@ -203,8 +223,9 @@ class TestGlobalAlignment:
     def test_domain_swap_symmetry(self):
         psi, theta, _ = make_params(3)
         ba, bb = self._batches(7)
-        ab = losses.global_alignment_loss([ba], [bb], psi, theta, 2.0, 3)
-        ba_ = losses.global_alignment_loss([bb], [ba], psi, theta, 2.0, 3)
+        batches = {"a": ba, "b": bb}
+        ab = losses.global_alignment_loss(batches, [("a", "b")], psi, theta, 2.0, 3)
+        ba_ = losses.global_alignment_loss(batches, [("b", "a")], psi, theta, 2.0, 3)
         assert float(ab.value) == pytest.approx(float(ba_.value), abs=1e-12)
 
     def test_no_shared_class_rejected(self):
@@ -213,40 +234,43 @@ class TestGlobalAlignment:
         ba = (rng.normal(size=(2, 4)), np.array([0, 0]))
         bb = (rng.normal(size=(2, 4)), np.array([1, 1]))
         with pytest.raises(ValueError):
-            losses.global_alignment_loss([ba], [bb], psi, theta, 2.0, 3)
+            losses.global_alignment_loss({0: ba, 1: bb}, [(0, 1)], psi, theta,
+                                         2.0, 3)
 
     def test_gradients_pass_fd(self):
         psi, theta, _ = make_params(5)
         ba, bb = self._batches(9, n=6)
-        loss = losses.global_alignment_loss([ba], [bb], psi, theta, 2.0, 3)
+        loss = losses.global_alignment_loss({0: ba, 1: bb}, [(0, 1)], psi, theta,
+                                            2.0, 3)
         assert ad.finite_diff_check(loss, psi.tensors + theta.tensors) < 1e-5
 
 
 class TestPairwiseDistance:
+    """``losses.distance_matrix``, the miner's and the silhouette's distance."""
+
     def test_identical_zero(self):
-        e = ad.leaf([0.6, 0.8])
-        assert float(losses.pairwise_distance(e, e).value) == 0.0
+        d = losses.distance_matrix(np.array([[0.6, 0.8], [0.6, 0.8]]))
+        assert np.all(d == 0.0)
 
     def test_antipodal_unit_vectors(self):
-        d = losses.pairwise_distance(ad.leaf([1.0, 0.0]), ad.leaf([-1.0, 0.0]))
-        assert float(d.value) == pytest.approx(2.0, abs=1e-12)
+        d = losses.distance_matrix(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        np.testing.assert_allclose(d, [[0.0, 2.0], [2.0, 0.0]], atol=1e-12)
 
     def test_hand_value(self):
-        d = losses.pairwise_distance(ad.leaf([1.0, 0.0]), ad.leaf([0.0, 1.0]))
-        assert float(d.value) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        d = losses.distance_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        r2 = np.sqrt(2.0)
+        np.testing.assert_allclose(d, [[0.0, r2, 1.0], [r2, 0.0, 1.0],
+                                       [1.0, 1.0, 0.0]], atol=1e-12)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_metric_axioms(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (ad.leaf(rng.normal(size=3)) for _ in range(3))
-        dab = float(losses.pairwise_distance(a, b).value)
-        dba = float(losses.pairwise_distance(b, a).value)
-        dac = float(losses.pairwise_distance(a, c).value)
-        dcb = float(losses.pairwise_distance(c, b).value)
-        assert dab >= 0
-        assert dab == pytest.approx(dba, abs=1e-12)
-        assert dab <= dac + dcb + 1e-9
+        d = losses.distance_matrix(np.random.default_rng(seed).normal(size=(5, 3)))
+        assert np.all(np.diag(d) == 0.0)
+        assert np.all(d >= 0)
+        np.testing.assert_allclose(d, d.T, atol=1e-12)
+        # d[a, b] <= d[a, c] + d[c, b] for every triple (a, c, b)
+        assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-9)
 
 
 class TestContrastive:
