@@ -275,11 +275,6 @@ def mean(a: Expr, axis: int | None = None) -> Expr:
     return mul(reduce_sum(a, axis), const(1.0 / n))
 
 
-def mean_of(terms: Sequence[Expr]) -> Expr:
-    """Mean of a non-empty sequence of nodes, summed left to right."""
-    return mul(const(1.0 / len(terms)), functools.reduce(add, terms))
-
-
 def log_sum_exp(a: Expr, axis: int | None = None) -> Expr:
     """Stable log-sum-exp; the subtracted max is a constant, which leaves
     both the value and the derivatives exact."""

@@ -241,26 +241,27 @@ CANONICAL = {
 }
 
 
+# the per-domain lists of CANONICAL, and the DomainSpec field each one sets
+_PER_DOMAIN = {"rotations_deg": "rotation_deg", "scales": "scale",
+               "shifts": "shift"}
+
+
 def canonical_domain_specs(overrides: dict | None = None) -> list[DomainSpec]:
-    cfg = dict(CANONICAL)
-    if overrides:
-        cfg.update(overrides)
-    specs = []
-    for k in range(cfg["num_domains"]):
-        specs.append(DomainSpec(
-            domain_id=k,
-            n_samples=cfg["n_samples"],
-            num_classes=cfg["num_classes"],
-            input_dim=cfg["input_dim"],
-            rotation_deg=cfg["rotations_deg"][k],
-            scale=cfg["scales"][k],
-            shift=cfg["shifts"][k],
-            noise_sigma=cfg["noise_sigma"],
-            variant_radius=cfg["variant_radius"],
-            invariant_radius=cfg["invariant_radius"],
-            latent_sigma=cfg["latent_sigma"],
-        ))
-    return specs
+    """The canonical domain specs with ``overrides`` (keys of CANONICAL)
+    applied; a bad key is a ValueError that names it."""
+    cfg = {**CANONICAL, **(overrides or {})}
+    unknown = set(cfg) - set(CANONICAL)
+    if unknown:
+        raise ValueError(f"unknown benchmark keys: {sorted(unknown)}")
+    n, _ = cfg.pop("num_domains"), cfg.pop("base_seed")
+    for key in _PER_DOMAIN:
+        if len(cfg[key]) < n:
+            raise ValueError(f"benchmark key {key!r} has {len(cfg[key])} "
+                             f"entries for num_domains={n}")
+    lists = {attr: cfg.pop(key) for key, attr in _PER_DOMAIN.items()}
+    return [DomainSpec(domain_id=k, **cfg,
+                       **{attr: values[k] for attr, values in lists.items()})
+            for k in range(n)]
 
 
 def canonical_datasets(overrides: dict | None = None) -> dict[int, DomainDataset]:

@@ -72,7 +72,9 @@ def _load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
                   if k in cfg_fields}
     if "rows" in cfg_kwargs:
         cfg_kwargs["rows"] = [tuple(bool(v) for v in r) for r in cfg_kwargs["rows"]]
-    return ExperimentConfig(hp=Hyperparams(**hp_kwargs), **cfg_kwargs)
+    hp = Hyperparams(**hp_kwargs)
+    hp.validate()
+    return ExperimentConfig(hp=hp, **cfg_kwargs)
 
 
 def _dump_resolved(config: ExperimentConfig, out_dir: Path) -> None:
@@ -97,9 +99,9 @@ def cmd_bench_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config, args.set or [])
+    datasets = bench.canonical_datasets(config.bench_overrides)
     out_dir = config.resolved_out_dir()
     _dump_resolved(config, out_dir)
-    datasets = bench.canonical_datasets(config.bench_overrides)
     target = args.target if args.target is not None else sorted(datasets)[-1]
     flags = (config.hp.episodic, config.hp.use_global, config.hp.use_local)
     acc, state, _, _ = harness.run_single(
@@ -125,9 +127,10 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_config(args.config, args.set or [])
+    datasets = bench.canonical_datasets(config.bench_overrides)
     out_dir = config.resolved_out_dir()
     _dump_resolved(config, out_dir)
-    report = harness.run_experiment(config)
+    report = harness.run_experiment(config, datasets)
     for flags, mean, std in report.summary():
         e, g, l = ("x" if v else "-" for v in flags)
         std_s = "n/a" if np.isnan(std) else f"{std:.4f}"

@@ -15,7 +15,6 @@ touch the data stream, so all ablation rows of one seed see identical data.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,8 +23,6 @@ from . import autodiff as ad
 from . import losses, nets
 from .autodiff import Expr, GradMap
 from .nets import ParamSet
-
-log = logging.getLogger(__name__)
 
 CONTRASTIVE = "contrastive"
 TRIPLET = "triplet"
@@ -62,6 +59,10 @@ class Hyperparams:
             raise ValueError("learning rates must be positive")
         if self.beta1 < 0 or self.beta2 < 0:
             raise ValueError("meta-loss weights must be non-negative")
+        if self.clip_threshold <= 0:
+            raise ValueError("clip_threshold must be positive")
+        if self.tau <= 0:
+            raise ValueError("tau must be positive")
         if self.decay_every < 1:
             raise ValueError("decay_every must be >= 1")
         if self.local_loss_kind not in (CONTRASTIVE, TRIPLET):
@@ -128,18 +129,22 @@ def decayed_lr(eta0: float, t: int, decay_rate: float, decay_every: int) -> floa
     return eta0 * (1.0 - decay_rate) ** (t // decay_every)
 
 
-def _check_finite(value: float, name: str) -> float:
+def _check_finite(value: float, name: str) -> None:
     if not np.isfinite(value):
         raise NonFiniteLossError(f"{name} is non-finite: {value}")
-    return value
+
+
+def _stack(batches) -> tuple[np.ndarray, np.ndarray]:
+    return (np.concatenate([b[0] for b in batches]),
+            np.concatenate([b[1] for b in batches]))
 
 
 def _mean_task_loss(psi: ParamSet, theta: ParamSet, batches) -> Expr:
-    terms = []
-    for x, labels in batches:
-        logits = nets.task_forward(theta, nets.feature_forward(psi, ad.as_expr(x)))
-        terms.append(losses.task_loss(logits, labels))
-    return ad.mean_of(terms)
+    """Task loss of the stacked rows: the mean of the per-domain losses,
+    as ``draw_batches`` gives every domain the same number of rows."""
+    x, labels = _stack(batches)
+    logits = nets.task_forward(theta, nets.feature_forward(psi, ad.as_expr(x)))
+    return losses.task_loss(logits, labels)
 
 
 def _apply_inner(psi: ParamSet, theta: ParamSet, loss: Expr, alpha: float,
@@ -167,8 +172,7 @@ def inner_update(psi: ParamSet, theta: ParamSet, meta_train_batches,
 
 def _local_loss(psi2: ParamSet, phi: ParamSet, batches, hp: Hyperparams,
                 rng: np.random.Generator) -> Expr:
-    x = np.concatenate([b[0] for b in batches])
-    labels = np.concatenate([b[1] for b in batches])
+    x, labels = _stack(batches)
     z = nets.feature_forward(psi2, ad.as_expr(x))
     e = nets.metric_forward(phi, z)
     if hp.local_loss_kind == CONTRASTIVE:

@@ -3,8 +3,10 @@
 The global term aligns per-domain soft confusion matrices (temperature-
 softened class predictions of class-mean features) with a symmetrized KL
 divergence, averaged over domain pairs (meta-train x meta-test, or every
-pair when there is no split). The local term is metric learning over
-embeddings: contrastive pairs or triplets with online semi-hard mining.
+pair when there is no split), from one feature forward over the stacked
+rows of all its domains and one weighted sum over all pairs. The local term
+is metric learning over embeddings: contrastive pairs or triplets with
+online semi-hard mining.
 """
 
 from __future__ import annotations
@@ -39,14 +41,10 @@ def class_means(z: Expr, labels: np.ndarray, num_classes: int) -> tuple[Expr, np
     them downstream.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    n = z.shape[0]
-    counts = np.bincount(labels, minlength=num_classes).astype(np.float64)
-    mask = counts > 0
-    sel = np.zeros((num_classes, n))
-    safe = np.where(mask, counts, 1.0)
-    sel[labels, np.arange(n)] = 1.0
-    sel /= safe[:, None]
-    return ad.matmul(ad.const(sel), z), mask
+    counts = np.bincount(labels, minlength=num_classes)
+    sel = np.arange(num_classes)[:, None] == labels
+    sel = sel / np.maximum(counts, 1)[:, None]
+    return ad.matmul(ad.const(sel), z), counts > 0
 
 
 def soft_label_matrix(theta: ParamSet, means: Expr, tau: float) -> Expr:
@@ -68,41 +66,44 @@ def symm_kl(p: Expr, q: Expr) -> Expr:
     return ad.mul(ad.const(0.5), ad.reduce_sum(ad.mul(diff, logdiff)))
 
 
-def _pair_alignment(s_i: Expr, s_j: Expr, mask: np.ndarray) -> Expr:
-    """Mean over mutually present classes of row-wise symmetrized KL."""
-    diff = ad.sub(s_i, s_j)
-    logdiff = ad.sub(ad.log(s_i), ad.log(s_j))
-    per_class = ad.mul(ad.const(0.5), ad.reduce_sum(ad.mul(diff, logdiff), axis=1))
-    weights = mask.astype(np.float64) / mask.sum()
-    return ad.reduce_sum(ad.mul(per_class, ad.const(weights)))
-
-
 def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
                           tau: float, num_classes: int) -> Expr:
-    """Average pair alignment over ``(i, j)`` pairs of domain ids.
+    """Mean over ``(i, j)`` pairs of domain ids of the row-wise symmetrized
+    KL between the domains' soft matrices, averaged over shared classes.
 
     ``batches`` maps a domain id to its (features [N, d_in], labels [N])
-    batch. Each domain's soft matrix is built once, however many pairs
-    share it.
+    batch. All D named domains go through the feature extractor as one stack
+    and give one [D*C, C] soft matrix of (domain, class) cells; every pair's
+    class blocks are gathered from it and summed with one weight vector.
     """
-    soft: dict = {}
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("need at least one domain pair")
+    ids = list(dict.fromkeys(k for pair in pairs for k in pair))
+    labels = [np.asarray(batches[k][1], dtype=np.int64) for k in ids]
+    if any(l.min() < 0 or l.max() >= num_classes for l in labels):
+        raise ValueError("label out of range")
+    z = nets.feature_forward(
+        psi, ad.as_expr(np.concatenate([batches[k][0] for k in ids])))
+    cells = np.concatenate([p * num_classes + l for p, l in enumerate(labels)])
+    means, present = class_means(z, cells, len(ids) * num_classes)
+    soft = soft_label_matrix(theta, means, tau)
+    log_soft = ad.log(soft)
 
-    def soft_matrix(k):
-        if k not in soft:
-            x, labels = batches[k]
-            z = nets.feature_forward(psi, ad.as_expr(x))
-            means, mask = class_means(z, labels, num_classes)
-            soft[k] = soft_label_matrix(theta, means, tau), mask
-        return soft[k]
-
-    terms = []
-    for i, j in pairs:
-        (s_i, m_i), (s_j, m_j) = soft_matrix(i), soft_matrix(j)
-        shared = m_i & m_j
-        if not shared.any():
-            raise ValueError("no shared class between a domain pair")
-        terms.append(_pair_alignment(s_i, s_j, shared))
-    return ad.mean_of(terms)
+    # rows[p, s] holds the soft-matrix rows of side s (i or j) of pair p
+    blocks = np.array([[ids.index(i), ids.index(j)] for i, j in pairs])
+    rows = blocks[:, :, None] * num_classes + np.arange(num_classes)
+    shared = present[rows[:, 0]] & present[rows[:, 1]]
+    counts = shared.sum(axis=1, keepdims=True)
+    if not counts.all():
+        raise ValueError("no shared class between a domain pair")
+    i_rows, j_rows = rows[:, 0].ravel(), rows[:, 1].ravel()
+    diff = ad.sub(ad.select_rows(soft, i_rows), ad.select_rows(soft, j_rows))
+    logdiff = ad.sub(ad.select_rows(log_soft, i_rows),
+                     ad.select_rows(log_soft, j_rows))
+    weights = 0.5 * shared / (counts * len(pairs))
+    return ad.reduce_sum(ad.mul(ad.reduce_sum(ad.mul(diff, logdiff), axis=1),
+                                ad.const(weights.ravel())))
 
 
 def _row_sq_dists(a: Expr, b: Expr) -> Expr:

@@ -43,10 +43,6 @@ class Architecture:
     def feature_dim(self) -> int:
         return self.feature_widths[-1]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.metric_widths[-1]
-
 
 @dataclass
 class ParamSet:
@@ -167,8 +163,7 @@ def save_params(params: ParamSet, path: str | Path) -> None:
             f.write(np.ascontiguousarray(t.value, dtype="<f8").tobytes())
 
 
-def load_params(path: str | Path, role: str,
-                names: list[str] | None = None) -> ParamSet:
+def load_params(path: str | Path, role: str) -> ParamSet:
     with open(path, "rb") as f:
         if f.read(5) != MAGIC:
             raise ValueError(f"{path}: bad magic, not a parameter file")
@@ -181,6 +176,6 @@ def load_params(path: str | Path, role: str,
         for i, shape in enumerate(shapes):
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape)
-            name = names[i] if names else (f"w{i // 2}" if i % 2 == 0 else f"b{i // 2}")
+            name = f"w{i // 2}" if i % 2 == 0 else f"b{i // 2}"
             entries.append((name, ad.leaf(data)))
     return ParamSet(role, entries)

@@ -214,6 +214,14 @@ class TestCanonical:
             assert d.num_classes == 5
             assert d.features.shape[1] == 16
 
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            bench.canonical_datasets({"bogus": 1})
+
+    def test_per_domain_list_shorter_than_num_domains_rejected(self):
+        with pytest.raises(ValueError, match="'rotations_deg'.*num_domains=5"):
+            bench.canonical_datasets({"num_domains": 5})
+
     def test_spec_file_matches_builtin(self, tmp_path):
         path = tmp_path / "spec.yaml"
         path.write_text(yaml.safe_dump(bench.CANONICAL, sort_keys=False))

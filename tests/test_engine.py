@@ -47,6 +47,12 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="decay_every"):
             engine.Hyperparams(decay_every=every).validate()
 
+    @pytest.mark.parametrize("key", ["clip_threshold", "tau"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_clip_threshold_and_tau_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            engine.Hyperparams(**{key: value}).validate()
+
 
 class TestSplitDomains:
     def test_partition(self):

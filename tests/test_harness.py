@@ -373,6 +373,21 @@ class TestCli:
             assert cli.main(["ablate", "--set", item]) == 1
             assert "config error: unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("item, key", [
+        ("bench_overrides={bogus: 1}", "'bogus'"),
+        ("bench_overrides={num_domains: 5}", "'rotations_deg'"),
+        ("clip_threshold=0", "clip_threshold"),
+        ("tau=-1", "tau"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                       command, item, key):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        assert cli.main([command, "--set", "iterations=1", "--set", item]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "resolved_config.yaml").exists()
+
     def test_train_honours_bench_overrides(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
         code = cli.main(["train", "--seed", "0", "--target", "3",

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,7 +203,43 @@ class TestGlobalAlignment:
         pairs = [(0, 1), (0, 2), (1, 2)]
         losses.global_alignment_loss({0: b0, 1: b1, 2: b2}, iter(pairs),
                                      psi, theta, 2.0, 3)
-        assert len(calls) == 3
+        # one forward over the stacked rows of all three domains
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0].value,
+                                      np.concatenate([b0[0], b1[0], b2[0]]))
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_label_out_of_range_rejected(self, bad):
+        # label 3 of domain 0 would otherwise land in domain 1's class-0 cell
+        psi, theta, _ = make_params(6)
+        ba, bb = self._batches(10)
+        ba = (ba[0], np.where(np.arange(len(ba[1])) == 0, bad, ba[1]))
+        with pytest.raises(ValueError, match="label out of range"):
+            losses.global_alignment_loss({0: ba, 1: bb}, [(0, 1)], psi, theta,
+                                         2.0, 3)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_pair_reference(self, seed):
+        psi, theta, _ = make_params(seed % 5)
+        batches, pairs = random_alignment_case(np.random.default_rng(300 + seed))
+        params = psi.tensors + theta.tensors
+
+        def loss_and_grads(fn):
+            loss = fn(batches, pairs, psi, theta, 2.0, 3)
+            grads = ad.grad(loss, params)
+            return float(loss.value), [grads[t].value for t in params]
+
+        try:
+            want, want_grads = loss_and_grads(reference_global_alignment_loss)
+        except ValueError:
+            with pytest.raises(ValueError, match="no shared class"):
+                losses.global_alignment_loss(batches, pairs, psi, theta, 2.0, 3)
+            return
+        got, got_grads = loss_and_grads(losses.global_alignment_loss)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=1e-10,
+                                       atol=1e-13 * np.abs(w).max())
 
     def test_single_shared_class_reduces_to_symm_kl(self):
         psi, theta, _ = make_params(2)
@@ -243,6 +282,54 @@ class TestGlobalAlignment:
         loss = losses.global_alignment_loss({0: ba, 1: bb}, [(0, 1)], psi, theta,
                                             2.0, 3)
         assert ad.finite_diff_check(loss, psi.tensors + theta.tensors) < 1e-5
+
+
+def reference_global_alignment_loss(batches, pairs, psi, theta, tau,
+                                    num_classes):
+    """The original per-pair loop, kept as the global loss's reference: one
+    feature forward and one soft matrix per domain, one graph per pair."""
+    soft = {}
+
+    def soft_matrix(k):
+        if k not in soft:
+            x, labels = batches[k]
+            z = nets.feature_forward(psi, ad.as_expr(x))
+            means, mask = losses.class_means(z, labels, num_classes)
+            soft[k] = losses.soft_label_matrix(theta, means, tau), mask
+        return soft[k]
+
+    terms = []
+    for i, j in pairs:
+        (s_i, m_i), (s_j, m_j) = soft_matrix(i), soft_matrix(j)
+        shared = m_i & m_j
+        if not shared.any():
+            raise ValueError("no shared class between a domain pair")
+        diff = ad.sub(s_i, s_j)
+        logdiff = ad.sub(ad.log(s_i), ad.log(s_j))
+        per_class = ad.mul(ad.const(0.5),
+                           ad.reduce_sum(ad.mul(diff, logdiff), axis=1))
+        weights = shared.astype(np.float64) / shared.sum()
+        terms.append(ad.reduce_sum(ad.mul(per_class, ad.const(weights))))
+    return ad.mul(ad.const(1.0 / len(terms)), functools.reduce(ad.add, terms))
+
+
+def random_alignment_case(rng):
+    """2-4 domains of unequal sizes, some with absent classes, int or str
+    ids, and the pairs of a meta-train x meta-test split or of every two."""
+    n_domains = int(rng.integers(2, 5))
+    names = [0, 1, 2, 3] if rng.integers(2) else ["a", "b", "c", "d"]
+    ids = [names[k] for k in rng.permutation(4)[:n_domains]]
+    batches = {}
+    for k in ids:
+        present = rng.permutation(3)[:int(rng.integers(1, 4))]
+        n = int(rng.integers(1, 10))
+        batches[k] = (rng.normal(size=(n, 4)), rng.choice(present, size=n))
+    if rng.integers(2):
+        n_tr = int(rng.integers(1, n_domains))
+        pairs = list(itertools.product(ids[:n_tr], ids[n_tr:]))
+    else:
+        pairs = list(itertools.combinations(ids, 2))
+    return batches, pairs
 
 
 class TestPairwiseDistance:

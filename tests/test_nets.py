@@ -66,7 +66,7 @@ class TestForward:
         z = nets.feature_forward(psi, x)
         assert z.shape == (3, ARCH.feature_dim)
         assert nets.task_forward(theta, z).shape == (3, 3)
-        assert nets.metric_forward(phi, z).shape == (3, ARCH.embed_dim)
+        assert nets.metric_forward(phi, z).shape == (3, ARCH.metric_widths[-1])
 
     def test_zero_theta_uniform_softmax(self):
         _, theta, _ = nets.init_params(ARCH, 0)
