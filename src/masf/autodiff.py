@@ -15,18 +15,21 @@ are built lazily by :func:`grad`, whose reverse sweep has two modes:
 Each VJP rule is written once against one dispatch function that builds an
 op by name, either as a node or by applying the op's forward function to
 arrays, so both modes do the same floating-point operations and give
-bit-identical values.
+bit-identical values. ``global_norm`` works on values too; ``clip_by_norm``
+builds the norm as a graph only when it scales graph-mode gradients.
 
 Numerical conventions:
   * everything is float64,
   * ``log`` and ``div`` are guarded with an additive epsilon of 1e-12,
-  * softmax-style ops go through log-sum-exp with max subtraction.
+  * softmax-style ops go through log-sum-exp with max subtraction,
+  * the row scatter is one ``np.bincount``, which sums like ``np.add.at``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Sequence
@@ -121,9 +124,10 @@ def _fwd_sqrt(attrs, a):
 
 
 def _fwd_scatter_rows(attrs, a):
-    out = np.zeros(attrs["shape"])
-    np.add.at(out, attrs["index"], a)
-    return out
+    shape = attrs["shape"]
+    size = math.prod(shape)
+    bins = np.arange(size).reshape(shape)[attrs["index"]].ravel()
+    return np.bincount(bins, weights=a.ravel(), minlength=size).reshape(shape)
 
 
 _FORWARD: dict[str, Callable] = {
@@ -237,8 +241,9 @@ def reshape(a: Expr, shape: Sequence[int]) -> Expr:
 
 # One indexing primitive and its adjoint. ``index`` is a tuple of integer
 # arrays as in ``a[index]``: (idx,) takes whole rows, (arange(N), idx) takes
-# one entry per row. The scatter adds into zeros, so repeated indices
-# accumulate, and each op's VJP is the other one.
+# one entry per row. The scatter is one bincount over the flat positions the
+# index picks, so repeated indices accumulate, in input order as np.add.at
+# into zeros would add them. Each op's VJP is the other one.
 
 def _gather(a: Expr, index: tuple) -> Expr:
     return _make("gather_rows", (a,), {"index": index})
@@ -409,9 +414,6 @@ class GradMap:
     def __iter__(self):
         return iter(zip(self.params, self.grads))
 
-    def __len__(self):
-        return len(self.params)
-
 
 def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
     """Gradient of a scalar node with respect to leaf parameters.
@@ -429,13 +431,13 @@ def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
             raise ValueError("grad parameters must be leaf nodes")
 
     order = _toposort(scalar)
-    param_ids = {p.id for p in params}
-
     # restrict the sweep to nodes from which some parameter is reachable
-    needed: set[int] = set()
+    needed = {p.id for p in params}
     for node in order:  # children first
-        if node.id in param_ids or any(c.id in needed for c in node.inputs):
-            needed.add(node.id)
+        for c in node.inputs:
+            if c.id in needed:
+                needed.add(node.id)
+                break
 
     O = _sweep_op.get()
     adjoints = {scalar.id: const(1.0)}
@@ -462,7 +464,9 @@ def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
 
 
 def global_norm(grads: GradMap) -> Expr:
-    return sqrt(functools.reduce(add, [reduce_sum(square(g)) for _, g in grads]))
+    """A ``const`` holding the value of the norm graph in ``clip_by_norm``."""
+    sums = [_FORWARD["sum"]({"axis": None}, g.value * g.value) for _, g in grads]
+    return const(np.sqrt(functools.reduce(np.add, sums)))
 
 
 def clip_by_norm(grads: GradMap, threshold: float,
@@ -470,8 +474,8 @@ def clip_by_norm(grads: GradMap, threshold: float,
     """Scale the whole GradMap so its global L2 norm is at most ``threshold``.
 
     ``norm`` is ``global_norm(grads)`` if the caller already has it. The
-    branch is decided eagerly on the current value; when scaling is active,
-    the scale factor stays differentiable through the norm.
+    branch is decided eagerly on its value; when scaling is active on graph
+    gradients, the norm is built as a graph, so the scale stays differentiable.
     """
     if threshold <= 0:
         raise ValueError("clip threshold must be positive")
@@ -479,6 +483,8 @@ def clip_by_norm(grads: GradMap, threshold: float,
         norm = global_norm(grads)
     if float(norm.value) <= threshold:
         return grads
+    if any(g.op != "const" for _, g in grads):
+        norm = sqrt(functools.reduce(add, [reduce_sum(square(g)) for _, g in grads]))
     scale = div(const(threshold), norm)
     return GradMap(grads.params, [mul(g, scale) for _, g in grads])
 

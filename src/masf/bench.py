@@ -156,13 +156,10 @@ def sample_batch(dataset: DomainDataset, batch_size: int, stratified: bool,
     c = dataset.num_classes
     if batch_size < c:
         raise ValueError("stratified batch needs batch_size >= num_classes")
-    chosen = []
-    for cls in range(c):
-        members = np.flatnonzero(dataset.labels == cls)
-        chosen.append(rng.choice(members))
-    chosen = np.asarray(chosen)
-    remaining = np.setdiff1d(np.arange(n), chosen)
-    extra = rng.choice(remaining, size=batch_size - c, replace=False)
+    chosen = [rng.choice(np.flatnonzero(dataset.labels == cls)) for cls in range(c)]
+    rest = np.ones(n, dtype=bool)  # rows not chosen yet
+    rest[chosen] = False
+    extra = rng.choice(np.flatnonzero(rest), size=batch_size - c, replace=False)
     idx = rng.permutation(np.concatenate([chosen, extra]))
     return Batch(dataset.features[idx], dataset.labels[idx], dataset.domain_id)
 

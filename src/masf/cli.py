@@ -72,9 +72,7 @@ def _load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
                   if k in cfg_fields}
     if "rows" in cfg_kwargs:
         cfg_kwargs["rows"] = [tuple(bool(v) for v in r) for r in cfg_kwargs["rows"]]
-    hp = Hyperparams(**hp_kwargs)
-    hp.validate()
-    return ExperimentConfig(hp=hp, **cfg_kwargs)
+    return ExperimentConfig(hp=Hyperparams(**hp_kwargs), **cfg_kwargs)
 
 
 def _dump_resolved(config: ExperimentConfig, out_dir: Path) -> None:
@@ -82,6 +80,16 @@ def _dump_resolved(config: ExperimentConfig, out_dir: Path) -> None:
     payload = dataclasses.asdict(config)
     with open(out_dir / "resolved_config.yaml", "w") as f:
         yaml.safe_dump(payload, f, sort_keys=False)
+
+
+def _datasets(config: ExperimentConfig) -> dict:
+    """The benchmark domains, after the checks of the keys they bound."""
+    datasets = bench.canonical_datasets(config.bench_overrides)
+    config.hp.validate(max(d.num_classes for d in datasets.values()))
+    n_sources = len(datasets) - 1  # every domain but the target
+    if not 1 <= config.hp.n_meta_test < n_sources:
+        raise ValueError(f"n_meta_test must be between 1 and {n_sources - 1}")
+    return datasets
 
 
 def cmd_bench_gen(args) -> int:
@@ -99,7 +107,7 @@ def cmd_bench_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config, args.set or [])
-    datasets = bench.canonical_datasets(config.bench_overrides)
+    datasets = _datasets(config)
     out_dir = config.resolved_out_dir()
     _dump_resolved(config, out_dir)
     target = args.target if args.target is not None else sorted(datasets)[-1]
@@ -127,7 +135,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_config(args.config, args.set or [])
-    datasets = bench.canonical_datasets(config.bench_overrides)
+    datasets = _datasets(config)
     out_dir = config.resolved_out_dir()
     _dump_resolved(config, out_dir)
     report = harness.run_experiment(config, datasets)

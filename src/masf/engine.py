@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import losses, nets
+from . import bench, losses, nets
 from .autodiff import Expr, GradMap
 from .nets import ParamSet
 
@@ -129,9 +129,10 @@ def decayed_lr(eta0: float, t: int, decay_rate: float, decay_every: int) -> floa
     return eta0 * (1.0 - decay_rate) ** (t // decay_every)
 
 
-def _check_finite(value: float, name: str) -> None:
+def _check_finite(value: float, name: str, iteration: int | None = None) -> None:
     if not np.isfinite(value):
-        raise NonFiniteLossError(f"{name} is non-finite: {value}")
+        at = "" if iteration is None else f" at iteration {iteration}"
+        raise NonFiniteLossError(f"{name} is non-finite{at}: {value}")
 
 
 def _stack(batches) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +201,7 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
 
     task_batches = [batches[k] for k in (d_tr if hp.episodic else ids)]
     l_task = _mean_task_loss(state.psi, state.theta, task_batches)
-    _check_finite(float(l_task.value), "task loss")
+    _check_finite(float(l_task.value), "task loss", state.t)
 
     inner_norm = 0.0
     if hp.episodic:
@@ -216,20 +217,20 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
                  else itertools.combinations(ids, 2))
         l_global = losses.global_alignment_loss(batches, pairs, psi2, theta2,
                                                 hp.tau, num_classes)
-        _check_finite(float(l_global.value), "global alignment loss")
+        _check_finite(float(l_global.value), "global alignment loss", state.t)
 
     l_local = None
     if hp.use_local and hp.beta2 > 0:
         l_local = _local_loss(psi2, state.phi, [batches[k] for k in ids],
                               hp, state.algo_rng)
-        _check_finite(float(l_local.value), "local clustering loss")
+        _check_finite(float(l_local.value), "local clustering loss", state.t)
 
     outer_obj = l_task
     if l_global is not None:
         outer_obj = ad.add(outer_obj, ad.mul(ad.const(hp.beta1), l_global))
     if l_local is not None:
         outer_obj = ad.add(outer_obj, ad.mul(ad.const(hp.beta2), l_local))
-    _check_finite(float(outer_obj.value), "meta objective")
+    _check_finite(float(outer_obj.value), "meta objective", state.t)
 
     params = state.psi.tensors + state.theta.tensors
     with ad.values_only():
@@ -264,8 +265,6 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
 def draw_batches(datasets: dict, batch_size: int,
                  rng: np.random.Generator) -> dict:
     """One stratified batch per domain, in sorted domain-id order."""
-    from . import bench
-
     out = {}
     for k in sorted(datasets):
         batch = bench.sample_batch(datasets[k], batch_size, True, rng)

@@ -213,9 +213,11 @@ def run_single(config: ExperimentConfig, flags: tuple, target, seed: int,
     state = engine.make_state(arch, hp, run_seed)
     records = []
     sink = records.append if metrics_path is not None else None
-    state = engine.train(state, train_parts, config.iterations, sink)
-    if metrics_path is not None:
-        write_metrics_csv(records, metrics_path)
+    try:
+        state = engine.train(state, train_parts, config.iterations, sink)
+    finally:  # a failed run keeps the records of its finished steps
+        if metrics_path is not None:
+            write_metrics_csv(records, metrics_path)
     acc = evaluate_accuracy(state.psi, state.theta, datasets[target])
     if return_state:
         return acc, state, train_parts, holdout_parts

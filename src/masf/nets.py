@@ -137,12 +137,8 @@ def metric_forward(phi: ParamSet, z: Expr) -> Expr:
 
 def sgd_step(params: ParamSet, grads: GradMap, lr: float) -> ParamSet:
     """One gradient step as graph nodes, differentiable w.r.t. the originals."""
-    new = []
-    for _, t in params.entries:
-        if t not in grads:
-            raise KeyError("missing gradient entry for parameter")
-        new.append(ad.sub(t, ad.mul(ad.const(lr), grads[t])))
-    return params.replace(new)
+    return params.replace([ad.sub(t, ad.mul(ad.const(lr), grads[t]))
+                           for t in params.tensors])
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +160,25 @@ def save_params(params: ParamSet, path: str | Path) -> None:
 
 
 def load_params(path: str | Path, role: str) -> ParamSet:
+    """Read a parameter file; a short or overlong file is an ``OSError``."""
     with open(path, "rb") as f:
-        if f.read(5) != MAGIC:
+        def read(n: int) -> bytes:  # n < 0 comes from a corrupt header
+            if n < 0 or len(data := f.read(n)) != n:
+                raise OSError(f"{path}: truncated or corrupt parameter file")
+            return data
+        if read(5) != MAGIC:
             raise ValueError(f"{path}: bad magic, not a parameter file")
-        (n_entries,) = struct.unpack("<i", f.read(4))
+        (n_entries,) = struct.unpack("<i", read(4))
         shapes = []
         for _ in range(n_entries):
-            (ndim,) = struct.unpack("<i", f.read(4))
-            shapes.append(struct.unpack(f"<{ndim}i", f.read(4 * ndim)))
+            (ndim,) = struct.unpack("<i", read(4))
+            shapes.append(struct.unpack(f"<{ndim}i", read(4 * ndim)))
         entries = []
         for i, shape in enumerate(shapes):
             count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
             name = f"w{i // 2}" if i % 2 == 0 else f"b{i // 2}"
             entries.append((name, ad.leaf(data)))
+        if f.read(1):
+            raise OSError(f"{path}: trailing bytes after the parameters")
     return ParamSet(role, entries)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,56 @@ class TestSelectRows:
         assert ad.finite_diff_check(s, [x]) < 1e-6
 
 
+def add_at_reference(index, shape, a):
+    """The row scatter as it was first written: np.add.at into zeros."""
+    out = np.zeros(shape)
+    np.add.at(out, index, a)
+    return out
+
+
+@st.composite
+def scatter_cases(draw):
+    """(index, shape, a) for both index kinds, with repeated rows and
+    magnitudes from 1e-8 to 1e8, so a change of summation order shows."""
+    rows = draw(st.integers(1, 6), label="rows")
+    n = draw(st.integers(1, 40), label="picks")
+    seed = draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans(), label="entry kind"):
+        cols = draw(st.integers(1, 5), label="cols")
+        index = (np.arange(n), rng.integers(0, cols, n))
+        shape = (n, cols)
+        a_shape = (n,)
+    else:
+        index = (rng.integers(0, rows, n),)
+        width = draw(st.sampled_from([None, 1, 2, 7]), label="width")
+        shape = (rows,) if width is None else (rows, width)
+        a_shape = (n,) + shape[1:]
+    signs = rng.choice([-1.0, 1.0], size=a_shape)
+    a = signs * 10.0 ** rng.uniform(-8, 8, size=a_shape)
+    return index, shape, a
+
+
+class TestScatterRows:
+    @given(scatter_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_add_at(self, case):
+        index, shape, a = case
+        got = ad._fwd_scatter_rows({"index": index, "shape": shape}, a)
+        want = add_at_reference(index, shape, a)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+    def test_repeated_rows_sum_in_input_order(self):
+        # (1e16 + 1) + 1 rounds twice; summing the 1s first would not
+        a = np.array([[1e16], [1.0], [1.0]])
+        index = (np.array([0, 0, 0]),)
+        got = ad._fwd_scatter_rows({"index": index, "shape": (1, 1)}, a)
+        assert got.tobytes() == add_at_reference(index, (1, 1), a).tobytes()
+        assert got[0, 0] == (1e16 + 1.0) + 1.0
+
+
 class TestClipByNorm:
     def _gm(self, values):
         params = [ad.leaf(np.zeros_like(np.asarray(v, dtype=float)))
@@ -305,6 +357,57 @@ class TestClipByNorm:
         clipped = ad.clip_by_norm(ad.grad(f, [x]), 2.0)
         s = ad.reduce_sum(ad.square(clipped[x]))
         assert ad.finite_diff_check(s, [x]) < 1e-6
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_global_norm_matches_graph_norm_bit_for_bit(self, data):
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        shapes = data.draw(st.lists(st.sampled_from([(), (1,), (5,), (3, 4),
+                                                     (16, 8)]),
+                                    min_size=1, max_size=6), label="shapes")
+        rng = np.random.default_rng(seed)
+        grads = [ad.leaf(rng.normal(size=s) * 10.0 ** rng.uniform(-6, 6))
+                 for s in shapes]
+        gm = ad.GradMap([ad.leaf(np.zeros(s)) for s in shapes], grads)
+        graph = ad.sqrt(functools.reduce(
+            ad.add, [ad.reduce_sum(ad.square(g)) for g in grads]))
+        norm = ad.global_norm(gm)
+        assert norm.op == "const"
+        assert norm.value.tobytes() == graph.value.tobytes()
+
+    def test_precomputed_norm_stays_differentiable_when_clipping(self):
+        # The scale threshold / |g(x)| must move with x. Only a finite
+        # difference that rebuilds the gradient, the norm and the clip at
+        # each point sees that; ``recompute`` would hold a constant scale.
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=3)
+        threshold = 0.5
+
+        def clipped_objective(x_value, with_grad):
+            x = ad.leaf(x_value)
+            gm = ad.grad(ad.reduce_sum(ad.mul(ad.square(ad.square(x)),
+                                              ad.const(0.25))), [x])
+            norm = ad.global_norm(gm)  # a const, passed in as the engine does
+            assert float(norm.value) > threshold  # clipping fires
+            clipped = ad.clip_by_norm(gm, threshold, norm)
+            s = ad.reduce_sum(ad.mul(clipped[x], ad.const(w)))
+            if not with_grad:
+                return float(s.value)
+            with ad.values_only():
+                return ad.grad(s, [x])[x].value
+
+        x0 = np.array([1.5, -2.0, 0.7])
+        analytic = clipped_objective(x0, True)
+        h = 1e-6
+        numeric = np.array([
+            (clipped_objective(x0 + h * e, False)
+             - clipped_objective(x0 - h * e, False)) / (2 * h)
+            for e in np.eye(3)])
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
+        # holding the scale fixed gives a different gradient, so the check
+        # above can tell the two apart
+        fixed = threshold / (np.linalg.norm(x0 ** 3) + ad.EPS) * 3 * x0 ** 2 * w
+        assert np.abs(fixed - numeric).max() > 1e-3
 
 
 class TestFiniteDiffCheck:

@@ -132,6 +132,21 @@ class TestLeaveOneOut:
             bench.leave_one_out_splits([0])
 
 
+def reference_sample_batch(dataset, batch_size, rng):
+    """The stratified draw as first written, with ``np.setdiff1d``; the
+    library's draw must make the same RNG calls and pick the same rows."""
+    c = dataset.num_classes
+    chosen = []
+    for cls in range(c):
+        members = np.flatnonzero(dataset.labels == cls)
+        chosen.append(rng.choice(members))
+    chosen = np.asarray(chosen)
+    remaining = np.setdiff1d(np.arange(len(dataset)), chosen)
+    extra = rng.choice(remaining, size=batch_size - c, replace=False)
+    idx = rng.permutation(np.concatenate([chosen, extra]))
+    return dataset.features[idx], dataset.labels[idx]
+
+
 class TestSampleBatch:
     def test_stratified_covers_all_classes(self):
         ds = bench.make_domain(small_spec(class_priors=(0.8, 0.1, 0.1)), 1)
@@ -162,6 +177,30 @@ class TestSampleBatch:
         a = bench.sample_batch(ds, 10, True, np.random.default_rng(5))
         b = bench.sample_batch(ds, 10, True, np.random.default_rng(5))
         np.testing.assert_array_equal(a.features, b.features)
+
+    @pytest.mark.parametrize("priors", [None, (0.6, 0.3, 0.1),
+                                        (0.05, 0.05, 0.9), (0.34, 0.33, 0.33)])
+    def test_matches_setdiff1d_reference(self, priors):
+        for seed in range(25):
+            ds = bench.make_domain(
+                small_spec(n_samples=30 + 7 * seed, class_priors=priors), seed)
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for batch_size in (3, 4, 11, len(ds) // 2, len(ds)):
+                got = bench.sample_batch(ds, batch_size, True, ours)
+                want_x, want_y = reference_sample_batch(ds, batch_size, ref)
+                assert got.features.tobytes() == want_x.tobytes()
+                np.testing.assert_array_equal(got.labels, want_y)
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_canonical_draws_match_setdiff1d_reference(self):
+        datasets = bench.canonical_datasets()
+        ours, ref = np.random.default_rng(0), np.random.default_rng(0)
+        for _ in range(100):
+            for k in sorted(datasets):
+                got = bench.sample_batch(datasets[k], 25, True, ours)
+                want_x, want_y = reference_sample_batch(datasets[k], 25, ref)
+                assert got.features.tobytes() == want_x.tobytes()
+                np.testing.assert_array_equal(got.labels, want_y)
 
 
 class TestTrainTestSplit:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,27 @@ class TestRunExperiment:
         header = files[0].read_text().splitlines()[0]
         assert header == ",".join(engine.MetricsRecord.FIELDS)
 
+    def test_failed_run_keeps_partial_metrics(self, tmp_path, monkeypatch):
+        real_step = engine.meta_step
+
+        def poisoned_step(state, batches):
+            if state.t == 2:  # a NaN weight makes the task loss non-finite
+                w = np.array(state.theta["w0"].value)
+                w[0, 0] = np.nan
+                theta = state.theta.replace([ad.leaf(w), state.theta["b0"]])
+                state = replace(state, theta=theta)
+            return real_step(state, batches)
+
+        monkeypatch.setattr(engine, "meta_step", poisoned_step)
+        path = tmp_path / "metrics.csv"
+        with pytest.raises(engine.NonFiniteLossError,
+                           match="task loss is non-finite at iteration 2"):
+            harness.run_single(tiny_config(iterations=5), harness.ALL_ROWS[7],
+                               2, 0, small_datasets(), path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(engine.MetricsRecord.FIELDS)
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "env"))
         cfg = tiny_config(out_dir=str(tmp_path / "ignored"))
@@ -379,6 +402,9 @@ class TestCli:
         ("bench_overrides={num_domains: 5}", "'rotations_deg'"),
         ("clip_threshold=0", "clip_threshold"),
         ("tau=-1", "tau"),
+        ("batch_size=3", "batch_size"),
+        ("n_meta_test=0", "n_meta_test"),
+        ("n_meta_test=3", "n_meta_test"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, monkeypatch, capsys,
                                        command, item, key):
@@ -399,6 +425,26 @@ class TestCli:
         (ckpt,) = tmp_path.glob("ckpt_*")
         theta = nets.load_params(ckpt / "theta.bin", nets.TASK_NET)
         assert theta["w0"].shape[1] == 3
+
+    @pytest.mark.parametrize("name, damage", [
+        ("psi.bin", lambda raw: raw[:-3]),
+        ("theta.bin", lambda raw: raw + b"\x00" * 8),
+    ])
+    def test_damaged_checkpoint_is_io_error(self, tmp_path, capsys, name, damage):
+        ckpt = tmp_path / "ckpt"
+        psi, theta, _ = nets.init_params(nets.Architecture(
+            input_dim=16, num_classes=5, feature_widths=(10, 6),
+            metric_widths=(8, 4)), 0)
+        nets.save_params(psi, ckpt / "psi.bin")
+        nets.save_params(theta, ckpt / "theta.bin")
+        path = ckpt / name
+        path.write_bytes(damage(path.read_bytes()))
+        bench.export_csv(list(bench.canonical_datasets().values())[:1],
+                         tmp_path / "one.csv")
+        assert cli.main(["eval", "--ckpt", str(ckpt),
+                         "--data", str(tmp_path / "one.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and name in err
 
     def test_missing_metrics_is_io_error(self, tmp_path, capsys):
         assert cli.main(["plot", "--metrics", str(tmp_path / "nope.csv")]) == 3

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -192,3 +194,35 @@ class TestSerialization:
         path.write_bytes(b"NOPE!" + b"\x00" * 16)
         with pytest.raises(ValueError):
             nets.load_params(path, nets.FEATURE_EXTRACTOR)
+
+    @pytest.mark.parametrize("cut", [1, 8, 100])
+    def test_truncated_file_is_io_error(self, tmp_path, cut):
+        psi, _, _ = nets.init_params(ARCH, 9)
+        path = tmp_path / "psi.bin"
+        nets.save_params(psi, path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(OSError, match="psi.bin: truncated"):
+            nets.load_params(path, nets.FEATURE_EXTRACTOR)
+
+    @pytest.mark.parametrize("keep", [5, 7, 13])
+    def test_truncated_header_is_io_error(self, tmp_path, keep):
+        psi, _, _ = nets.init_params(ARCH, 9)
+        path = tmp_path / "psi.bin"
+        nets.save_params(psi, path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(OSError, match="psi.bin: truncated"):
+            nets.load_params(path, nets.FEATURE_EXTRACTOR)
+
+    def test_negative_size_in_header_is_io_error(self, tmp_path):
+        path = tmp_path / "psi.bin"
+        path.write_bytes(nets.MAGIC + struct.pack("<ii", 1, -2) + b"\x00" * 64)
+        with pytest.raises(OSError, match="psi.bin: truncated or corrupt"):
+            nets.load_params(path, nets.FEATURE_EXTRACTOR)
+
+    def test_trailing_bytes_are_io_error(self, tmp_path):
+        _, theta, _ = nets.init_params(ARCH, 9)
+        path = tmp_path / "theta.bin"
+        nets.save_params(theta, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(OSError, match="theta.bin: trailing bytes"):
+            nets.load_params(path, nets.TASK_NET)
