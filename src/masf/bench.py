@@ -202,15 +202,14 @@ def export_csv(datasets: list[DomainDataset], path: str | Path) -> None:
 
 
 def import_csv(path: str | Path) -> list[DomainDataset]:
-    rows = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        if header[:2] != ["domain", "label"]:
-            raise ValueError(f"{path}: unexpected CSV header")
-        for row in reader:
-            rows.append((int(row[0]), int(row[1]),
-                         np.array([float(v) for v in row[2:]])))
+        if next(reader, [])[:2] != ["domain", "label"]:  # [] for an empty file
+            raise ValueError(f"{path}: no 'domain,label,...' CSV header")
+        rows = [(int(row[0]), int(row[1]), np.array([float(v) for v in row[2:]]))
+                for row in reader]
+    if not rows:
+        raise ValueError(f"{path}: CSV file has no samples")
     out = []
     for dom in sorted({r[0] for r in rows}):
         sel = [r for r in rows if r[0] == dom]
@@ -220,7 +219,7 @@ def import_csv(path: str | Path) -> list[DomainDataset]:
 
 
 # ---------------------------------------------------------------------------
-# canonical frozen benchmark (calibrated once; see bench/specs/canonical.yaml)
+# canonical frozen benchmark (calibrated once; the only copy of its values)
 
 CANONICAL = {
     "num_domains": 4,
@@ -269,9 +268,10 @@ def canonical_datasets(overrides: dict | None = None) -> dict[int, DomainDataset
 
 
 def load_spec_file(path: str | Path) -> tuple[list[DomainSpec], int]:
-    """Read a benchmark spec (YAML mapping like CANONICAL) from disk."""
+    """Read a benchmark spec, a YAML mapping of keys of CANONICAL, from disk;
+    a key the file leaves out keeps its canonical value."""
     with open(path) as f:
-        cfg = yaml.safe_load(f)
-    base = dict(CANONICAL)
-    base.update(cfg or {})
-    return canonical_domain_specs(base), base["base_seed"]
+        cfg = yaml.safe_load(f) or {}
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: benchmark spec must be a YAML mapping")
+    return canonical_domain_specs(cfg), cfg.get("base_seed", CANONICAL["base_seed"])

@@ -7,10 +7,11 @@ Verbs:
   ablate      run the ablation grid and write report.csv
   plot        render metrics.csv columns as an SVG line plot
 
-Configuration comes from a YAML file plus flag overrides; every run writes
-a resolved copy of its configuration next to its outputs. The environment
-variable MASF_OUT_DIR, when set and not empty, overrides the output
-directory.
+Configuration is a flat YAML mapping of ExperimentConfig and Hyperparams
+fields (with no --config, their defaults: the canonical study) plus --set
+KEY=VALUE overrides. Every run writes it as resolved_config.yaml, which
+--config reads back. The environment variable MASF_OUT_DIR, when set and
+not empty, overrides the output directory.
 
 Exit codes: 0 success, 1 config error, 2 run failure (non-finite loss),
 3 I/O error.
@@ -36,8 +37,10 @@ EXIT_OK, EXIT_CONFIG, EXIT_RUN, EXIT_IO = 0, 1, 2, 3
 
 
 def _coerce(key: str, value, declared: str):
-    """``value`` as the declared int or float type of config field ``key``
-    (YAML reads ``1e-5`` as a string); other fields pass through."""
+    """``value`` as the declared int, float or tuple type of config field
+    ``key`` (YAML reads ``1e-5`` as a string); other fields pass through."""
+    if declared.startswith("tuple"):
+        return tuple(value)
     if declared not in ("int", "float"):
         return value
     try:
@@ -78,6 +81,7 @@ def _load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
 def _dump_resolved(config: ExperimentConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = dataclasses.asdict(config)
+    payload = {**payload.pop("hp"), **payload}
     with open(out_dir / "resolved_config.yaml", "w") as f:
         yaml.safe_dump(payload, f, sort_keys=False)
 
@@ -139,11 +143,11 @@ def cmd_ablate(args) -> int:
     out_dir = config.resolved_out_dir()
     _dump_resolved(config, out_dir)
     report = harness.run_experiment(config, datasets)
-    for flags, mean, std in report.summary():
+    for flags, mean, std, failed in report.summary():
         e, g, l = ("x" if v else "-" for v in flags)
         std_s = "n/a" if np.isnan(std) else f"{std:.4f}"
         print(f"episodic {e}  global {g}  local {l}  "
-              f"accuracy {mean:.4f} +/- {std_s}")
+              f"accuracy {mean:.4f} +/- {std_s}  failed {failed}")
     print(f"report written to {out_dir / 'report.csv'}")
     return EXIT_OK
 

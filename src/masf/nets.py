@@ -29,8 +29,8 @@ class Architecture:
 
     input_dim: int
     num_classes: int
-    feature_widths: tuple[int, ...] = (64, 32)
-    metric_widths: tuple[int, ...] = (32, 16)
+    feature_widths: tuple[int, ...]
+    metric_widths: tuple[int, ...]
 
     def __post_init__(self):
         if self.num_classes < 2:

@@ -268,12 +268,19 @@ class TestCanonical:
         assert base_seed == bench.CANONICAL["base_seed"]
         assert specs == bench.canonical_domain_specs()
 
-    def test_checked_in_spec_matches_builtin(self):
-        from pathlib import Path
-        path = Path(__file__).resolve().parents[1] / "bench" / "specs" / "canonical.yaml"
+    def test_partial_spec_file_keeps_other_canonical_keys(self, tmp_path):
+        path = tmp_path / "spec.yaml"
+        path.write_text("num_classes: 3\nbase_seed: 7\n")
         specs, base_seed = bench.load_spec_file(path)
-        assert base_seed == bench.CANONICAL["base_seed"]
-        assert specs == bench.canonical_domain_specs()
+        assert base_seed == 7
+        assert specs == bench.canonical_domain_specs({"num_classes": 3})
+
+    @pytest.mark.parametrize("text", ["[1, 2]\n", "7\n", "just text\n"])
+    def test_spec_file_not_a_mapping_names_path(self, tmp_path, text):
+        path = tmp_path / "spec.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="spec.yaml.*mapping"):
+            bench.load_spec_file(path)
 
     def test_single_domain_model_degrades_on_far_rotation(self):
         # a linear probe fit on domain 0 should lose substantial accuracy on

@@ -16,8 +16,8 @@ def small_datasets(n_domains=3, n=60, seed=11):
 
 
 def small_hp(**kw):
-    defaults = dict(alpha=0.05, eta=0.05, gamma=0.05, batch_size=12,
-                    decay_every=10)
+    defaults = dict(alpha=0.05, eta=0.05, gamma=0.05, beta2=0.005,
+                    batch_size=12, decay_every=10)
     defaults.update(kw)
     return engine.Hyperparams(**defaults)
 

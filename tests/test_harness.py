@@ -18,12 +18,27 @@ def small_datasets(n_domains=3, n=60, seed=11):
 
 
 def tiny_config(**kw):
-    hp = engine.Hyperparams(alpha=0.05, eta=0.05, gamma=0.05, batch_size=12,
-                            decay_every=10, n_meta_train=1)
+    hp = engine.Hyperparams(alpha=0.05, eta=0.05, gamma=0.05, beta2=0.005,
+                            batch_size=12, decay_every=10, n_meta_train=1)
     defaults = dict(hp=hp, iterations=3, seeds=[0], feature_widths=(10, 6),
                     metric_widths=(8, 4))
     defaults.update(kw)
     return harness.ExperimentConfig(**defaults)
+
+
+def poison_meta_step(monkeypatch):
+    """From iteration 2 on, a NaN weight makes the task loss non-finite."""
+    real_step = engine.meta_step
+
+    def poisoned_step(state, batches):
+        if state.t == 2:
+            w = np.array(state.theta["w0"].value)
+            w[0, 0] = np.nan
+            theta = state.theta.replace([ad.leaf(w), state.theta["b0"]])
+            state = replace(state, theta=theta)
+        return real_step(state, batches)
+
+    monkeypatch.setattr(engine, "meta_step", poisoned_step)
 
 
 class TestEvaluateAccuracy:
@@ -236,9 +251,22 @@ class TestRunExperiment:
                 (1, False, False, False, 0, 0.7),
                 (0, True, True, True, 0, 0.9)]
         summary = harness.Report(rows).summary()
-        as_dict = {flags: (m, s) for flags, m, s in summary}
+        as_dict = {flags: (m, s) for flags, m, s, _ in summary}
         assert as_dict[(False, False, False)][0] == pytest.approx(0.6)
         assert np.isnan(as_dict[(True, True, True)][1])  # single run
+
+    def test_report_summary_skips_failed_runs(self):
+        nan = float("nan")
+        rows = [(0, True, True, True, 0, 0.5),
+                (1, True, True, True, 0, nan),
+                (2, True, True, True, 0, 0.7),
+                (0, False, False, False, 0, nan)]
+        summary = {flags: rest for flags, *rest in harness.Report(rows).summary()}
+        mean, std, failed = summary[(True, True, True)]
+        assert mean == pytest.approx(0.6) and failed == 1
+        assert std == pytest.approx(np.std([0.5, 0.7], ddof=1))
+        mean, std, failed = summary[(False, False, False)]
+        assert np.isnan(mean) and np.isnan(std) and failed == 1
 
     def test_metrics_csv_written(self, tmp_path):
         cfg = tiny_config(rows=[harness.ALL_ROWS[7]], out_dir=str(tmp_path))
@@ -249,17 +277,7 @@ class TestRunExperiment:
         assert header == ",".join(engine.MetricsRecord.FIELDS)
 
     def test_failed_run_keeps_partial_metrics(self, tmp_path, monkeypatch):
-        real_step = engine.meta_step
-
-        def poisoned_step(state, batches):
-            if state.t == 2:  # a NaN weight makes the task loss non-finite
-                w = np.array(state.theta["w0"].value)
-                w[0, 0] = np.nan
-                theta = state.theta.replace([ad.leaf(w), state.theta["b0"]])
-                state = replace(state, theta=theta)
-            return real_step(state, batches)
-
-        monkeypatch.setattr(engine, "meta_step", poisoned_step)
+        poison_meta_step(monkeypatch)
         path = tmp_path / "metrics.csv"
         with pytest.raises(engine.NonFiniteLossError,
                            match="task loss is non-finite at iteration 2"):
@@ -290,6 +308,10 @@ class TestCanonicalConfig:
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError):
             harness.canonical_experiment_config(bogus=1)
+
+    def test_defaults_are_the_canonical_study(self):
+        assert (cli._load_config(None, []) == harness.ExperimentConfig()
+                == harness.canonical_experiment_config())
 
 
 class TestSvg:
@@ -344,6 +366,69 @@ class TestCli:
                          "--data", str(tmp_path / "one.csv")])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, output", [("train", "metrics.csv"),
+                                                 ("ablate", "report.csv")])
+    def test_resolved_config_loads_back(self, tmp_path, monkeypatch, capsys,
+                                        command, output):
+        sets = ["iterations=2", "seeds=[0]", "targets=[3]",
+                "rows=[[true, false, true]]", "alpha=1e-3",
+                "feature_widths=[10, 6]", "metric_widths=[8, 4]",
+                "bench_overrides={shifts: [0.0, 0.1, 0.2, 0.3]}"]
+        args = [command, "--set", sets[0]]
+        if command == "train":
+            args += ["--seed", "0", "--target", "3"]
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "first"))
+        assert cli.main(args + [a for s in sets[1:] for a in ("--set", s)]) == 0
+        resolved = tmp_path / "first" / "resolved_config.yaml"
+        assert cli._load_config(str(resolved), []) == cli._load_config(None, sets)
+
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "second"))
+        assert cli.main(args + ["--config", str(resolved)]) == 0
+        assert ((tmp_path / "first" / output).read_bytes()
+                == (tmp_path / "second" / output).read_bytes())
+
+    def test_non_finite_loss_is_run_failure(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        poison_meta_step(monkeypatch)
+        assert cli.main(["train", "--target", "3", "--set", "iterations=5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failure:") and "iteration 2" in err
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
+    def test_ablate_reports_failed_cells(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        real_step, failed = engine.meta_step, []
+
+        def fail_first_full_run(state, batches):
+            if state.hp.use_local and not failed:
+                failed.append(state.t)
+                raise engine.NonFiniteLossError("injected")
+            return real_step(state, batches)
+
+        monkeypatch.setattr(engine, "meta_step", fail_first_full_run)
+        assert cli.main(["ablate", "--set", "iterations=2",
+                         "--set", "seeds=[0, 1]", "--set", "targets=[3]",
+                         "--set", "rows=[[false, false, false], [true, true, true]]",
+                         "--set", "feature_widths=[10, 6]",
+                         "--set", "metric_widths=[8, 4]"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "nan" not in lines[0] and lines[0].endswith("  failed 0")
+        assert lines[1].endswith("+/- n/a  failed 1") and "nan" not in lines[1]
+        report = (tmp_path / "report.csv").read_text().splitlines()
+        assert report[3] == "3,1,1,1,0,nan"
+
+    @pytest.mark.parametrize("text, reason", [("", "no 'domain,label,...' CSV header"),
+                                              ("domain,label,f0\n", "no samples")])
+    def test_eval_on_csv_without_samples_is_config_error(self, tmp_path, capsys,
+                                                         text, reason):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        assert cli.main(["eval", "--ckpt", str(tmp_path), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{data}: " in err and reason in err
 
     def test_plot_command(self, tmp_path, monkeypatch):
         metrics = tmp_path / "m.csv"

@@ -42,9 +42,11 @@ class TestInit:
 
     def test_invalid_arch(self):
         with pytest.raises(ValueError):
-            nets.Architecture(input_dim=4, num_classes=1)
+            nets.Architecture(input_dim=4, num_classes=1,
+                              feature_widths=(4,), metric_widths=(4,))
         with pytest.raises(ValueError):
-            nets.Architecture(input_dim=4, num_classes=3, feature_widths=(0,))
+            nets.Architecture(input_dim=4, num_classes=3, feature_widths=(0,),
+                              metric_widths=(4,))
 
 
 class TestForward:
