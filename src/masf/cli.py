@@ -38,8 +38,13 @@ EXIT_OK, EXIT_CONFIG, EXIT_RUN, EXIT_IO = 0, 1, 2, 3
 
 def _coerce(key: str, value, declared: str):
     """``value`` as the declared int, float or tuple type of config field
-    ``key`` (YAML reads ``1e-5`` as a string); other fields pass through."""
+    ``key`` (YAML reads ``1e-5`` as a string); other fields pass through.
+    The tuple fields are layer widths: a non-empty list of positive ints."""
     if declared.startswith("tuple"):
+        if not (isinstance(value, list) and value and all(
+                type(w) is int and w >= 1 for w in value)):
+            raise ValueError(f"config key {key!r} expects a non-empty list of "
+                             f"positive ints, got {value!r}")
         return tuple(value)
     if declared not in ("int", "float"):
         return value

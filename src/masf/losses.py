@@ -7,6 +7,12 @@ pair when there is no split), from one feature forward over the stacked
 rows of all its domains and one weighted sum over all pairs. The local term
 is metric learning over embeddings: contrastive pairs or triplets with
 online semi-hard mining.
+
+Triplet distances come from one Gram matrix G = E E^T of the embeddings:
+d^2(a, b) = G[a, a] + G[b, b] - 2 G[a, b]. The miner and the silhouette
+take them in NumPy (``distance_matrix``); the triplet hinge builds the same
+[N, N] matrix as a graph and picks its (anchor, positive) and (anchor,
+negative) entries.
 """
 
 from __future__ import annotations
@@ -141,9 +147,20 @@ def contrastive_loss_on_pairs(embeddings: Expr, labels: np.ndarray,
 
 
 def distance_matrix(values: np.ndarray) -> np.ndarray:
-    """Euclidean distances [N, N] between the rows of ``values`` (numpy)."""
-    diff = values[:, None, :] - values[None, :, :]
-    return np.sqrt((diff * diff).sum(-1))
+    """Euclidean distances [N, N] between the rows of ``values`` (numpy).
+
+    Gram form: d^2(a, b) = |a|^2 + |b|^2 - 2 a.b from one ``values @
+    values.T``, with the squared norms read off its diagonal, so the diagonal
+    and coincident rows are exactly 0. Rounding can push d^2 below 0; it is
+    clamped there. d^2 carries an absolute error of a few ulps of |a|^2, so
+    a distance well below 1e-8 |a| is not resolved.
+    """
+    gram = values @ values.T
+    sq = gram.diagonal().copy()  # a strided view would slow the broadcast
+    d2 = sq[:, None] + sq
+    gram *= 2.0  # in place: a third [N, N] buffer costs more than the math
+    d2 -= gram
+    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
 
 
 def mine_semihard_triplets(embedding_values: np.ndarray,
@@ -189,16 +206,22 @@ def mine_semihard_triplets(embedding_values: np.ndarray,
 
 def triplet_loss_semihard(embeddings: Expr, labels: np.ndarray,
                           margin: float) -> Expr:
-    """Mean over mined triplets of max(0, d(a,p)^2 - d(a,n)^2 + xi)."""
+    """Mean over mined triplets of max(0, d(a,p)^2 - d(a,n)^2 + xi).
+
+    The squared distances are entries of one [N, N] graph built by the rule
+    of ``distance_matrix``, so the hinge sees the distances the miner saw.
+    """
     anchors, positives, negatives = mine_semihard_triplets(
         embeddings.value, labels)
     if anchors.size == 0:
         log.warning("no valid triplet in batch; local loss is 0")
         return ad.const(0.0)
-    e_a = ad.select_rows(embeddings, anchors)
-    e_p = ad.select_rows(embeddings, positives)
-    e_n = ad.select_rows(embeddings, negatives)
-    hinge = ad.relu(ad.add(ad.sub(_row_sq_dists(e_a, e_p),
-                                  _row_sq_dists(e_a, e_n)),
+    n = embeddings.shape[0]
+    gram = ad.matmul(embeddings, ad.transpose(embeddings))
+    sq = ad.gather_rows(gram, np.arange(n))
+    d2 = ad.sub(ad.add(ad.reshape(sq, (n, 1)), sq), ad.mul(ad.const(2.0), gram))
+    d2 = ad.reshape(d2, (n * n,))
+    hinge = ad.relu(ad.add(ad.sub(ad.select_rows(d2, anchors * n + positives),
+                                  ad.select_rows(d2, anchors * n + negatives)),
                            ad.const(margin)))
     return ad.mean(hinge)

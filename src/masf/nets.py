@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Expr, GradMap
 
-MAGIC = b"MASF1"
+MAGIC = b"MASF2"
 
 FEATURE_EXTRACTOR = "feature_extractor"
 TASK_NET = "task_net"
@@ -142,7 +142,14 @@ def sgd_step(params: ParamSet, grads: GradMap, lr: float) -> ParamSet:
 
 
 # ---------------------------------------------------------------------------
-# flat binary serialization: magic, int32 dims, little-endian float64 payload
+# flat binary serialization: magic, int32 entry count, role, then per entry
+# its name and int32 dims, then the little-endian float64 payloads. A string
+# is an int32 byte count and its UTF-8 bytes.
+
+
+def _packed(text: str) -> bytes:
+    raw = text.encode()
+    return struct.pack("<i", len(raw)) + raw
 
 
 def save_params(params: ParamSet, path: str | Path) -> None:
@@ -151,8 +158,10 @@ def save_params(params: ParamSet, path: str | Path) -> None:
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<i", len(params.entries)))
+        f.write(_packed(params.role))
         for name, t in params.entries:
             shape = t.shape
+            f.write(_packed(name))
             f.write(struct.pack("<i", len(shape)))
             f.write(struct.pack(f"<{len(shape)}i", *shape))
         for _, t in params.entries:
@@ -160,24 +169,47 @@ def save_params(params: ParamSet, path: str | Path) -> None:
 
 
 def load_params(path: str | Path, role: str) -> ParamSet:
-    """Read a parameter file; a short or overlong file is an ``OSError``."""
+    """Read a parameter file with the names it was saved with.
+
+    A bad magic (an older format too), a file of another role than
+    ``role`` or names other than the networks' w0, b0, w1, ... layout is a
+    ``ValueError``; a short, overlong or otherwise corrupt file is an
+    ``OSError``.
+    """
     with open(path, "rb") as f:
         def read(n: int) -> bytes:  # n < 0 comes from a corrupt header
             if n < 0 or len(data := f.read(n)) != n:
                 raise OSError(f"{path}: truncated or corrupt parameter file")
             return data
-        if read(5) != MAGIC:
-            raise ValueError(f"{path}: bad magic, not a parameter file")
-        (n_entries,) = struct.unpack("<i", read(4))
-        shapes = []
+
+        def read_int() -> int:
+            return struct.unpack("<i", read(4))[0]
+
+        def read_str() -> str:
+            try:
+                return read(read_int()).decode()
+            except UnicodeDecodeError as exc:
+                raise OSError(f"{path}: corrupt name in parameter file") from exc
+
+        if (magic := read(5)) != MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}, not a "
+                             f"{MAGIC.decode()} parameter file")
+        n_entries = read_int()
+        if (saved := read_str()) != role:
+            raise ValueError(f"{path}: holds {saved!r} parameters, "
+                             f"expected {role!r}")
+        header = []
         for _ in range(n_entries):
-            (ndim,) = struct.unpack("<i", read(4))
-            shapes.append(struct.unpack(f"<{ndim}i", read(4 * ndim)))
+            name, ndim = read_str(), read_int()
+            header.append((name, struct.unpack(f"<{ndim}i", read(4 * ndim))))
+        names = [name for name, _ in header]
+        if names != [f"{k}{i}" for i in range(n_entries // 2) for k in "wb"]:
+            raise ValueError(f"{path}: parameter names {names} are not "
+                             f"w0, b0, w1, b1, ...")
         entries = []
-        for i, shape in enumerate(shapes):
+        for name, shape in header:
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
-            name = f"w{i // 2}" if i % 2 == 0 else f"b{i // 2}"
             entries.append((name, ad.leaf(data)))
         if f.read(1):
             raise OSError(f"{path}: trailing bytes after the parameters")

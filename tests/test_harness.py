@@ -490,6 +490,12 @@ class TestCli:
         ("batch_size=3", "batch_size"),
         ("n_meta_test=0", "n_meta_test"),
         ("n_meta_test=3", "n_meta_test"),
+        ("feature_widths=5", "feature_widths"),
+        ("feature_widths=[8, 2.5]", "feature_widths"),
+        ("feature_widths=[8, x]", "feature_widths"),
+        ("feature_widths=[true, 4]", "feature_widths"),
+        ("metric_widths=[]", "metric_widths"),
+        ("metric_widths=[8, 0]", "metric_widths"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, monkeypatch, capsys,
                                        command, item, key):
@@ -530,6 +536,21 @@ class TestCli:
                          "--data", str(tmp_path / "one.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("I/O error:") and name in err
+
+    def test_checkpoint_of_other_role_is_config_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        psi, theta, _ = nets.init_params(nets.Architecture(
+            input_dim=16, num_classes=5, feature_widths=(10, 6),
+            metric_widths=(8, 4)), 0)
+        nets.save_params(theta, ckpt / "psi.bin")  # swapped files
+        nets.save_params(psi, ckpt / "theta.bin")
+        bench.export_csv(list(bench.canonical_datasets().values())[:1],
+                         tmp_path / "one.csv")
+        assert cli.main(["eval", "--ckpt", str(ckpt),
+                         "--data", str(tmp_path / "one.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "psi.bin" in err
+        assert "'task_net'" in err and "'feature_extractor'" in err
 
     def test_missing_metrics_is_io_error(self, tmp_path, capsys):
         assert cli.main(["plot", "--metrics", str(tmp_path / "nope.csv")]) == 3

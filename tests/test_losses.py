@@ -333,7 +333,8 @@ def random_alignment_case(rng):
 
 
 class TestPairwiseDistance:
-    """``losses.distance_matrix``, the miner's and the silhouette's distance."""
+    """``losses.distance_matrix``, the miner's and the silhouette's distance,
+    in Gram form: |a|^2 + |b|^2 - 2 a.b from one ``E @ E.T``."""
 
     def test_identical_zero(self):
         d = losses.distance_matrix(np.array([[0.6, 0.8], [0.6, 0.8]]))
@@ -358,6 +359,19 @@ class TestPairwiseDistance:
         np.testing.assert_allclose(d, d.T, atol=1e-12)
         # d[a, b] <= d[a, c] + d[c, b] for every triple (a, c, b)
         assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-9)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 150), st.integers(1, 8),
+           st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=60, deadline=None)
+    def test_gram_form_matches_difference_rule(self, seed, n, dim, scale):
+        rows = np.random.default_rng(seed).normal(size=(n, dim)) * scale
+        d = losses.distance_matrix(rows)
+        diff = rows[:, None, :] - rows[None, :, :]
+        np.testing.assert_array_equal(d, d.T)
+        assert np.all(d >= 0)
+        assert np.all(np.diag(d) == 0.0)
+        np.testing.assert_allclose(d, np.sqrt((diff * diff).sum(-1)),
+                                   rtol=0, atol=1e-9 * scale)
 
 
 class TestContrastive:
@@ -445,6 +459,18 @@ def reference_mine_semihard_triplets(embedding_values, labels):
     return (np.asarray(anchors, dtype=np.int64),
             np.asarray(positives, dtype=np.int64),
             np.asarray(negatives, dtype=np.int64))
+
+
+def reference_triplet_loss_semihard(embeddings, labels, margin):
+    """The hinge from three [T, d] row gathers, kept as the loss's reference."""
+    anchors, positives, negatives = losses.mine_semihard_triplets(
+        embeddings.value, labels)
+    e_a = ad.select_rows(embeddings, anchors)
+    e_p = ad.select_rows(embeddings, positives)
+    e_n = ad.select_rows(embeddings, negatives)
+    d2_ap = ad.reduce_sum(ad.square(ad.sub(e_a, e_p)), axis=1)
+    d2_an = ad.reduce_sum(ad.square(ad.sub(e_a, e_n)), axis=1)
+    return ad.mean(ad.relu(ad.add(ad.sub(d2_ap, d2_an), ad.const(margin))))
 
 
 def assert_same_triplets(e, labels):
@@ -546,14 +572,74 @@ class TestTriplet:
                 ad.leaf(e_val[perm]), labels[perm], 1.0).value)
             assert permuted == pytest.approx(base, abs=1e-12)
 
+    def test_mines_through_the_module_attribute_once(self, monkeypatch):
+        # the benchmark's tracer wraps losses.mine_semihard_triplets to count
+        # the triplets, so the loss must call it by attribute, exactly once
+        rng = np.random.default_rng(12)
+        e = ad.leaf(rng.normal(size=(12, 3)))
+        labels = rng.integers(0, 3, size=12)
+        calls = []
+        mine = losses.mine_semihard_triplets
+        monkeypatch.setattr(losses, "mine_semihard_triplets",
+                            lambda *args: calls.append(args) or mine(*args))
+        losses.triplet_loss_semihard(e, labels, 1.0)
+        assert len(calls) == 1
+        values, got_labels = calls[0]
+        assert values is e.value
+        np.testing.assert_array_equal(got_labels, labels)
+
+    @staticmethod
+    def _assert_matches_reference(embed, params, labels, margin):
+        def loss_and_grads(fn):
+            loss = fn(embed(), labels, margin)
+            grads = ad.grad(loss, params)
+            return float(loss.value), [grads[t].value for t in params]
+
+        want, want_grads = loss_and_grads(reference_triplet_loss_semihard)
+        got, got_grads = loss_and_grads(losses.triplet_loss_semihard)
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+        # entries that cancel to rounding noise are held to their tensor's
+        # scale, not to their own
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=1e-10,
+                                       atol=1e-13 * np.abs(w).max())
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_row_gather_reference(self, seed):
+        # psi/phi gradients through the networks. The embedding width starts
+        # at 2: a normalized 1-wide embedding is +-1 up to the 1e-12 division
+        # guard, so its rows coincide to ~1e-12, below what the Gram form
+        # resolves, and every psi/phi gradient is ~1e-10 rounding residue.
+        rng = np.random.default_rng(700 + seed)
+        n, dim = int(rng.integers(10, 151)), int(rng.integers(2, 9))
+        arch = nets.Architecture(input_dim=4, num_classes=3,
+                                 feature_widths=(6, 5), metric_widths=(5, dim))
+        psi, _, phi = nets.init_params(arch, seed)
+        x = ad.const(rng.normal(size=(n, 4)))
+        self._assert_matches_reference(
+            lambda: nets.metric_forward(phi, nets.feature_forward(psi, x)),
+            psi.tensors + phi.tensors,
+            rng.integers(0, int(rng.integers(2, 8)), size=n),
+            float(rng.uniform(0.1, 1.0)))
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_matches_row_gather_reference_on_raw_rows(self, dim):
+        rng = np.random.default_rng(800 + dim)
+        n = int(rng.integers(10, 151))
+        e = ad.leaf(rng.normal(size=(n, dim)))
+        self._assert_matches_reference(
+            lambda: e, [e], rng.integers(0, int(rng.integers(2, 8)), size=n),
+            float(rng.uniform(0.1, 1.0)))
+
     def test_gradients_pass_fd(self):
         psi, _, phi = make_params(6)
         rng = np.random.default_rng(10)
-        x, labels = make_batch(rng, n=8)
-        z = nets.feature_forward(psi, ad.const(x))
-        e = nets.metric_forward(phi, z)
-        loss = losses.triplet_loss_semihard(e, labels, 1.0)
-        assert ad.finite_diff_check(loss, phi.tensors + psi.tensors) < 1e-5
+        for n in (8, 150):  # 150 is the wide batch of three 50-sample sources
+            x, labels = make_batch(rng, n=n)
+            z = nets.feature_forward(psi, ad.const(x))
+            e = nets.metric_forward(phi, z)
+            loss = losses.triplet_loss_semihard(e, labels, 1.0)
+            assert ad.finite_diff_check(loss, phi.tensors + psi.tensors) < 1e-5
 
     def test_contrastive_gradients_pass_fd(self):
         psi, _, phi = make_params(7)

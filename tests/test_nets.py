@@ -180,21 +180,58 @@ class TestSerialization:
         psi, _, _ = nets.init_params(ARCH, 9)
         path = tmp_path / "psi.bin"
         nets.save_params(psi, path)
+        raw = path.read_bytes()  # the file records its role and names
+        for text in (nets.FEATURE_EXTRACTOR, "w1", "b1"):
+            assert text.encode() in raw
         loaded = nets.load_params(path, nets.FEATURE_EXTRACTOR)
         for (na, ta), (nb, tb) in zip(psi.entries, loaded.entries):
             assert na == nb
             np.testing.assert_array_equal(ta.value, tb.value)
 
+    @pytest.mark.parametrize("names", [["w0", "b1"], ["b0", "w0"],
+                                       ["w0", "b0", "w1"], ["layer0", "bias0"]])
+    def test_names_off_the_layer_layout_rejected(self, tmp_path, names):
+        rng = np.random.default_rng(4)
+        params = nets.ParamSet(nets.TASK_NET, [
+            (n, ad.leaf(rng.normal(size=(2,)))) for n in names])
+        path = tmp_path / "theta.bin"
+        nets.save_params(params, path)
+        with pytest.raises(ValueError, match="theta.bin: parameter names"):
+            nets.load_params(path, nets.TASK_NET)
+
+    def test_other_role_rejected_naming_path_and_roles(self, tmp_path):
+        _, theta, _ = nets.init_params(ARCH, 9)
+        path = tmp_path / "theta.bin"
+        nets.save_params(theta, path)
+        with pytest.raises(ValueError, match="theta.bin: holds 'task_net' "
+                           "parameters, expected 'feature_extractor'"):
+            nets.load_params(path, nets.FEATURE_EXTRACTOR)
+
     def test_magic_header(self, tmp_path):
         psi, _, _ = nets.init_params(ARCH, 9)
         path = tmp_path / "psi.bin"
         nets.save_params(psi, path)
-        assert path.read_bytes()[:5] == b"MASF1"
+        assert path.read_bytes()[:5] == b"MASF2"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE!" + b"\x00" * 16)
         with pytest.raises(ValueError):
+            nets.load_params(path, nets.FEATURE_EXTRACTOR)
+
+    def test_previous_format_rejected(self, tmp_path):
+        # MASF1 stored neither the role nor the names
+        psi, _, _ = nets.init_params(ARCH, 9)
+        path = tmp_path / "psi.bin"
+        nets.save_params(psi, path)
+        path.write_bytes(b"MASF1" + path.read_bytes()[5:])
+        with pytest.raises(ValueError, match="psi.bin: bad magic b'MASF1'"):
+            nets.load_params(path, nets.FEATURE_EXTRACTOR)
+
+    def test_undecodable_name_is_io_error(self, tmp_path):
+        path = tmp_path / "psi.bin"
+        path.write_bytes(nets.MAGIC + struct.pack("<ii", 0, 1) + b"\xff")
+        with pytest.raises(OSError, match="psi.bin: corrupt name"):
             nets.load_params(path, nets.FEATURE_EXTRACTOR)
 
     @pytest.mark.parametrize("cut", [1, 8, 100])
