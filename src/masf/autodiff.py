@@ -408,9 +408,6 @@ class GradMap:
     def __getitem__(self, param: Expr) -> Expr:
         return self._by_id[param.id]
 
-    def __contains__(self, param: Expr) -> bool:
-        return param.id in self._by_id
-
     def __iter__(self):
         return iter(zip(self.params, self.grads))
 

@@ -156,7 +156,15 @@ def sample_batch(dataset: DomainDataset, batch_size: int, stratified: bool,
     c = dataset.num_classes
     if batch_size < c:
         raise ValueError("stratified batch needs batch_size >= num_classes")
-    chosen = [rng.choice(np.flatnonzero(dataset.labels == cls)) for cls in range(c)]
+    counts = np.bincount(dataset.labels, minlength=c)
+    if not counts.all():
+        raise ValueError(f"domain {dataset.domain_id} has no row of class "
+                         f"{np.flatnonzero(counts == 0)[0]}")
+    # one uniform row per class; the array-bounded draw makes the same draws
+    # as rng.choice(members) called once per class in class order
+    starts = np.cumsum(counts) - counts
+    chosen = np.argsort(dataset.labels, kind="stable")[
+        starts + rng.integers(0, counts)]
     rest = np.ones(n, dtype=bool)  # rows not chosen yet
     rest[chosen] = False
     extra = rng.choice(np.flatnonzero(rest), size=batch_size - c, replace=False)

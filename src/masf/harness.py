@@ -45,30 +45,52 @@ def _embed(psi: ParamSet, phi: ParamSet, features: np.ndarray) -> np.ndarray:
     return nets.metric_forward(phi, z).value
 
 
+def margin_triples(domain_a: DomainDataset, domain_b: DomainDataset,
+                   n_pairs: int, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``n_pairs`` (anchor, positive, negative) row indices: anchors from
+    domain_a, positives and negatives from domain_b.
+
+    Anchors are uniform over the rows of domain_a whose class has both a
+    positive and a negative in domain_b; each positive is uniform over the
+    anchor's class in domain_b and each negative over the other classes.
+    """
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    for d in (domain_a, domain_b):
+        if len(np.unique(d.labels)) < 2:
+            raise ValueError("margin statistic needs >= 2 classes per domain")
+    c = max(domain_a.num_classes, domain_b.num_classes)
+    same_count = np.bincount(domain_b.labels, minlength=c)
+    diff_count = len(domain_b) - same_count  # > 0: domain_b has 2 classes
+    eligible = np.flatnonzero(same_count[domain_a.labels] > 0)
+    if eligible.size == 0:
+        raise ValueError("no class of domain_a has a positive in domain_b")
+    # row k of pools: the rows of class k in index order, then the others
+    pools = np.argsort(domain_b.labels != np.arange(c)[:, None], axis=1,
+                       kind="stable")
+    anchors = eligible[rng.integers(eligible.size, size=n_pairs)]
+    cls = domain_a.labels[anchors]
+    positives = pools[cls, rng.integers(0, same_count[cls])]
+    negatives = pools[cls, same_count[cls] + rng.integers(0, diff_count[cls])]
+    return anchors, positives, negatives
+
+
 def margin_statistic(psi: ParamSet, phi: ParamSet, domain_a: DomainDataset,
                      domain_b: DomainDataset, n_pairs: int,
                      rng: np.random.Generator) -> float:
     """Monte-Carlo mean negative-pair distance minus mean positive-pair
-    distance between two domains, in metric-embedding space."""
-    for d in (domain_a, domain_b):
-        if len(np.unique(d.labels)) < 2:
-            raise ValueError("margin statistic needs >= 2 classes per domain")
+    distance between two domains, in metric-embedding space.
+
+    The pairs are drawn by :func:`margin_triples` in three bulk calls
+    (anchors, positives, negatives). They replaced a per-pair loop of scalar
+    draws that resampled ineligible anchors: the law is the same, but a seed
+    now gives another Monte Carlo stream, and so another estimate.
+    """
+    anchors, positives, negatives = margin_triples(domain_a, domain_b,
+                                                   n_pairs, rng)
     e_a = _embed(psi, phi, domain_a.features)
     e_b = _embed(psi, phi, domain_b.features)
-    pools = {c: (np.flatnonzero(domain_b.labels == c),
-                 np.flatnonzero(domain_b.labels != c))
-             for c in np.unique(domain_a.labels)}
-    if not any(same.size and diff.size for same, diff in pools.values()):
-        raise ValueError("no class of domain_a has a positive in domain_b")
-    anchors, positives, negatives = [], [], []
-    while len(anchors) < n_pairs:
-        a = rng.integers(len(domain_a))
-        same, diff = pools[domain_a.labels[a]]
-        if same.size == 0 or diff.size == 0:
-            continue  # no positive available for this class; resample
-        anchors.append(a)
-        positives.append(same[rng.integers(same.size)])
-        negatives.append(diff[rng.integers(diff.size)])
     # a stacked row-by-column matmul takes each row's dot product, the same
     # sum np.linalg.norm takes of a single row
     rows_a = e_a[anchors]

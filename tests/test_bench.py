@@ -172,6 +172,13 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             bench.sample_batch(ds, 2, True, np.random.default_rng(0))
 
+    def test_missing_class_rejected(self):
+        ds = bench.make_domain(small_spec(), 2)
+        gap = bench.DomainDataset(ds.features, np.where(ds.labels == 1, 2,
+                                                        ds.labels), 7)
+        with pytest.raises(ValueError, match="domain 7 has no row of class 1"):
+            bench.sample_batch(gap, 10, True, np.random.default_rng(0))
+
     def test_deterministic_under_seed(self):
         ds = bench.make_domain(small_spec(), 2)
         a = bench.sample_batch(ds, 10, True, np.random.default_rng(5))

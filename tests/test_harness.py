@@ -119,24 +119,16 @@ class TestSilhouette:
             assert -1.0 <= harness.silhouette_score(e, labels) <= 1.0
 
 
-def reference_margin_statistic(psi, phi, domain_a, domain_b, n_pairs, rng):
-    """The per-draw loop margin_statistic replaced; it must give the same
-    float from the same rng."""
+def reference_margin_statistic(psi, phi, domain_a, domain_b, triples):
+    """The statistic as a per-pair loop of ``np.linalg.norm`` over the drawn
+    (anchor, positive, negative) indices; margin_statistic must give the
+    same float on the same indices."""
     e_a = harness._embed(psi, phi, domain_a.features)
     e_b = harness._embed(psi, phi, domain_b.features)
     pos, neg = [], []
-    draws = 0
-    while draws < n_pairs:
-        a = rng.integers(len(domain_a))
-        same = np.flatnonzero(domain_b.labels == domain_a.labels[a])
-        diff = np.flatnonzero(domain_b.labels != domain_a.labels[a])
-        if same.size == 0 or diff.size == 0:
-            continue  # no positive available for this class; resample
-        p = same[rng.integers(same.size)]
-        n = diff[rng.integers(diff.size)]
+    for a, p, n in zip(*triples):
         pos.append(np.linalg.norm(e_a[a] - e_b[p]))
         neg.append(np.linalg.norm(e_a[a] - e_b[n]))
-        draws += 1
     return float(np.mean(neg) - np.mean(pos))
 
 
@@ -190,15 +182,65 @@ class TestMarginStatistic:
             return bench.DomainDataset(rng.normal(size=(n, 8)), labels, 0)
 
         domain_a = domain(int(rng.integers(5, 40)), [0, 1, 2])
-        # even seeds: class 2 is absent from domain_b, so its anchors resample
+        # even seeds: class 2 is absent from domain_b, so its anchors are
+        # never drawn
         domain_b = domain(int(rng.integers(5, 40)),
                           [0, 1] if seed % 2 == 0 else [1, 2, 0])
         n_pairs = int(rng.integers(1, 300))
         got = harness.margin_statistic(psi, phi, domain_a, domain_b, n_pairs,
                                        np.random.default_rng(seed))
+        triples = harness.margin_triples(domain_a, domain_b, n_pairs,
+                                         np.random.default_rng(seed))
         want = reference_margin_statistic(psi, phi, domain_a, domain_b,
-                                          n_pairs, np.random.default_rng(seed))
+                                          triples)
         assert got == want
+
+    def test_draw_law(self):
+        rng = np.random.default_rng(7)
+        # class 3 is absent from domain_b, so its rows of domain_a are not
+        # eligible anchors
+        domain_a = bench.DomainDataset(np.zeros((40, 2)),
+                                       rng.integers(0, 4, size=40), 0)
+        domain_b = bench.DomainDataset(np.zeros((30, 2)),
+                                       rng.permutation(np.arange(30) % 3), 1)
+        n = 20_000
+        anchors, positives, negatives = harness.margin_triples(
+            domain_a, domain_b, n, np.random.default_rng(0))
+        cls_a = domain_a.labels[anchors]
+        assert np.all(domain_b.labels[positives] == cls_a)
+        assert np.all(domain_b.labels[negatives] != cls_a)
+        eligible = np.flatnonzero(domain_a.labels != 3)
+        assert eligible.size < len(domain_a)
+        assert set(anchors) <= set(eligible)
+
+        def assert_uniform(drawn, pool):
+            # multinomial counts of a uniform draw over the pool
+            counts = np.bincount(drawn, minlength=pool.max() + 1)[pool]
+            assert counts.sum() == drawn.size
+            p = 1.0 / pool.size
+            sigma = np.sqrt(drawn.size * p * (1 - p))
+            assert np.all(np.abs(counts - drawn.size * p) < 5 * sigma)
+
+        assert_uniform(anchors, eligible)
+        for c in range(3):
+            of_c = cls_a == c
+            assert_uniform(positives[of_c],
+                           np.flatnonzero(domain_b.labels == c))
+            assert_uniform(negatives[of_c],
+                           np.flatnonzero(domain_b.labels != c))
+
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_nonpositive_n_pairs_rejected(self, n_pairs, monkeypatch):
+        psi, phi = self._nets()
+        ds = small_datasets(2)
+
+        def no_embed(*args):
+            raise AssertionError("embedded before n_pairs was checked")
+
+        monkeypatch.setattr(harness, "_embed", no_embed)
+        with pytest.raises(ValueError, match="n_pairs"):
+            harness.margin_statistic(psi, phi, ds[0], ds[1], n_pairs,
+                                     np.random.default_rng(0))
 
     def test_no_shared_class_rejected(self):
         psi, phi = self._nets()
