@@ -161,6 +161,11 @@ def cmd_plot(args) -> int:
     with open(args.metrics, newline="") as f:
         reader = csv.DictReader(f)
         rows = list(reader)
+    available = reader.fieldnames or []
+    unknown = [col for col in args.columns if col not in available]
+    if unknown:
+        raise ValueError(f"{args.metrics}: no column {', '.join(map(repr, unknown))}; "
+                         f"available: {', '.join(available) or 'none'}")
     series = {col: [float(r[col]) for r in rows] for col in args.columns}
     harness.write_svg_lines(Path(args.out), series, title=Path(args.metrics).stem)
     print(f"wrote {args.out}")

@@ -298,11 +298,11 @@ def run_experiment(config: ExperimentConfig,
 def write_svg_lines(path: Path, series: dict[str, list[float]],
                     title: str = "", width: int = 640, height: int = 400) -> None:
     """Plot one polyline per named series into a standalone SVG file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     all_vals = [v for vals in series.values() for v in vals]
     if not all_vals:
         raise ValueError("nothing to plot")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     lo, hi = min(all_vals), max(all_vals)
     span = (hi - lo) or 1.0
     pad, plot_w, plot_h = 50, width - 100, height - 100

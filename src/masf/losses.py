@@ -123,6 +123,7 @@ def contrastive_loss(embeddings: Expr, labels: np.ndarray, margin: float,
     Same-class pairs contribute d^2, different-class pairs (max(0, xi-d))^2.
     """
     labels = np.asarray(labels, dtype=np.int64)
+    _check_local_batch(embeddings.shape, labels)
     n = embeddings.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples for contrastive pairs")
@@ -163,45 +164,88 @@ def distance_matrix(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
 
 
+def _check_local_batch(shape: tuple[int, ...], labels: np.ndarray) -> None:
+    """Raise ValueError unless ``shape`` is [N, d] and ``labels`` holds N labels."""
+    if len(shape) != 2:
+        raise ValueError(f"embeddings must be 2-D [N, d], got shape {shape}")
+    if labels.shape != shape[:1]:
+        raise ValueError(f"{labels.size} labels for {shape[0]} embedding rows")
+
+
+def _sort_rows(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort every row of ``dist``, equal distances in column order.
+
+    Returns ``order`` [N, N], each row's flat positions ``row * N + column``
+    from nearest to farthest; ``run`` [N, N - 1], true where slot j + 1 holds
+    the distance of slot j (the NaNs, which sort last, count as one
+    distance); and the rows where ``run`` is true anywhere. One quicksort
+    orders all rows; it leaves equal distances in any order, so only those
+    rows are sorted again, stably.
+    """
+    n = dist.shape[0]
+    rows = np.arange(0, n * n, n)[:, None]
+    order = dist.argsort(axis=1)
+    order += rows
+    sorted_d = dist.take(order)
+    run = sorted_d[:, 1:] == sorted_d[:, :-1]
+    run |= np.isnan(sorted_d[:, :-1])
+    tied = np.flatnonzero(run.any(axis=1))
+    order[tied] = dist[tied].argsort(axis=1, kind="stable") + rows[tied]
+    return order, run, tied
+
+
 def mine_semihard_triplets(embedding_values: np.ndarray,
                            labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Semi-hard mining over a batch (pure numpy, no gradient flow).
 
-    For every anchor-positive pair the negative is the closest one farther
-    from the anchor than the positive; if none qualifies, the farthest
-    negative is used. Ties break toward the lowest sample index. Triplets
-    come ordered by anchor, then by positive.
+    For every anchor-positive pair the negative is the closest one strictly
+    farther from the anchor than the positive; if none qualifies, the
+    farthest negative is used. Ties break toward the lowest sample index; a
+    NaN distance counts as farther than any number, and a positive at a NaN
+    distance always takes the fallback. Triplets come ordered by anchor, then
+    by positive.
+
+    One row sort serves every anchor (``_sort_rows``: a quicksort, and a
+    stable re-sort of the rows with equal distances only). A running count
+    of negatives along each sorted row, carried over a run of equal
+    distances to the run's end, gives for every positive the number c of
+    negatives no farther than it: the pick is the row's c-th negative in
+    sorted order (from 0), or, when c is the row's negative count, the first
+    negative of the last run that holds one.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    dist = distance_matrix(embedding_values)
-    anchors, positives, negatives = [], [], []
-    for c in np.unique(labels):
-        members = np.flatnonzero(labels == c)
-        neg_idx = np.flatnonzero(labels != c)
-        m, q = members.size, neg_idx.size
-        if m < 2 or q == 0:
-            continue
-        # anchors of one class share their negatives; a stable sort keeps
-        # equally distant negatives in index order, so the first one past a
-        # positive's distance is also the lowest index at that distance
-        d_neg = dist[np.ix_(members, neg_idx)]
-        order = np.argsort(d_neg, axis=1, kind="stable")
-        sorted_d = np.take_along_axis(d_neg, order, axis=1)
-        pos_idx = np.broadcast_to(members, (m, m))[~np.eye(m, dtype=bool)]
-        pos_idx = pos_idx.reshape(m, m - 1)
-        d_pos = dist[members[:, None], pos_idx]
-        k = np.stack([np.searchsorted(row, d, side="right")
-                      for row, d in zip(sorted_d, d_pos)])
-        pick = np.take_along_axis(neg_idx[order], np.minimum(k, q - 1), axis=1)
-        farthest = neg_idx[np.argmax(d_neg, axis=1)]
-        anchors.append(np.repeat(members, m - 1))
-        positives.append(pos_idx.ravel())
-        negatives.append(np.where(k == q, farthest[:, None], pick).ravel())
-    if not anchors:
-        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
-    a, p, n = (np.concatenate(parts) for parts in (anchors, positives, negatives))
-    by_anchor = np.argsort(a, kind="stable")
-    return a[by_anchor], p[by_anchor], n[by_anchor]
+    _check_local_batch(np.shape(embedding_values), labels)
+    n = labels.size
+    neg = labels[:, None] != labels
+    pair = ~neg
+    np.fill_diagonal(pair, False)
+    pair &= neg.any(axis=1)[:, None]
+    flat = np.flatnonzero(pair)  # row-major: by anchor, then by positive
+    anchors, positives = np.divmod(flat, n)
+    if flat.size == 0:
+        return anchors, positives, flat  # all three empty
+    # the float [N, N] buffers die in the call, before the integer ones are
+    # built: fewer live buffers, fewer pages the heap must fault in anew
+    order, run, tied = _sort_rows(distance_matrix(embedding_values))
+    is_neg = neg.take(order)
+    # negatives at or before each slot; on tied rows every slot takes the
+    # count at the last slot of its run
+    count = np.cumsum(is_neg, axis=1, dtype=np.int32)
+    last = np.where(run[tied], n - 1, np.arange(n - 1))
+    last = np.minimum.accumulate(last[:, ::-1], axis=1)[:, ::-1]
+    count[tied, :-1] = np.take_along_axis(count[tied], last, axis=1)
+    q = count[:, -1]  # negatives per row
+    by_column = np.empty_like(count)
+    by_column.ravel()[order] = count
+    c = by_column.ravel()[flat]  # negatives no farther than each positive
+    # the fallback comes after every negative nearer than the farthest
+    run_start = np.argmax(count == q[:, None], axis=1)
+    nearer = np.where(run_start > 0, count[np.arange(n), run_start - 1], 0)
+    k = np.where(c < q[anchors], c, nearer[anchors])
+    # every row's negatives, nearest first, one row after the other
+    nearest = order.ravel().compress(is_neg.ravel())
+    start = np.cumsum(q) - q
+    return anchors, positives, nearest[start[anchors] + k] - anchors * n
 
 
 def triplet_loss_semihard(embeddings: Expr, labels: np.ndarray,

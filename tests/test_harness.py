@@ -369,6 +369,11 @@ class TestSvg:
         with pytest.raises(ValueError):
             harness.write_svg_lines(tmp_path / "x.svg", {"a": []})
 
+    def test_empty_series_creates_no_directory(self, tmp_path):
+        with pytest.raises(ValueError, match="nothing to plot"):
+            harness.write_svg_lines(tmp_path / "sub" / "x.svg", {"a": []})
+        assert not (tmp_path / "sub").exists()
+
     def test_constant_series_no_division_error(self, tmp_path):
         harness.write_svg_lines(tmp_path / "c.svg", {"a": [2.0, 2.0, 2.0]})
 
@@ -479,6 +484,26 @@ class TestCli:
         assert cli.main(["plot", "--metrics", str(metrics),
                          "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_plot_unknown_column_is_config_error(self, tmp_path, capsys):
+        metrics = tmp_path / "m.csv"
+        metrics.write_text("iteration,task_loss\n0,1.0\n1,0.5\n")
+        out = tmp_path / "m.svg"
+        assert cli.main(["plot", "--metrics", str(metrics), "--columns",
+                         "task_loss", "bogus", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'bogus'" in err
+        assert "available: iteration, task_loss" in err
+        assert not out.exists()
+
+    def test_plot_without_rows_creates_no_directory(self, tmp_path, capsys):
+        metrics = tmp_path / "m.csv"
+        metrics.write_text("iteration,task_loss\n")
+        out = tmp_path / "plots" / "m.svg"
+        assert cli.main(["plot", "--metrics", str(metrics),
+                         "--out", str(out)]) == 1
+        assert "nothing to plot" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_train_with_scientific_notation_override(self, tmp_path,
                                                      monkeypatch, capsys):

@@ -519,6 +519,155 @@ class TestMiner:
         np.testing.assert_array_equal(n, [2, 2, 0, 0])
 
 
+def reference_sorted_mine_semihard_triplets(embedding_values, labels):
+    """The per-class sort-and-searchsorted miner, kept as a second reference.
+
+    It reads the same Gram-form distances as ``losses.mine_semihard_triplets``,
+    so near-ties that the difference rule resolves differently cannot make
+    the two disagree.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    dist = losses.distance_matrix(embedding_values)
+    anchors, positives, negatives = [], [], []
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        neg_idx = np.flatnonzero(labels != c)
+        m, q = members.size, neg_idx.size
+        if m < 2 or q == 0:
+            continue
+        # anchors of one class share their negatives; a stable sort keeps
+        # equally distant negatives in index order, so the first one past a
+        # positive's distance is also the lowest index at that distance
+        d_neg = dist[np.ix_(members, neg_idx)]
+        order = np.argsort(d_neg, axis=1, kind="stable")
+        sorted_d = np.take_along_axis(d_neg, order, axis=1)
+        pos_idx = np.broadcast_to(members, (m, m))[~np.eye(m, dtype=bool)]
+        pos_idx = pos_idx.reshape(m, m - 1)
+        d_pos = dist[members[:, None], pos_idx]
+        k = np.stack([np.searchsorted(row, d, side="right")
+                      for row, d in zip(sorted_d, d_pos)])
+        pick = np.take_along_axis(neg_idx[order], np.minimum(k, q - 1), axis=1)
+        farthest = neg_idx[np.argmax(d_neg, axis=1)]
+        anchors.append(np.repeat(members, m - 1))
+        positives.append(pos_idx.ravel())
+        negatives.append(np.where(k == q, farthest[:, None], pick).ravel())
+    if not anchors:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    a, p, n = (np.concatenate(parts) for parts in (anchors, positives, negatives))
+    by_anchor = np.argsort(a, kind="stable")
+    return a[by_anchor], p[by_anchor], n[by_anchor]
+
+
+def rows_with_ties(e):
+    """Indices of the distance-matrix rows holding two equal distances."""
+    dist = losses.distance_matrix(e)
+    return [r for r, row in enumerate(dist) if np.unique(row).size < row.size]
+
+
+def partly_tied_batch(rng, n, dim):
+    """Random rows, except that row 0 is the origin and row 2 mirrors row 1,
+    so row 0 of the distance matrix has a tie and the other rows (almost
+    surely) have none."""
+    e = rng.normal(size=(n, dim))
+    e[0] = 0.0
+    e[2] = -e[1]
+    return e
+
+
+def make_mining_batch(seed, n, dim, num_classes, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "float":
+        e = rng.normal(size=(n, dim))
+    elif kind == "grid":  # integer coordinates: many equal distances
+        e = np.round(rng.normal(size=(n, min(dim, 2))) * 2.0)
+    elif kind == "duplicated":
+        base = rng.normal(size=(max(n // 3, 1), dim))
+        e = base[rng.integers(0, len(base), size=n)]
+    elif kind == "identical":
+        e = np.broadcast_to(rng.normal(size=dim), (n, dim)).copy()
+    elif kind == "nan":  # NaN rows: NaN distances sort last
+        e = rng.normal(size=(n, dim))
+        e[rng.random(n) < 0.2] = np.nan
+    else:
+        e = partly_tied_batch(rng, max(n, 3), dim)[:n]
+    return e, rng.integers(0, num_classes, size=n)
+
+
+def assert_same_as_sorted_reference(e, labels):
+    got = losses.mine_semihard_triplets(e, labels)
+    want = reference_sorted_mine_semihard_triplets(e, labels)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+    return got
+
+
+class TestRowSortMiner:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 150),
+           dim=st.integers(1, 8), num_classes=st.integers(1, 7),
+           kind=st.sampled_from(["float", "grid", "duplicated", "identical",
+                                 "partly_tied", "nan"]))
+    def test_matches_sorted_reference(self, seed, n, dim, num_classes, kind):
+        e, labels = make_mining_batch(seed, n, dim, num_classes, kind)
+        assert_same_as_sorted_reference(e, labels)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_stable_resort_of_a_strict_subset_of_rows(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(20, 151))
+        e = partly_tied_batch(rng, n, int(rng.integers(1, 9)))
+        assert 0 in rows_with_ties(e) and len(rows_with_ties(e)) < n
+        labels = rng.integers(0, 3, size=n)
+        labels[1:3] = (labels[0] + 1) % 3  # the tied pair: negatives of row 0
+        assert_same_as_sorted_reference(e, labels)
+
+    @pytest.mark.parametrize("e, labels, negatives", [
+        # row 1 is NaN: a positive at a NaN distance falls back to the
+        # farthest negative, and a NaN negative counts as the farthest
+        ([[0, 0], [np.nan, 1], [2, 2], [3, 3]], [0, 0, 1, 1], [3, 2, 0, 0]),
+        # anchor 0's positive 2 and both negatives are at NaN distances: the
+        # fallback is negative 1, not negative 3, the first one after it
+        ([[0, 0], [np.nan, 1], [np.nan, 2], [np.nan, 3]], [0, 1, 0, 1],
+         [1, 0, 1, 0]),
+    ])
+    def test_nan_rows(self, e, labels, negatives):
+        _, _, n = assert_same_as_sorted_reference(np.array(e, float), labels)
+        np.testing.assert_array_equal(n, negatives)
+
+    @pytest.mark.parametrize("e, labels", [
+        (np.zeros((0, 3)), np.zeros(0, dtype=int)),
+        (np.arange(8.0).reshape(4, 2), [2, 2, 2, 2]),
+        (np.arange(8.0).reshape(4, 2), [0, 1, 2, 3]),
+    ], ids=["empty", "one_class", "singletons"])
+    def test_no_triplet_gives_empty_int64_arrays(self, e, labels):
+        for x in losses.mine_semihard_triplets(e, labels):
+            assert x.dtype == np.int64 and x.shape == (0,)
+
+    @pytest.mark.parametrize("num_labels", [4, 8])
+    def test_label_count_mismatch_rejected(self, num_labels):
+        e = np.random.default_rng(0).normal(size=(6, 2))
+        labels = np.arange(num_labels) % 2
+        message = f"{num_labels} labels for 6 embedding rows"
+        with pytest.raises(ValueError, match=message):
+            losses.mine_semihard_triplets(e, labels)
+        with pytest.raises(ValueError, match=message):
+            losses.triplet_loss_semihard(ad.leaf(e), labels, 1.0)
+        with pytest.raises(ValueError, match=message):
+            losses.contrastive_loss(ad.leaf(e), labels, 1.0,
+                                    np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 2, 1)])
+    def test_embeddings_not_2d_rejected(self, shape):
+        e = np.zeros(shape)
+        labels = np.arange(6) % 2
+        with pytest.raises(ValueError, match="2-D"):
+            losses.mine_semihard_triplets(e, labels)
+        with pytest.raises(ValueError, match="2-D"):
+            losses.contrastive_loss(ad.leaf(e), labels, 1.0,
+                                    np.random.default_rng(0))
+
+
 class TestTriplet:
     def test_easy_triplet_zero(self):
         # d(a,p)=0, d(a,n)=2, margin 1 -> max(0, 0 - 4 + 1) = 0
