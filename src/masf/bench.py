@@ -209,13 +209,33 @@ def export_csv(datasets: list[DomainDataset], path: str | Path) -> None:
                                 + [format(v, ".17g") for v in x])
 
 
+def csv_cell(path, row: int, column: str, text: str | None, kind=float):
+    """``text``, the cell in 1-based ``row`` (the header is row 1) and
+    ``column`` of CSV file ``path``, as a ``kind``. A missing cell (None)
+    or one that does not parse is a ValueError naming all three."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        got = "no cell" if text is None else repr(text)
+        raise ValueError(f"{path}, row {row}, column {column!r}: expected "
+                         f"{kind.__name__}, got {got}") from None
+
+
 def import_csv(path: str | Path) -> list[DomainDataset]:
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        if next(reader, [])[:2] != ["domain", "label"]:  # [] for an empty file
+        header = next(reader, [])  # [] for an empty file
+        if header[:2] != ["domain", "label"]:
             raise ValueError(f"{path}: no 'domain,label,...' CSV header")
-        rows = [(int(row[0]), int(row[1]), np.array([float(v) for v in row[2:]]))
-                for row in reader]
+        kinds = [int, int] + [float] * (len(header) - 2)
+        rows = []
+        for row in filter(None, reader):  # blank lines hold no sample
+            if len(row) > len(header):
+                raise ValueError(f"{path}, row {reader.line_num}: more cells than columns")
+            row += [None] * (len(header) - len(row))
+            dom, label, *x = (csv_cell(path, reader.line_num, *cell)
+                              for cell in zip(header, row, kinds))
+            rows.append((dom, label, np.array(x)))
     if not rows:
         raise ValueError(f"{path}: CSV file has no samples")
     out = []

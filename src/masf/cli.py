@@ -98,6 +98,14 @@ def _datasets(config: ExperimentConfig) -> dict:
     n_sources = len(datasets) - 1  # every domain but the target
     if not 1 <= config.hp.n_meta_test < n_sources:
         raise ValueError(f"n_meta_test must be between 1 and {n_sources - 1}")
+    if config.iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    # the split's size does not depend on its rng; any domain can be a source
+    train_rows = min(len(bench.train_test_split(d, config.train_fraction,
+                                                np.random.default_rng(0))[0])
+                     for d in datasets.values())
+    if config.hp.batch_size > train_rows:
+        raise ValueError(f"batch_size exceeds a source's {train_rows}-row training split")
     return datasets
 
 
@@ -160,13 +168,14 @@ def cmd_ablate(args) -> int:
 def cmd_plot(args) -> int:
     with open(args.metrics, newline="") as f:
         reader = csv.DictReader(f)
-        rows = list(reader)
+        rows = [(reader.line_num, r) for r in reader]
     available = reader.fieldnames or []
     unknown = [col for col in args.columns if col not in available]
     if unknown:
         raise ValueError(f"{args.metrics}: no column {', '.join(map(repr, unknown))}; "
                          f"available: {', '.join(available) or 'none'}")
-    series = {col: [float(r[col]) for r in rows] for col in args.columns}
+    series = {col: [bench.csv_cell(args.metrics, line, col, r[col])
+                    for line, r in rows] for col in args.columns}
     harness.write_svg_lines(Path(args.out), series, title=Path(args.metrics).stem)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -69,6 +69,10 @@ class Hyperparams:
             raise ValueError("tau must be positive")
         if self.decay_every < 1:
             raise ValueError("decay_every must be >= 1")
+        if not 0 <= self.decay_rate < 1:
+            raise ValueError("decay_rate must be in [0, 1)")
+        if self.xi < 0:
+            raise ValueError("xi must be non-negative")
         if self.local_loss_kind not in (CONTRASTIVE, TRIPLET):
             raise ValueError(f"unknown local loss {self.local_loss_kind!r}")
         if num_classes is not None and self.batch_size < 2 * num_classes:

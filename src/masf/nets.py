@@ -7,7 +7,6 @@ without mutation. All forward passes build autodiff graphs.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,8 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Expr, GradMap
-
-MAGIC = b"MASF2"
 
 FEATURE_EXTRACTOR = "feature_extractor"
 TASK_NET = "task_net"
@@ -142,75 +139,43 @@ def sgd_step(params: ParamSet, grads: GradMap, lr: float) -> ParamSet:
 
 
 # ---------------------------------------------------------------------------
-# flat binary serialization: magic, int32 entry count, role, then per entry
-# its name and int32 dims, then the little-endian float64 payloads. A string
-# is an int32 byte count and its UTF-8 bytes.
-
-
-def _packed(text: str) -> bytes:
-    raw = text.encode()
-    return struct.pack("<i", len(raw)) + raw
+# serialization: NumPy .npy records back to back, first a 1-D str array
+# [role, *names], then one float64 array per entry in that order.
 
 
 def save_params(params: ParamSet, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<i", len(params.entries)))
-        f.write(_packed(params.role))
-        for name, t in params.entries:
-            shape = t.shape
-            f.write(_packed(name))
-            f.write(struct.pack("<i", len(shape)))
-            f.write(struct.pack(f"<{len(shape)}i", *shape))
+        np.save(f, np.array([params.role, *(n for n, _ in params.entries)]))
         for _, t in params.entries:
-            f.write(np.ascontiguousarray(t.value, dtype="<f8").tobytes())
+            np.save(f, t.value)
+
+
+def _read_record(f, path) -> np.ndarray:
+    # read_array, unlike np.load, takes no zip archive or pickle for a record
+    try:
+        return np.lib.format.read_array(f, allow_pickle=False)
+    except ValueError as exc:
+        raise OSError(f"{path}: truncated or corrupt parameter file: {exc}") from exc
 
 
 def load_params(path: str | Path, role: str) -> ParamSet:
-    """Read a parameter file with the names it was saved with.
-
-    A bad magic (an older format too), a file of another role than
-    ``role`` or names other than the networks' w0, b0, w1, ... layout is a
-    ``ValueError``; a short, overlong or otherwise corrupt file is an
-    ``OSError``.
-    """
+    """Read a parameter file with the names it was saved with. A short,
+    overlong or foreign file is an ``OSError``; another role than ``role``
+    or names off the w0, b0, w1, ... layout is a ``ValueError``."""
     with open(path, "rb") as f:
-        def read(n: int) -> bytes:  # n < 0 comes from a corrupt header
-            if n < 0 or len(data := f.read(n)) != n:
-                raise OSError(f"{path}: truncated or corrupt parameter file")
-            return data
-
-        def read_int() -> int:
-            return struct.unpack("<i", read(4))[0]
-
-        def read_str() -> str:
-            try:
-                return read(read_int()).decode()
-            except UnicodeDecodeError as exc:
-                raise OSError(f"{path}: corrupt name in parameter file") from exc
-
-        if (magic := read(5)) != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, not a "
-                             f"{MAGIC.decode()} parameter file")
-        n_entries = read_int()
-        if (saved := read_str()) != role:
+        header = _read_record(f, path)
+        if header.dtype.kind != "U" or header.ndim != 1 or not header.size:
+            raise OSError(f"{path}: not a parameter file")
+        saved, *names = header.tolist()
+        if saved != role:
             raise ValueError(f"{path}: holds {saved!r} parameters, "
                              f"expected {role!r}")
-        header = []
-        for _ in range(n_entries):
-            name, ndim = read_str(), read_int()
-            header.append((name, struct.unpack(f"<{ndim}i", read(4 * ndim))))
-        names = [name for name, _ in header]
-        if names != [f"{k}{i}" for i in range(n_entries // 2) for k in "wb"]:
+        if names != [f"{k}{i}" for i in range(len(names) // 2) for k in "wb"]:
             raise ValueError(f"{path}: parameter names {names} are not "
                              f"w0, b0, w1, b1, ...")
-        entries = []
-        for name, shape in header:
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
-            entries.append((name, ad.leaf(data)))
+        entries = [(name, ad.leaf(_read_record(f, path))) for name in names]
         if f.read(1):
             raise OSError(f"{path}: trailing bytes after the parameters")
     return ParamSet(role, entries)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from masf import autodiff as ad
 
@@ -262,6 +263,30 @@ class TestSelectRows:
         assert ad.finite_diff_check(f, [x]) < 1e-6
         s = scalarize(ad.grad(f, [x]), rng)
         assert ad.finite_diff_check(s, [x]) < 1e-6
+
+
+class TestBroadcastProperty:
+    """The elementwise binary ops with two leaf operands of random
+    broadcast-compatible shapes, either one broadcast against the other."""
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @given(shapes=mutually_broadcastable_shapes(num_shapes=2, min_dims=0,
+                                                max_dims=3, max_side=3),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=50, deadline=None)
+    def test_gradients(self, op, shapes, seed):
+        rng = np.random.default_rng(seed)
+        (sa, sb), out = shapes.input_shapes, shapes.result_shape
+        a = ad.leaf(rng.normal(size=sa))
+        b = ad.leaf(rng.uniform(0.5, 2.0, size=sb))  # away from 0 for div
+        f = ad.reduce_sum(ad.mul(ad.square(getattr(ad, op)(a, b)),
+                                 ad.const(rng.normal(size=out))))
+        assert ad.finite_diff_check(f, [a, b]) <= 1e-6
+        graph, values = both_modes(f, [a, b])
+        assert_same_grads(graph, values)
+        s = scalarize(graph, rng)
+        assert ad.finite_diff_check(s, [a, b]) <= 1e-5
+        assert_same_grads(*both_modes(s, [a, b]))
 
 
 def add_at_reference(index, shape, a):

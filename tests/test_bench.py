@@ -244,6 +244,13 @@ class TestCsvRoundtrip:
             np.testing.assert_array_equal(back.features, orig.features)
             np.testing.assert_array_equal(back.labels, orig.labels)
 
+    def test_blank_lines_hold_no_sample(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("domain,label,f0\n\n0,1,0.5\n\n")
+        (ds,) = bench.import_csv(path)
+        np.testing.assert_array_equal(ds.features, [[0.5]])
+        np.testing.assert_array_equal(ds.labels, [1])
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")

@@ -477,6 +477,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{data}: " in err and reason in err
 
+    @pytest.mark.parametrize("text, where", [
+        ("domain,label,f0,f1\n0,1,0.5,0.25\n0,x,0.5,0.25\n",
+         "row 3, column 'label': expected int, got 'x'"),
+        ("domain,label,f0,f1\n0,1,0.5\n",
+         "row 2, column 'f1': expected float, got no cell"),
+        ("domain,label,f0\n0,1,0.5,0.25\n", "row 2: more cells than columns"),
+    ], ids=["bad-label", "short-row", "long-row"])
+    def test_eval_names_bad_csv_cell(self, tmp_path, capsys, text, where):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        assert cli.main(["eval", "--ckpt", str(tmp_path), "--data", str(data)]) == 1
+        assert capsys.readouterr().err == f"config error: {data}, {where}\n"
+
+    @pytest.mark.parametrize("text, where", [
+        ("iteration,task_loss\n0,1.0\n1,abc\n",
+         "row 3, column 'task_loss': expected float, got 'abc'"),
+        ("iteration,task_loss\n0,1.0\n1\n",
+         "row 3, column 'task_loss': expected float, got no cell"),
+    ], ids=["bad-cell", "short-row"])
+    def test_plot_names_bad_csv_cell(self, tmp_path, capsys, text, where):
+        metrics = tmp_path / "m.csv"
+        metrics.write_text(text)
+        out = tmp_path / "m.svg"
+        assert cli.main(["plot", "--metrics", str(metrics),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {metrics}, {where}\n"
+        assert not out.exists()
+
     def test_plot_command(self, tmp_path, monkeypatch):
         metrics = tmp_path / "m.csv"
         metrics.write_text("iteration,task_loss\n0,1.0\n1,0.5\n2,0.4\n")
@@ -557,6 +585,12 @@ class TestCli:
         ("batch_size=3", "batch_size"),
         ("n_meta_test=0", "n_meta_test"),
         ("n_meta_test=3", "n_meta_test"),
+        ("decay_rate=1.5", "decay_rate"),
+        ("decay_rate=-0.5", "decay_rate"),
+        ("xi=-1", "xi"),
+        ("train_fraction=1.5", "train_fraction"),
+        ("iterations=0", "iterations"),
+        ("batch_size=400", "batch_size"),
         ("feature_widths=5", "feature_widths"),
         ("feature_widths=[8, 2.5]", "feature_widths"),
         ("feature_widths=[8, x]", "feature_widths"),
@@ -570,7 +604,7 @@ class TestCli:
         assert cli.main([command, "--set", "iterations=1", "--set", item]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
-        assert not (tmp_path / "resolved_config.yaml").exists()
+        assert not any(tmp_path.iterdir())  # no resolved_config.yaml either
 
     def test_train_honours_bench_overrides(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
@@ -587,6 +621,10 @@ class TestCli:
     @pytest.mark.parametrize("name, damage", [
         ("psi.bin", lambda raw: raw[:-3]),
         ("theta.bin", lambda raw: raw + b"\x00" * 8),
+        pytest.param("psi.bin", lambda raw: b"NOPE!" + b"\x00" * 16,
+                     id="psi.bin-junk"),
+        pytest.param("theta.bin", lambda raw: b"MASF2" + raw[5:],
+                     id="theta.bin-masf2"),
     ])
     def test_damaged_checkpoint_is_io_error(self, tmp_path, capsys, name, damage):
         ckpt = tmp_path / "ckpt"

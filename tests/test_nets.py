@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -180,9 +178,9 @@ class TestSerialization:
         psi, _, _ = nets.init_params(ARCH, 9)
         path = tmp_path / "psi.bin"
         nets.save_params(psi, path)
-        raw = path.read_bytes()  # the file records its role and names
-        for text in (nets.FEATURE_EXTRACTOR, "w1", "b1"):
-            assert text.encode() in raw
+        with open(path, "rb") as f:  # the first record: role and names
+            header = np.load(f, allow_pickle=False)
+        assert header.tolist() == [nets.FEATURE_EXTRACTOR, "w0", "b0", "w1", "b1"]
         loaded = nets.load_params(path, nets.FEATURE_EXTRACTOR)
         for (na, ta), (nb, tb) in zip(psi.entries, loaded.entries):
             assert na == nb
@@ -207,34 +205,23 @@ class TestSerialization:
                            "parameters, expected 'feature_extractor'"):
             nets.load_params(path, nets.FEATURE_EXTRACTOR)
 
-    def test_magic_header(self, tmp_path):
-        psi, _, _ = nets.init_params(ARCH, 9)
+    @pytest.mark.parametrize("write", [
+        lambda f: None,  # empty
+        lambda f: f.write(b"NOPE!" + b"\x00" * 16),
+        # the header of the hand-written format this one replaced
+        lambda f: f.write(b"MASF2\x04\x00\x00\x00\x11\x00\x00\x00"
+                          b"feature_extractor"),
+        lambda f: np.save(f, np.array("feature_extractor")),  # 0-d string
+        lambda f: np.save(f, np.zeros(3)),
+    ], ids=["empty", "junk", "masf2", "0d-string", "float-array"])
+    def test_foreign_file_is_io_error(self, tmp_path, write):
         path = tmp_path / "psi.bin"
-        nets.save_params(psi, path)
-        assert path.read_bytes()[:5] == b"MASF2"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE!" + b"\x00" * 16)
-        with pytest.raises(ValueError):
+        with open(path, "wb") as f:
+            write(f)
+        with pytest.raises(OSError, match="psi.bin: "):
             nets.load_params(path, nets.FEATURE_EXTRACTOR)
 
-    def test_previous_format_rejected(self, tmp_path):
-        # MASF1 stored neither the role nor the names
-        psi, _, _ = nets.init_params(ARCH, 9)
-        path = tmp_path / "psi.bin"
-        nets.save_params(psi, path)
-        path.write_bytes(b"MASF1" + path.read_bytes()[5:])
-        with pytest.raises(ValueError, match="psi.bin: bad magic b'MASF1'"):
-            nets.load_params(path, nets.FEATURE_EXTRACTOR)
-
-    def test_undecodable_name_is_io_error(self, tmp_path):
-        path = tmp_path / "psi.bin"
-        path.write_bytes(nets.MAGIC + struct.pack("<ii", 0, 1) + b"\xff")
-        with pytest.raises(OSError, match="psi.bin: corrupt name"):
-            nets.load_params(path, nets.FEATURE_EXTRACTOR)
-
-    @pytest.mark.parametrize("cut", [1, 8, 100])
+    @pytest.mark.parametrize("cut", [1, 3, 8, 100])
     def test_truncated_file_is_io_error(self, tmp_path, cut):
         psi, _, _ = nets.init_params(ARCH, 9)
         path = tmp_path / "psi.bin"
@@ -250,12 +237,6 @@ class TestSerialization:
         nets.save_params(psi, path)
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(OSError, match="psi.bin: truncated"):
-            nets.load_params(path, nets.FEATURE_EXTRACTOR)
-
-    def test_negative_size_in_header_is_io_error(self, tmp_path):
-        path = tmp_path / "psi.bin"
-        path.write_bytes(nets.MAGIC + struct.pack("<ii", 1, -2) + b"\x00" * 64)
-        with pytest.raises(OSError, match="psi.bin: truncated or corrupt"):
             nets.load_params(path, nets.FEATURE_EXTRACTOR)
 
     def test_trailing_bytes_are_io_error(self, tmp_path):
