@@ -2,7 +2,9 @@
 
 The graph is built eagerly: every node computes its value at construction
 time, so shape errors surface where the offending op is written. Gradients
-are built lazily by :func:`grad`, whose reverse sweep has two modes:
+are built lazily by :func:`grad`. One depth-first walk finds the op nodes
+through which the root depends on the parameters (:func:`recompute` re-runs
+the same path), and the reverse sweep runs only their VJP rules, in two modes:
 
   * graph mode (the default): the gradients are graph nodes themselves, so
     differentiating an expression that contains them gives correct
@@ -381,19 +383,27 @@ def values_only():
         _sweep_op.reset(token)
 
 
-def _toposort(root: Expr) -> list[Expr]:
-    order: list[Expr] = []
-    seen: set[int] = set()
-    stack: list[tuple[Expr, bool]] = [(root, False)]
+def _path(root: Expr, leaves: set[int]) -> dict[int, Expr]:
+    """The op nodes through which ``root`` depends on the leaves with ids in
+    ``leaves``, by id, each after its inputs (one depth-first walk)."""
+    path: dict[int, Expr] = {}
+    done: dict[int, bool] = {}  # False while a node's inputs are walked
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif node.id not in seen:
-            seen.add(node.id)
-            stack.append((node, True))
-            stack.extend((c, False) for c in node.inputs if c.id not in seen)
-    return order  # children before parents
+        node = stack.pop()
+        if not node.inputs:
+            continue
+        if node.id not in done:
+            done[node.id] = False
+            stack.append(node)  # comes back once its inputs are done
+            stack.extend(node.inputs)
+        elif not done[node.id]:
+            done[node.id] = True
+            for c in node.inputs:
+                if c.id in path or c.id in leaves:
+                    path[node.id] = node
+                    break
+    return path
 
 
 class GradMap:
@@ -427,29 +437,17 @@ def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
         if p.op != "leaf":
             raise ValueError("grad parameters must be leaf nodes")
 
-    order = _toposort(scalar)
-    # restrict the sweep to nodes from which some parameter is reachable
-    needed = {p.id for p in params}
-    for node in order:  # children first
-        for c in node.inputs:
-            if c.id in needed:
-                needed.add(node.id)
-                break
-
+    ids = {p.id for p in params}
+    path = _path(scalar, ids)
     O = _sweep_op.get()
     adjoints = {scalar.id: const(1.0)}
-    for node in reversed(order):
-        if node.op in ("leaf", "const"):
-            continue
-        g = adjoints.pop(node.id, None)  # a swept node's adjoint is done
-        if g is None:
-            continue
+    for node in reversed(path.values()):  # parents first
+        g = adjoints.pop(node.id)  # complete: its consumers came first
         for inp, rule in zip(node.inputs, _VJP[node.op]):
-            if inp.id not in needed:
-                continue
-            gi = rule(O, node, g, *node.inputs)
-            prev = adjoints.get(inp.id)
-            adjoints[inp.id] = gi if prev is None else O("add", prev, gi)
+            if inp.id in path or inp.id in ids:
+                gi = rule(O, node, g, *node.inputs)
+                prev = adjoints.get(inp.id)
+                adjoints[inp.id] = gi if prev is None else O("add", prev, gi)
 
     grads = [as_expr(adjoints[p.id]) if p.id in adjoints
              else const(np.zeros(p.shape)) for p in params]
@@ -497,14 +495,11 @@ def recompute(root: Expr, overrides: dict[int, np.ndarray]) -> np.ndarray:
     branches, log-sum-exp shifts) are kept fixed, matching the local,
     almost-everywhere semantics of the gradients.
     """
-    values: dict[int, np.ndarray] = {}
-    for node in _toposort(root):
-        if node.op in ("leaf", "const"):
-            values[node.id] = overrides.get(node.id, node.value)
-        else:
-            values[node.id] = _FORWARD[node.op](
-                node.attrs, *(values[c.id] for c in node.inputs))
-    return values[root.id]
+    values = dict(overrides)
+    for node in _path(root, set(overrides)).values():
+        values[node.id] = _FORWARD[node.op](
+            node.attrs, *(values.get(c.id, c.value) for c in node.inputs))
+    return values.get(root.id, root.value)
 
 
 def finite_diff_check(scalar: Expr, params: Sequence[Expr],

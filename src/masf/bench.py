@@ -12,7 +12,7 @@ that leans on the drifting cue generalizes worse to held-out rotations.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,12 +77,9 @@ class DomainDataset:
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1
 
-
-@dataclass
-class Batch:
-    features: np.ndarray
-    labels: np.ndarray
-    domain_id: int
+    def rows(self, idx: np.ndarray) -> "DomainDataset":
+        """The rows ``idx`` of this domain, in that order."""
+        return DomainDataset(self.features[idx], self.labels[idx], self.domain_id)
 
 
 def _class_latent_means(spec: DomainSpec) -> np.ndarray:
@@ -143,7 +140,7 @@ def leave_one_out_splits(domain_ids) -> list[tuple[list, object]]:
 
 
 def sample_batch(dataset: DomainDataset, batch_size: int, stratified: bool,
-                 rng: np.random.Generator) -> Batch:
+                 rng: np.random.Generator) -> DomainDataset:
     """Mini-batch without replacement; stratified mode guarantees every
     class at least one sample (required by class-mean estimation)."""
     n = len(dataset)
@@ -151,8 +148,7 @@ def sample_batch(dataset: DomainDataset, batch_size: int, stratified: bool,
         raise ValueError("batch_size exceeds dataset size")
     if not stratified:
         idx = rng.choice(n, size=batch_size, replace=False)
-        return Batch(dataset.features[idx], dataset.labels[idx],
-                     dataset.domain_id)
+        return dataset.rows(idx)
     c = dataset.num_classes
     if batch_size < c:
         raise ValueError("stratified batch needs batch_size >= num_classes")
@@ -169,7 +165,7 @@ def sample_batch(dataset: DomainDataset, batch_size: int, stratified: bool,
     rest[chosen] = False
     extra = rng.choice(np.flatnonzero(rest), size=batch_size - c, replace=False)
     idx = rng.permutation(np.concatenate([chosen, extra]))
-    return Batch(dataset.features[idx], dataset.labels[idx], dataset.domain_id)
+    return dataset.rows(idx)
 
 
 def train_test_split(dataset: DomainDataset, train_fraction: float,
@@ -185,10 +181,7 @@ def train_test_split(dataset: DomainDataset, train_fraction: float,
         test_idx.extend(members[cut:])
     train_idx = np.sort(np.asarray(train_idx, dtype=np.int64))
     test_idx = np.sort(np.asarray(test_idx, dtype=np.int64))
-    return (DomainDataset(dataset.features[train_idx], dataset.labels[train_idx],
-                          dataset.domain_id),
-            DomainDataset(dataset.features[test_idx], dataset.labels[test_idx],
-                          dataset.domain_id))
+    return dataset.rows(train_idx), dataset.rows(test_idx)
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     datasets = bench.import_csv(args.data)
-    psi = nets.load_params(Path(args.ckpt) / "psi.bin", nets.FEATURE_EXTRACTOR)
+    psi_path = Path(args.ckpt) / "psi.bin"
+    psi = nets.load_params(psi_path, nets.FEATURE_EXTRACTOR)
     theta = nets.load_params(Path(args.ckpt) / "theta.bin", nets.TASK_NET)
+    width = datasets[0].features.shape[1]  # all domains share the header
+    if width != psi["w0"].shape[0]:
+        raise ValueError(f"{args.data} has {width} features per row, but "
+                         f"{psi_path} takes {psi['w0'].shape[0]}")
     for ds in datasets:
         acc = harness.evaluate_accuracy(psi, theta, ds)
         print(f"domain {ds.domain_id}: accuracy {acc:.4f}")

@@ -236,26 +236,23 @@ def run_single(config: ExperimentConfig, flags: tuple, target, seed: int,
     return acc
 
 
-def write_metrics_csv(records, path: Path) -> None:
+def _write_csv(path: Path, rows) -> None:
+    """Write ``rows``, the header first, as the CSV file ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(engine.MetricsRecord.FIELDS)
-        for r in records:
-            writer.writerow([r.iteration] + [format(v, ".10g") for v in r.row()[1:]])
+        csv.writer(f).writerows(rows)
+
+
+def write_metrics_csv(records, path: Path) -> None:
+    _write_csv(path, [engine.MetricsRecord.FIELDS] + [
+        [r.iteration] + [format(v, ".10g") for v in r.row()[1:]] for r in records])
 
 
 def write_report_csv(report: Report, path: Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["target", "episodic", "global", "local", "seed",
-                         "accuracy"])
-        for target, e, g, l, seed, acc in report.rows:
-            writer.writerow([target, int(e), int(g), int(l), seed,
-                             format(acc, ".6f")])
+    _write_csv(path, [["target", "episodic", "global", "local", "seed", "accuracy"]] + [
+        [target, int(e), int(g), int(l), seed, format(acc, ".6f")]
+        for target, e, g, l, seed, acc in report.rows])
 
 
 def run_experiment(config: ExperimentConfig,

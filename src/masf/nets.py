@@ -162,8 +162,9 @@ def _read_record(f, path) -> np.ndarray:
 
 def load_params(path: str | Path, role: str) -> ParamSet:
     """Read a parameter file with the names it was saved with. A short,
-    overlong or foreign file is an ``OSError``; another role than ``role``
-    or names off the w0, b0, w1, ... layout is a ``ValueError``."""
+    overlong or foreign file is an ``OSError``; another role than ``role``,
+    names off the w0, b0, w1, ... layout or layers that do not chain is a
+    ``ValueError``."""
     with open(path, "rb") as f:
         header = _read_record(f, path)
         if header.dtype.kind != "U" or header.ndim != 1 or not header.size:
@@ -172,10 +173,18 @@ def load_params(path: str | Path, role: str) -> ParamSet:
         if saved != role:
             raise ValueError(f"{path}: holds {saved!r} parameters, "
                              f"expected {role!r}")
-        if names != [f"{k}{i}" for i in range(len(names) // 2) for k in "wb"]:
+        if names != [f"{k}{i}" for i in range(len(names) // 2 or 1) for k in "wb"]:
             raise ValueError(f"{path}: parameter names {names} are not "
                              f"w0, b0, w1, b1, ...")
         entries = [(name, ad.leaf(_read_record(f, path))) for name in names]
         if f.read(1):
             raise OSError(f"{path}: trailing bytes after the parameters")
+    shapes = [t.shape for _, t in entries]
+    for i, (w, b) in enumerate(zip(shapes[::2], shapes[1::2])):
+        if len(w) != 2 or b != w[1:]:
+            raise ValueError(f"{path}: w{i} {w} and b{i} {b} are not an "
+                             f"[in, out] matrix and an [out] vector")
+        if i and w[0] != shapes[2 * i - 2][1]:
+            raise ValueError(f"{path}: w{i} takes {w[0]} inputs, but layer "
+                             f"{i - 1} gives {shapes[2 * i - 2][1]}")
     return ParamSet(role, entries)

@@ -1,12 +1,14 @@
 import functools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import mutually_broadcastable_shapes
+from hypothesis.extra.numpy import array_shapes, mutually_broadcastable_shapes
 
 from masf import autodiff as ad
+from masf import nets
 
 
 def scalarize(gm, rng):
@@ -287,6 +289,180 @@ class TestBroadcastProperty:
         s = scalarize(graph, rng)
         assert ad.finite_diff_check(s, [a, b]) <= 1e-5
         assert_same_grads(*both_modes(s, [a, b]))
+
+
+ANY_SHAPE = array_shapes(min_dims=0, max_dims=3, max_side=3)
+MATRIX = array_shapes(min_dims=2, max_dims=2, max_side=3)
+
+
+def normal(rng, shape):
+    return rng.normal(size=shape)
+
+
+def positive(rng, shape):  # inside the domain of log and sqrt
+    return rng.uniform(0.5, 2.0, size=shape)
+
+
+def off_kink(rng, shape):  # at least 0.1 from relu's kink at 0
+    return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.1, 2.0, size=shape)
+
+
+def unary(op, values=normal, shapes=ANY_SHAPE):
+    return lambda draw, rng: (op, [values(rng, draw(shapes, label="shape"))])
+
+
+def reduced(draw, shape):
+    """A shape that broadcasts to ``shape``: leading axes dropped, others
+    possibly set to 1."""
+    keep = draw(st.integers(0, len(shape)), label="kept axes")
+    return tuple(1 if draw(st.booleans(), label="to 1") else d
+                 for d in shape[len(shape) - keep:])
+
+
+def matmul_case(draw, rng):
+    n, k, m = draw(st.tuples(*[st.integers(1, 3)] * 3), label="n, k, m")
+    return ad.matmul, [normal(rng, (n, k)), normal(rng, (k, m))]
+
+
+def sum_to_case(draw, rng):
+    shape = draw(ANY_SHAPE, label="shape")
+    target = reduced(draw, shape)
+    return (lambda a: ad.sum_to(a, target)), [normal(rng, shape)]
+
+
+def broadcast_case(draw, rng):
+    shape = draw(ANY_SHAPE, label="shape")
+    return (lambda a: ad.broadcast_to(a, shape)), [normal(rng, reduced(draw, shape))]
+
+
+def reshape_case(draw, rng):
+    shape = draw(ANY_SHAPE, label="shape")
+    new = draw(st.sampled_from([shape[::-1], (math.prod(shape),)]), label="to")
+    return (lambda a: ad.reshape(a, new)), [normal(rng, shape)]
+
+
+def gather_rows_case(draw, rng):
+    n, c = draw(MATRIX, label="shape")
+    idx = rng.integers(0, c, n)
+    return (lambda a: ad.gather_rows(a, idx)), [normal(rng, (n, c))]
+
+
+def scatter_rows_case(draw, rng):
+    """Both index kinds, with repeats: the adjoints of ``gather_rows`` and of
+    ``select_rows``, which are the only builders of this op."""
+    n, c = draw(MATRIX, label="shape")
+    if draw(st.booleans(), label="entry kind"):
+        index, shape, a = (np.arange(n), rng.integers(0, c, n)), (n, c), (n,)
+    else:
+        index, shape, a = (rng.integers(0, c, n),), (c, 2), (n, 2)
+    return (lambda x: ad._on_graph("scatter_rows", x, index=index, shape=shape),
+            [normal(rng, a)])
+
+
+# Every op of autodiff._FORWARD apart from add/sub/mul/div (see
+# TestBroadcastProperty): name -> (draw, rng) -> (op, input arrays).
+OP_CASES = {
+    "neg": unary(ad.neg),
+    "matmul": matmul_case,
+    "transpose": unary(ad.transpose, shapes=MATRIX),
+    "relu": unary(ad.relu, values=off_kink),
+    "exp": unary(ad.exp),
+    "log": unary(ad.log, values=positive),
+    "sqrt": unary(ad.sqrt, values=positive),
+    "square": unary(ad.square),
+    "sum-all": unary(ad.reduce_sum, shapes=MATRIX),
+    "sum-axis0": unary(lambda a: ad.reduce_sum(a, axis=0), shapes=MATRIX),
+    "sum-axis1": unary(lambda a: ad.reduce_sum(a, axis=1), shapes=MATRIX),
+    "sum_to": sum_to_case,
+    "broadcast": broadcast_case,
+    "reshape": reshape_case,
+    "gather_rows": gather_rows_case,
+    "scatter_rows": scatter_rows_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_op_properties(name, data):
+    """First and second order against finite differences, and value mode
+    equal to graph mode bit for bit at both orders."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    op, arrays = OP_CASES[name](data.draw, rng)
+    xs = [ad.leaf(a) for a in arrays]
+    y = op(*xs)
+    f = ad.reduce_sum(ad.mul(ad.square(y), ad.const(rng.normal(size=y.shape))))
+    assert ad.finite_diff_check(f, xs) <= 1e-6
+    graph, values = both_modes(f, xs)
+    assert_same_grads(graph, values)
+    s = scalarize(graph, rng)
+    assert ad.finite_diff_check(s, xs) <= 1e-5
+    assert_same_grads(*both_modes(s, xs))
+
+
+def reachable(root):
+    """Ids of every node ``root`` reaches through ``Expr.inputs``."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node.id not in seen:
+            seen.add(node.id)
+            stack.extend(node.inputs)
+    return seen
+
+
+def record_rules(monkeypatch):
+    """Wrap every VJP rule; the returned list gets the input of each call."""
+    ran = []
+
+    def recorded(rule, i):
+        def wrapper(O, node, g, *inputs):
+            ran.append(node.inputs[i])
+            return rule(O, node, g, *inputs)
+        return wrapper
+
+    for op, rules in list(ad._VJP.items()):
+        monkeypatch.setitem(ad._VJP, op, tuple(
+            recorded(rule, i) for i, rule in enumerate(rules)))
+    return ran
+
+
+class TestDependencyPath:
+    """``grad`` and ``recompute`` only touch the nodes through which the
+    root depends on the given leaves."""
+
+    def test_grad_runs_no_rule_for_nodes_only_psi_feeds(self, monkeypatch):
+        arch = nets.Architecture(input_dim=4, num_classes=3,
+                                 feature_widths=(5, 3), metric_widths=(4, 2))
+        psi, _, phi = nets.init_params(arch, 0)
+        x = ad.const(np.random.default_rng(0).normal(size=(6, 4)))
+        z = nets.feature_forward(psi, x)
+        psi_term = ad.reduce_sum(ad.square(z))
+        loss = ad.add(ad.reduce_sum(ad.square(nets.metric_forward(phi, z))),
+                      psi_term)
+        psi_only = reachable(psi_term)
+        ran = record_rules(monkeypatch)
+        ad.grad(loss, phi.tensors)
+        assert ran and not any(inp.id in psi_only for inp in ran)
+        ran.clear()
+        ad.grad(loss, psi.tensors + phi.tensors)  # the wrappers see psi's rules
+        assert any(inp.id in psi_only for inp in ran)
+
+    def test_recompute_without_overrides_is_root_value(self):
+        rng = np.random.default_rng(1)
+        x = ad.leaf(rng.normal(size=(3, 4)))
+        root = ad.log_sum_exp(ad.reshape(
+            ad.matmul(x, ad.const(rng.normal(size=(4, 2)))), (6,)))
+        assert ad.recompute(root, {}).tobytes() == root.value.tobytes()
+
+    def test_recompute_override_off_the_path_is_root_value(self):
+        rng = np.random.default_rng(2)
+        a, b = ad.leaf(rng.normal(size=3)), ad.leaf(rng.normal(size=3))
+        root = ad.reduce_sum(ad.exp(a))
+        ad.mul(a, b)  # b feeds a node, just not the root
+        got = ad.recompute(root, {b.id: rng.normal(size=3)})
+        assert got.tobytes() == root.value.tobytes()
+        assert ad.recompute(root, {a.id: np.zeros(3)}) == 3.0
 
 
 def add_at_reference(index, shape, a):

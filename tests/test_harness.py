@@ -477,6 +477,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{data}: " in err and reason in err
 
+    def test_eval_rejects_csv_of_another_width(self, tmp_path, capsys):
+        psi, theta, _ = nets.init_params(ARCH, 0)
+        nets.save_params(psi, tmp_path / "psi.bin")
+        nets.save_params(theta, tmp_path / "theta.bin")
+        data = tmp_path / "data.csv"
+        data.write_text("domain,label,f0,f1\n0,1,0.5,0.25\n")
+        assert cli.main(["eval", "--ckpt", str(tmp_path), "--data", str(data)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {data} has 2 features per row, but "
+            f"{tmp_path / 'psi.bin'} takes {ARCH.input_dim}\n")
+
     @pytest.mark.parametrize("text, where", [
         ("domain,label,f0,f1\n0,1,0.5,0.25\n0,x,0.5,0.25\n",
          "row 3, column 'label': expected int, got 'x'"),

@@ -187,7 +187,7 @@ class TestSerialization:
             np.testing.assert_array_equal(ta.value, tb.value)
 
     @pytest.mark.parametrize("names", [["w0", "b1"], ["b0", "w0"],
-                                       ["w0", "b0", "w1"], ["layer0", "bias0"]])
+                                       ["w0", "b0", "w1"], ["layer0", "bias0"], []])
     def test_names_off_the_layer_layout_rejected(self, tmp_path, names):
         rng = np.random.default_rng(4)
         params = nets.ParamSet(nets.TASK_NET, [
@@ -246,3 +246,17 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(OSError, match="theta.bin: trailing bytes"):
             nets.load_params(path, nets.TASK_NET)
+
+    @pytest.mark.parametrize("shapes, message", [
+        ([(6,), (6,)], r"w0 \(6,\) and b0 \(6,\) are not an \[in, out\] matrix"),
+        ([(6, 8), (5,)], r"w0 \(6, 8\) and b0 \(5,\) are not an \[in, out\] matrix"),
+        ([(6, 8), (8,), (7, 5), (5,)], r"w1 takes 7 inputs, but layer 0 gives 8"),
+    ], ids=["weight-not-2d", "bias-width", "layers-do-not-chain"])
+    def test_shapes_that_do_not_chain_rejected(self, tmp_path, shapes, message):
+        names = [f"{k}{i}" for i in range(len(shapes) // 2) for k in "wb"]
+        params = nets.ParamSet(nets.FEATURE_EXTRACTOR, [
+            (n, ad.leaf(np.zeros(s))) for n, s in zip(names, shapes)])
+        path = tmp_path / "psi.bin"
+        nets.save_params(params, path)
+        with pytest.raises(ValueError, match=f"psi.bin: {message}"):
+            nets.load_params(path, nets.FEATURE_EXTRACTOR)
