@@ -17,14 +17,18 @@ the same path), and the reverse sweep runs only their VJP rules, in two modes:
 Each VJP rule is written once against one dispatch function that builds an
 op by name, either as a node or by applying the op's forward function to
 arrays, so both modes do the same floating-point operations and give
-bit-identical values. ``global_norm`` works on values too; ``clip_by_norm``
-builds the norm as a graph only when it scales graph-mode gradients.
+bit-identical values. A rule whose adjoint already has the shape that a
+``sum_to`` or ``broadcast`` would give it returns the adjoint, so neither
+mode builds an identity op. ``global_norm`` works on values too;
+``clip_by_norm`` builds the norm as a graph only when it scales graph-mode
+gradients.
 
 Numerical conventions:
   * everything is float64,
   * ``log`` and ``div`` are guarded with an additive epsilon of 1e-12,
   * softmax-style ops go through log-sum-exp with max subtraction,
-  * the row scatter is one ``np.bincount``, which sums like ``np.add.at``.
+  * the row scatter is one ``np.bincount`` over flat positions computed
+    from the index, which sums like ``np.add.at``.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class DomainError(ArithmeticError):
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -107,28 +111,35 @@ def _sum_to_value(val: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _fwd_div(attrs, a, b):
     d = b + EPS
-    if np.any(d == 0.0):
+    if (d == 0.0).any():
         raise DomainError("division by zero not repaired by epsilon guard")
     return a / d
 
 
 def _fwd_log(attrs, a):
     g = a + EPS
-    if np.any(g <= 0.0):
+    if (g <= 0.0).any():
         raise DomainError("log of non-positive value")
     return np.log(g)
 
 
 def _fwd_sqrt(attrs, a):
-    if np.any(a < 0.0):
+    if (a < 0.0).any():
         raise DomainError("sqrt of negative value")
     return np.sqrt(a)
 
 
 def _fwd_scatter_rows(attrs, a):
-    shape = attrs["shape"]
+    shape, index = attrs["shape"], attrs["index"]
+    # flat position of each picked cell, row-major over the indexed axes,
+    # then of every entry of the axes the index leaves whole
+    bins = index[0]
+    for i, n in zip(index[1:], shape[1:]):
+        bins = bins * n + i
+    inner = math.prod(shape[len(index):])
+    if inner != 1:
+        bins = (bins[:, None] * inner + np.arange(inner)).ravel()
     size = math.prod(shape)
-    bins = np.arange(size).reshape(shape)[attrs["index"]].ravel()
     return np.bincount(bins, weights=a.ravel(), minlength=size).reshape(shape)
 
 
@@ -147,7 +158,8 @@ _FORWARD: dict[str, Callable] = {
     "square": lambda attrs, a: a * a,
     "sum": lambda attrs, a: np.asarray(a.sum(axis=attrs["axis"])),
     "sum_to": lambda attrs, a: _sum_to_value(a, attrs["shape"]),
-    "broadcast": lambda attrs, a: np.broadcast_to(a, attrs["shape"]),
+    # a filled array costs less to make than np.broadcast_to's read-only view
+    "broadcast": lambda attrs, a: np.full(attrs["shape"], a),
     "reshape": lambda attrs, a: a.reshape(attrs["shape"]),
     "gather_rows": lambda attrs, a: a[attrs["index"]],
     "scatter_rows": _fwd_scatter_rows,
@@ -156,7 +168,11 @@ _FORWARD: dict[str, Callable] = {
 
 def _make(op: str, inputs: tuple[Expr, ...], attrs: dict | None = None) -> Expr:
     attrs = attrs or {}
-    value = _FORWARD[op](attrs, *(x.value for x in inputs))
+    # one or two operands, spelled out as in _on_values: this runs per node
+    if len(inputs) == 1:
+        value = _FORWARD[op](attrs, inputs[0].value)
+    else:
+        value = _FORWARD[op](attrs, inputs[0].value, inputs[1].value)
     return Expr(op, inputs, value, attrs)
 
 
@@ -310,7 +326,19 @@ def softmax(a: Expr, axis: int = -1) -> Expr:
 # naming it by its _FORWARD key; operands may be nodes, adjoints or arrays,
 # and O decides whether the result is a node (graph mode) or an array (value
 # mode). Shapes come from the forward graph, which the constructors checked.
-# The sweep runs only the rules of inputs that lead to a parameter.
+# An adjoint that already has the shape a sum_to or broadcast would give it
+# is returned as it is, so neither mode builds an identity op. The sweep
+# runs only the rules of inputs that lead to a parameter.
+
+def _sum_to(O, g, shape):
+    """``g`` reduced to ``shape``: ``g`` itself if it has that shape."""
+    return g if g.shape == shape else O("sum_to", g, shape=shape)
+
+
+def _broadcast(O, g, shape):
+    """``g`` broadcast to ``shape``: ``g`` itself if it has that shape."""
+    return g if g.shape == shape else O("broadcast", g, shape=shape)
+
 
 def _vjp_sum(O, node, g, a):
     axis = node.attrs["axis"]
@@ -318,20 +346,20 @@ def _vjp_sum(O, node, g, a):
         keep = list(a.shape)
         keep[axis] = 1
         g = O("reshape", g, shape=tuple(keep))
-    return O("broadcast", g, shape=a.shape)
+    return _broadcast(O, g, a.shape)
 
 
 _VJP: dict[str, tuple[Callable, ...]] = {
-    "add": (lambda O, node, g, a, b: O("sum_to", g, shape=a.shape),
-            lambda O, node, g, a, b: O("sum_to", g, shape=b.shape)),
-    "sub": (lambda O, node, g, a, b: O("sum_to", g, shape=a.shape),
-            lambda O, node, g, a, b: O("sum_to", O("neg", g), shape=b.shape)),
-    "mul": (lambda O, node, g, a, b: O("sum_to", O("mul", g, b), shape=a.shape),
-            lambda O, node, g, a, b: O("sum_to", O("mul", g, a), shape=b.shape)),
+    "add": (lambda O, node, g, a, b: _sum_to(O, g, a.shape),
+            lambda O, node, g, a, b: _sum_to(O, g, b.shape)),
+    "sub": (lambda O, node, g, a, b: _sum_to(O, g, a.shape),
+            lambda O, node, g, a, b: _sum_to(O, O("neg", g), b.shape)),
+    "mul": (lambda O, node, g, a, b: _sum_to(O, O("mul", g, b), a.shape),
+            lambda O, node, g, a, b: _sum_to(O, O("mul", g, a), b.shape)),
     # node = a/(b+eps); d/da = 1/(b+eps), d/db = -node/(b+eps)
-    "div": (lambda O, node, g, a, b: O("sum_to", O("div", g, b), shape=a.shape),
-            lambda O, node, g, a, b: O("sum_to", O("neg", O(
-                "mul", g, O("div", node, b))), shape=b.shape)),
+    "div": (lambda O, node, g, a, b: _sum_to(O, O("div", g, b), a.shape),
+            lambda O, node, g, a, b: _sum_to(O, O("neg", O(
+                "mul", g, O("div", node, b))), b.shape)),
     "neg": (lambda O, node, g, a: O("neg", g),),
     "matmul": (lambda O, node, g, a, b: O("matmul", g, O("transpose", b)),
                lambda O, node, g, a, b: O("matmul", O("transpose", a), g)),
@@ -343,8 +371,8 @@ _VJP: dict[str, tuple[Callable, ...]] = {
     "sqrt": (lambda O, node, g, a: O("div", O("mul", g, 0.5), node),),
     "square": (lambda O, node, g, a: O("mul", g, O("mul", 2.0, a)),),
     "sum": (_vjp_sum,),
-    "sum_to": (lambda O, node, g, a: O("broadcast", g, shape=a.shape),),
-    "broadcast": (lambda O, node, g, a: O("sum_to", g, shape=a.shape),),
+    "sum_to": (lambda O, node, g, a: _broadcast(O, g, a.shape),),
+    "broadcast": (lambda O, node, g, a: _sum_to(O, g, a.shape),),
     "reshape": (lambda O, node, g, a: O("reshape", g, shape=a.shape),),
     "gather_rows": (lambda O, node, g, a: O(
         "scatter_rows", g, index=node.attrs["index"], shape=a.shape),),

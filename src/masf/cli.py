@@ -142,9 +142,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     datasets = bench.import_csv(args.data)
-    psi_path = Path(args.ckpt) / "psi.bin"
+    psi_path, theta_path = Path(args.ckpt) / "psi.bin", Path(args.ckpt) / "theta.bin"
     psi = nets.load_params(psi_path, nets.FEATURE_EXTRACTOR)
-    theta = nets.load_params(Path(args.ckpt) / "theta.bin", nets.TASK_NET)
+    theta = nets.load_params(theta_path, nets.TASK_NET)
+    feature_dim = psi.tensors[-1].shape[0]  # the last layer's bias
+    if theta["w0"].shape[0] != feature_dim:
+        raise ValueError(f"{theta_path} takes {theta['w0'].shape[0]} features, "
+                         f"but {psi_path} gives {feature_dim}")
     width = datasets[0].features.shape[1]  # all domains share the header
     if width != psi["w0"].shape[0]:
         raise ValueError(f"{args.data} has {width} features per row, but "

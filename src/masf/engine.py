@@ -4,6 +4,8 @@ Each iteration splits the source domains into meta-train and meta-test,
 takes one plain gradient step on the task loss (the inner update, kept
 differentiable), evaluates the meta objective at the updated parameters,
 and then updates the original parameters with the combined gradient. The
+global and the local loss both read one feature forward, at the updated
+parameters, of the source batches stacked in sorted domain-id order. The
 metric net gets its own update from the local loss only. Nothing
 differentiates those two gradients again, so their sweeps run in value mode.
 
@@ -179,10 +181,8 @@ def inner_update(psi: ParamSet, theta: ParamSet, meta_train_batches,
     return psi2, theta2
 
 
-def _local_loss(psi2: ParamSet, phi: ParamSet, batches, hp: Hyperparams,
+def _local_loss(z: Expr, labels: np.ndarray, phi: ParamSet, hp: Hyperparams,
                 rng: np.random.Generator) -> Expr:
-    x, labels = _stack(batches)
-    z = nets.feature_forward(psi2, ad.as_expr(x))
     e = nets.metric_forward(phi, z)
     if hp.local_loss_kind == CONTRASTIVE:
         return losses.contrastive_loss(e, labels, hp.xi, rng)
@@ -218,19 +218,25 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
     else:
         psi2, theta2 = state.psi, state.theta
 
+    use_global = hp.use_global and hp.beta1 > 0
+    use_local = hp.use_local and hp.beta2 > 0
+    if use_global or use_local:
+        # one F_psi' forward of every source batch, which both losses read
+        x, labels = _stack([batches[k] for k in ids])
+        z = nets.feature_forward(psi2, ad.as_expr(x))
+
     l_global = None
-    if hp.use_global and hp.beta1 > 0:
+    if use_global:
         # without the split, align over all unordered domain pairs
         pairs = (itertools.product(d_tr, d_te) if hp.episodic
                  else itertools.combinations(ids, 2))
         l_global = losses.global_alignment_loss(batches, pairs, psi2, theta2,
-                                                hp.tau, num_classes)
+                                                hp.tau, num_classes, z=z)
         _check_finite(float(l_global.value), "global alignment loss", state.t)
 
     l_local = None
-    if hp.use_local and hp.beta2 > 0:
-        l_local = _local_loss(psi2, state.phi, [batches[k] for k in ids],
-                              hp, state.algo_rng)
+    if use_local:
+        l_local = _local_loss(z, labels, state.phi, hp, state.algo_rng)
         _check_finite(float(l_local.value), "local clustering loss", state.t)
 
     outer_obj = l_task

@@ -4,9 +4,10 @@ The global term aligns per-domain soft confusion matrices (temperature-
 softened class predictions of class-mean features) with a symmetrized KL
 divergence, averaged over domain pairs (meta-train x meta-test, or every
 pair when there is no split), from one feature forward over the stacked
-rows of all its domains and one weighted sum over all pairs. The local term
-is metric learning over embeddings: contrastive pairs or triplets with
-online semi-hard mining.
+rows of all its domains and one weighted sum over all pairs. The caller may
+pass that forward in: the meta step runs it once and the local term reads
+the same features. The local term is metric learning over embeddings:
+contrastive pairs or triplets with online semi-hard mining.
 
 Triplet distances come from one Gram matrix G = E E^T of the embeddings:
 d^2(a, b) = G[a, a] + G[b, b] - 2 G[a, b]. The miner and the silhouette
@@ -73,24 +74,29 @@ def symm_kl(p: Expr, q: Expr) -> Expr:
 
 
 def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
-                          tau: float, num_classes: int) -> Expr:
+                          tau: float, num_classes: int, *,
+                          z: Expr | None = None) -> Expr:
     """Mean over ``(i, j)`` pairs of domain ids of the row-wise symmetrized
     KL between the domains' soft matrices, averaged over shared classes.
 
     ``batches`` maps a domain id to its (features [N, d_in], labels [N])
-    batch. All D named domains go through the feature extractor as one stack
-    and give one [D*C, C] soft matrix of (domain, class) cells; every pair's
+    batch. The D domains the pairs name are stacked in sorted id order and
+    give one [D*C, C] soft matrix of (domain, class) cells; every pair's
     class blocks are gathered from it and summed with one weight vector.
+    ``z`` is F_psi of that stack, if the caller has it already (the meta
+    step shares it with the local loss); otherwise the stack goes through
+    the feature extractor here.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one domain pair")
-    ids = list(dict.fromkeys(k for pair in pairs for k in pair))
+    ids = sorted({k for pair in pairs for k in pair})
     labels = [np.asarray(batches[k][1], dtype=np.int64) for k in ids]
     if any(l.min() < 0 or l.max() >= num_classes for l in labels):
         raise ValueError("label out of range")
-    z = nets.feature_forward(
-        psi, ad.as_expr(np.concatenate([batches[k][0] for k in ids])))
+    if z is None:
+        z = nets.feature_forward(
+            psi, ad.as_expr(np.concatenate([batches[k][0] for k in ids])))
     cells = np.concatenate([p * num_classes + l for p, l in enumerate(labels)])
     means, present = class_means(z, cells, len(ids) * num_classes)
     soft = soft_label_matrix(theta, means, tau)

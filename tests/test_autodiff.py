@@ -231,6 +231,47 @@ class TestValueMode:
         assert ad.grad(ad.square(x), [x])[x].op != "const"
 
 
+class TestNoIdentityOps:
+    """A rule whose adjoint already has the shape a ``sum_to`` or
+    ``broadcast`` would give it returns the adjoint as it is, in both sweep
+    modes, and builds the op only where the shape changes."""
+
+    def _record(self, monkeypatch):
+        calls = []
+        for op in ("sum_to", "broadcast"):
+            def recorded(attrs, a, op=op, forward=ad._FORWARD[op]):
+                calls.append((op, np.shape(a), attrs["shape"]))
+                return forward(attrs, a)
+            monkeypatch.setitem(ad._FORWARD, op, recorded)
+        return calls
+
+    def _loss(self, rng):
+        w = ad.leaf(rng.normal(size=(4, 3)))
+        b = ad.leaf(rng.normal(size=3))
+        c = ad.leaf(rng.normal(size=(6, 1)))
+        h = ad.add(ad.matmul(ad.const(rng.normal(size=(6, 4))), w), b)
+        h = ad.div(ad.mul(h, h), ad.add(ad.exp(c), ad.const(1.0)))
+        h = ad.sub(h, ad.reshape(ad.reduce_sum(c, axis=1), (6, 1)))
+        loss = ad.add(ad.reduce_sum(ad.mul(h, ad.broadcast_to(b, (6, 3)))),
+                      ad.reduce_sum(ad.square(ad.sum_to(h, (1, 3)))))
+        return loss, [w, b, c]
+
+    @pytest.mark.parametrize("mode", ["graph", "value"])
+    def test_second_order_sweep_builds_no_identity_op(self, monkeypatch, mode):
+        rng = np.random.default_rng(0)
+        loss, params = self._loss(rng)
+        calls = self._record(monkeypatch)
+        first = ad.grad(loss, params)  # graph mode: differentiated again
+        outer = functools.reduce(ad.add, [ad.reduce_sum(ad.square(g))
+                                          for _, g in first])
+        if mode == "value":
+            with ad.values_only():
+                ad.grad(outer, params)
+        else:
+            ad.grad(outer, params)
+        assert calls and all(shape != to for _, shape, to in calls)
+
+
 class TestSelectRows:
     def test_value_is_row_take(self):
         a = np.arange(12.0).reshape(4, 3)

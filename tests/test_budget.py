@@ -1,0 +1,130 @@
+"""Cost budget of one meta step, counted per op.
+
+A few seed-0 steps of each benchmark configuration (the canonical study,
+target 3, sources 0/1/2, triplet local loss) are trained while two counters
+run: graph nodes built, by op (every ``_make``, ``leaf`` and ``const``), and
+op calls of the value-mode sweeps (every ``_on_values``). The counts are
+exact, so a change that makes the engine do more work per step fails here,
+where timing would only show noise.
+
+The bounds are the counts of the current code. A change that lowers a count
+lowers its bound with it; one that must raise a bound says why. Print the
+current counts with ``PYTHONPATH=src python tests/test_budget.py``.
+"""
+
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from masf import autodiff as ad
+from masf import bench, engine, harness, nets
+
+TARGET = 3
+SEED = 0
+STEPS = 3
+CONFIGS = {  # batch size per source domain, local loss on or off
+    "full_triplet": dict(batch_size=25, use_local=True),
+    "episodic_global": dict(batch_size=25, use_local=False),
+    "wide_triplet": dict(batch_size=50, use_local=True),
+}
+
+# per config: the most graph nodes and value-mode op calls of any step, by op
+BUDGET = {
+    "full_triplet": {
+        "graph": {"add": 15, "broadcast": 2, "const": 38, "div": 2, "exp": 3,
+                  "gather_rows": 8, "leaf": 10, "log": 3, "matmul": 15,
+                  "mul": 18, "neg": 1, "relu": 6, "reshape": 5,
+                  "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 14,
+                  "sum": 7, "sum_to": 3, "transpose": 6},
+        "values": {"add": 33, "broadcast": 12, "div": 10, "matmul": 29,
+                   "mul": 41, "neg": 17, "reshape": 13, "scatter_rows": 11,
+                   "sum_to": 16, "transpose": 35},
+    },
+    "episodic_global": {
+        "graph": {"add": 10, "broadcast": 2, "const": 29, "div": 1, "exp": 3,
+                  "gather_rows": 5, "leaf": 6, "log": 3, "matmul": 12,
+                  "mul": 15, "neg": 1, "relu": 4, "reshape": 2,
+                  "scatter_rows": 1, "sub": 12, "sum": 5, "sum_to": 3,
+                  "transpose": 5},
+        "values": {"add": 22, "broadcast": 8, "div": 4, "matmul": 20,
+                   "mul": 24, "neg": 11, "reshape": 5, "scatter_rows": 5,
+                   "sum_to": 8, "transpose": 24},
+    },
+    "wide_triplet": {
+        "graph": {"add": 15, "broadcast": 2, "const": 38, "div": 2, "exp": 3,
+                  "gather_rows": 8, "leaf": 10, "log": 3, "matmul": 15,
+                  "mul": 18, "neg": 1, "relu": 6, "reshape": 5,
+                  "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 14,
+                  "sum": 7, "sum_to": 3, "transpose": 6},
+        "values": {"add": 33, "broadcast": 12, "div": 10, "matmul": 29,
+                   "mul": 41, "neg": 17, "reshape": 13, "scatter_rows": 11,
+                   "sum_to": 16, "transpose": 35},
+    },
+}
+
+
+def step_counts(name: str, monkeypatch) -> list[dict[str, Counter]]:
+    """Graph nodes and value-mode op calls by op, one entry per step."""
+    cfg = harness.canonical_experiment_config()
+    datasets = bench.canonical_datasets()
+    sources = {k: d for k, d in datasets.items() if k != TARGET}
+    arch = nets.Architecture(
+        input_dim=datasets[TARGET].features.shape[1],
+        num_classes=max(d.num_classes for d in datasets.values()),
+        feature_widths=tuple(cfg.feature_widths),
+        metric_widths=tuple(cfg.metric_widths))
+    hp = replace(cfg.hp, episodic=True, use_global=True,
+                 local_loss_kind=engine.TRIPLET,
+                 n_meta_train=len(sources) - cfg.hp.n_meta_test, **CONFIGS[name])
+    state = engine.make_state(arch, hp, SEED)
+
+    count = {"graph": Counter(), "values": Counter()}
+
+    def counted(kind, fn, op_of):
+        def wrapper(*args, **kwargs):
+            count[kind][op_of(args)] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ad, "_make", counted("graph", ad._make, lambda a: a[0]))
+    monkeypatch.setattr(ad, "leaf", counted("graph", ad.leaf, lambda a: "leaf"))
+    monkeypatch.setattr(ad, "const", counted("graph", ad.const, lambda a: "const"))
+    monkeypatch.setattr(ad, "_on_values",
+                        counted("values", ad._on_values, lambda a: a[0]))
+
+    steps = []
+
+    def sink(record):
+        steps.append({kind: Counter(c) for kind, c in count.items()})
+        for c in count.values():
+            c.clear()
+
+    engine.train(state, sources, STEPS, sink)
+    return steps
+
+
+def max_counts(steps: list[dict[str, Counter]]) -> dict[str, dict[str, int]]:
+    out = {}
+    for kind in ("graph", "values"):
+        total = Counter()
+        for step in steps:
+            total |= step[kind]  # the larger count of each op
+        out[kind] = dict(sorted(total.items()))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_step_stays_within_budget(name, monkeypatch):
+    got = max_counts(step_counts(name, monkeypatch))
+    for kind, bounds in BUDGET[name].items():
+        over = {op: (n, bounds.get(op, 0)) for op, n in got[kind].items()
+                if n > bounds.get(op, 0)}
+        assert not over, f"{name} {kind}: (count, bound) by op {over}"
+
+
+if __name__ == "__main__":
+    with pytest.MonkeyPatch.context() as mp:
+        for case in sorted(CONFIGS):
+            print(f"{case!r}: {max_counts(step_counts(case, mp))},")
+            mp.undo()

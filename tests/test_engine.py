@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from masf import autodiff as ad
-from masf import bench, engine, nets
+from masf import bench, engine, losses, nets
 
 ARCH = nets.Architecture(input_dim=8, num_classes=3,
                          feature_widths=(10, 6), metric_widths=(8, 4))
@@ -147,6 +147,36 @@ class TestMetaStep:
         new, _ = engine.meta_step(state, self._batches(ds, state))
         for a, b in zip(state.phi.tensors, new.phi.tensors):
             np.testing.assert_array_equal(a.value, b.value)
+
+    def test_one_feature_forward_serves_both_meta_losses(self, monkeypatch):
+        ds = small_datasets()
+        state = self._state()
+        forwards, read = [], {}
+        feature_forward, metric_forward = nets.feature_forward, nets.metric_forward
+        global_alignment_loss = losses.global_alignment_loss
+
+        def record_forward(psi, x):
+            forwards.append((psi, feature_forward(psi, x)))
+            return forwards[-1][1]
+
+        def record_local(phi, z):
+            read["local"] = z
+            return metric_forward(phi, z)
+
+        def record_global(*args, z=None):
+            read["global"] = z
+            return global_alignment_loss(*args, z=z)
+
+        monkeypatch.setattr(nets, "feature_forward", record_forward)
+        monkeypatch.setattr(nets, "metric_forward", record_local)
+        monkeypatch.setattr(losses, "global_alignment_loss", record_global)
+        engine.meta_step(state, self._batches(ds, state))
+        # the task loss at psi, then one forward at the inner-updated psi'
+        assert len(forwards) == 2
+        (psi, _), (psi2, z) = forwards
+        assert psi is state.psi
+        assert not any(t.op == "leaf" for t in psi2.tensors)
+        assert read["global"] is z and read["local"] is z
 
     def test_metrics_record_fields(self):
         ds = small_datasets()

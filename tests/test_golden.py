@@ -4,7 +4,11 @@ A few meta steps of the canonical study are trained for three rows (full
 method with each local-loss kind, and the non-episodic global + local row)
 and compared with ``data/golden_meta_steps.npz``. The tolerance is explicit
 so that a change which only reorders floating-point sums (a different graph
-shape, say) can still pass; an exact refactor matches it bit for bit.
+shape, say) can still pass. The stored values are not bit-exact on every
+host: on a 2-vCPU x86-64 host with numpy 2.4.6 freshly trained values differ
+from them by up to 4.4e-16 at any commit. So this file cannot show that a
+refactor is exact; compare the trained values of the change with those of
+its parent, on one host, for that.
 
 Regenerate the file (only when a change of the trained values is intended)
 with ``PYTHONPATH=src python tests/test_golden.py``.

@@ -488,6 +488,18 @@ class TestCli:
             f"config error: {data} has 2 features per row, but "
             f"{tmp_path / 'psi.bin'} takes {ARCH.input_dim}\n")
 
+    def test_eval_rejects_task_net_of_another_width(self, tmp_path, capsys):
+        psi, _, _ = nets.init_params(ARCH, 0)
+        _, theta, _ = nets.init_params(replace(ARCH, feature_widths=(10, 4)), 0)
+        nets.save_params(psi, tmp_path / "psi.bin")
+        nets.save_params(theta, tmp_path / "theta.bin")
+        data = tmp_path / "data.csv"
+        bench.export_csv(list(small_datasets(1).values()), data)
+        assert cli.main(["eval", "--ckpt", str(tmp_path), "--data", str(data)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {tmp_path / 'theta.bin'} takes 4 features, but "
+            f"{tmp_path / 'psi.bin'} gives {ARCH.feature_dim}\n")
+
     @pytest.mark.parametrize("text, where", [
         ("domain,label,f0,f1\n0,1,0.5,0.25\n0,x,0.5,0.25\n",
          "row 3, column 'label': expected int, got 'x'"),
