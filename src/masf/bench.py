@@ -3,10 +3,10 @@
 Each domain draws samples from shared class-conditional Gaussian latents
 (the domain-invariant semantic structure) and then applies a domain-specific
 transform: a rotation of a 2-D latent subspace, per-feature affine
-scale/shift, additive noise, and an optional feature permutation. The class
-signal is split between the rotated subspace (a cue that drifts across
-domains) and an untouched subspace (a weaker but invariant cue), so a model
-that leans on the drifting cue generalizes worse to held-out rotations.
+scale/shift and additive noise. The class signal is split between the
+rotated subspace (a cue that drifts across domains) and an untouched
+subspace (a weaker but invariant cue), so a model that leans on the
+drifting cue generalizes worse to held-out rotations.
 """
 
 from __future__ import annotations
@@ -26,38 +26,25 @@ INVARIANT_DIMS = (2, 3)
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Generator parameters for one domain."""
+    """Generator parameters for one domain; CANONICAL holds the benchmark's."""
 
     domain_id: int
     n_samples: int
     num_classes: int
-    input_dim: int = 16
-    rotation_deg: float = 0.0
-    scale: float = 1.0
-    shift: float = 0.0
-    noise_sigma: float = 0.25
-    permute_features: bool = False
-    variant_radius: float = 2.0     # class-circle radius in the rotated dims
-    invariant_radius: float = 1.2   # class-circle radius in the stable dims
-    latent_sigma: float = 0.55      # within-class spread of the latents
-    class_priors: tuple[float, ...] | None = None
+    input_dim: int
+    rotation_deg: float
+    scale: float
+    shift: float
+    noise_sigma: float
+    variant_radius: float    # class-circle radius in the rotated dims
+    invariant_radius: float  # class-circle radius in the stable dims
+    latent_sigma: float      # within-class spread of the latents
 
     def __post_init__(self):
         if self.scale == 0:
             raise ValueError("scale must keep the transform invertible")
         if self.n_samples < 2 * self.num_classes:
             raise ValueError("need at least 2 samples per class")
-        if self.class_priors is not None:
-            if len(self.class_priors) != self.num_classes:
-                raise ValueError("priors length must equal num_classes")
-            if abs(sum(self.class_priors) - 1.0) > 1e-9:
-                raise ValueError("priors must sum to 1")
-
-    @property
-    def priors(self) -> np.ndarray:
-        if self.class_priors is None:
-            return np.full(self.num_classes, 1.0 / self.num_classes)
-        return np.asarray(self.class_priors)
 
 
 @dataclass
@@ -95,37 +82,21 @@ def _class_latent_means(spec: DomainSpec) -> np.ndarray:
     return means
 
 
-def _label_counts(priors: np.ndarray, n: int) -> np.ndarray:
-    """Deterministic proportional allocation; every class gets >= 1."""
-    counts = np.floor(priors * n).astype(np.int64)
-    counts = np.maximum(counts, 1)
-    while counts.sum() > n:
-        counts[np.argmax(counts)] -= 1
-    while counts.sum() < n:
-        counts[np.argmin(counts - priors * n)] += 1
-    return counts
-
-
 def make_domain(spec: DomainSpec, base_seed: int) -> DomainDataset:
-    """Deterministic dataset for one domain given (spec, seed)."""
+    """Deterministic dataset for one domain given (spec, seed); the classes
+    share the samples evenly, the lower classes taking the remainder."""
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=base_seed, spawn_key=(spec.domain_id,)))
-    counts = _label_counts(spec.priors, spec.n_samples)
-    labels = np.repeat(np.arange(spec.num_classes), counts)
-    means = _class_latent_means(spec)
-    latents = means[labels] + rng.normal(0.0, spec.latent_sigma,
-                                         size=(spec.n_samples, spec.input_dim))
+    labels = np.sort(np.arange(spec.n_samples) % spec.num_classes)
+    x = _class_latent_means(spec)[labels] + rng.normal(
+        0.0, spec.latent_sigma, size=(spec.n_samples, spec.input_dim))
 
-    x = latents.copy()
     angle = np.deg2rad(spec.rotation_deg)
     rot = np.array([[np.cos(angle), -np.sin(angle)],
                     [np.sin(angle), np.cos(angle)]])
     x[:, list(VARIANT_DIMS)] = x[:, list(VARIANT_DIMS)] @ rot.T
     x = x * spec.scale + spec.shift
     x = x + rng.normal(0.0, spec.noise_sigma, size=x.shape)
-    if spec.permute_features:
-        perm_rng = np.random.default_rng(base_seed + 7919)
-        x = x[:, perm_rng.permutation(spec.input_dim)]
 
     order = rng.permutation(spec.n_samples)
     return DomainDataset(x[order], labels[order], spec.domain_id)
@@ -288,11 +259,11 @@ def canonical_datasets(overrides: dict | None = None) -> dict[int, DomainDataset
             for s in canonical_domain_specs(overrides)}
 
 
-def load_spec_file(path: str | Path) -> tuple[list[DomainSpec], int]:
-    """Read a benchmark spec, a YAML mapping of keys of CANONICAL, from disk;
-    a key the file leaves out keeps its canonical value."""
+def load_spec_file(path: str | Path) -> dict:
+    """Read a benchmark spec from disk: a YAML mapping of keys of CANONICAL,
+    the overrides that :func:`canonical_datasets` takes."""
     with open(path) as f:
         cfg = yaml.safe_load(f) or {}
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: benchmark spec must be a YAML mapping")
-    return canonical_domain_specs(cfg), cfg.get("base_seed", CANONICAL["base_seed"])
+    return cfg

@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
 Verbs:
-  bench-gen   generate benchmark CSVs from a spec file
+  bench-gen   generate the benchmark as CSV (canonical, or from a spec file)
   train       train one configuration on the benchmark
   eval        evaluate saved checkpoints on a dataset CSV
   ablate      run the ablation grid and write report.csv
@@ -9,9 +9,11 @@ Verbs:
 
 Configuration is a flat YAML mapping of ExperimentConfig and Hyperparams
 fields (with no --config, their defaults: the canonical study) plus --set
-KEY=VALUE overrides. Every run writes it as resolved_config.yaml, which
---config reads back. The environment variable MASF_OUT_DIR, when set and
-not empty, overrides the output directory.
+KEY=VALUE overrides. n_meta_train is not among them: a run derives it as
+the number of source domains minus n_meta_test. Every run writes the
+configuration as resolved_config.yaml, which --config reads back. The
+environment variable MASF_OUT_DIR, when set and not empty, overrides the
+output directory.
 
 Exit codes: 0 success, 1 config error, 2 run failure (non-finite loss),
 3 I/O error.
@@ -37,17 +39,30 @@ EXIT_OK, EXIT_CONFIG, EXIT_RUN, EXIT_IO = 0, 1, 2, 3
 
 
 def _coerce(key: str, value, declared: str):
-    """``value`` as the declared int, float or tuple type of config field
-    ``key`` (YAML reads ``1e-5`` as a string); other fields pass through.
-    The tuple fields are layer widths: a non-empty list of positive ints."""
-    if declared.startswith("tuple"):
-        if not (isinstance(value, list) and value and all(
-                type(w) is int and w >= 1 for w in value)):
-            raise ValueError(f"config key {key!r} expects a non-empty list of "
-                             f"positive ints, got {value!r}")
-        return tuple(value)
+    """``value`` as the declared type of config field ``key`` (YAML reads
+    ``1e-5`` as a string); a value of another type is a ValueError naming
+    ``key``. Layer widths, seeds and targets are lists of ints."""
     if declared not in ("int", "float"):
-        return value
+        ints = isinstance(value, list) and all(type(i) is int and i >= 0
+                                               for i in value)
+        expected, fits = {
+            "bool": ("true or false", type(value) is bool),
+            "str": ("a string", type(value) is str),
+            "dict": ("a mapping", type(value) is dict),
+            "tuple[int, ...]": ("a non-empty list of positive ints",
+                                ints and value != [] and 0 not in value),
+            "seeds": ("a list of non-negative ints", ints),
+            "targets": ("null or a list of domain ids", value is None or ints),
+            "rows": ("a list of [episodic, global, local] rows of true or false",
+                     isinstance(value, list) and all(
+                         isinstance(r, list) and len(r) == 3
+                         and all(type(f) is bool for f in r) for r in value)),
+        }[key if key in ("seeds", "targets", "rows") else declared]
+        if not fits:
+            raise ValueError(f"config key {key!r} expects {expected}, got {value!r}")
+        if key == "rows":
+            return [tuple(r) for r in value]
+        return tuple(value) if declared.startswith("tuple") else value
     try:
         number = None if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
@@ -68,6 +83,9 @@ def _load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
             raise ValueError(f"override {item!r} is not KEY=VALUE")
         raw[key] = yaml.safe_load(value)
 
+    if "n_meta_train" in raw:
+        raise ValueError("config key 'n_meta_train' cannot be set: it is the "
+                         "number of source domains minus n_meta_test")
     hp_fields = {f.name: f.type for f in dataclasses.fields(Hyperparams)}
     cfg_fields = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)
                   if f.name != "hp"}
@@ -78,8 +96,6 @@ def _load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
                  if k in hp_fields}
     cfg_kwargs = {k: _coerce(k, v, cfg_fields[k]) for k, v in raw.items()
                   if k in cfg_fields}
-    if "rows" in cfg_kwargs:
-        cfg_kwargs["rows"] = [tuple(bool(v) for v in r) for r in cfg_kwargs["rows"]]
     return ExperimentConfig(hp=Hyperparams(**hp_kwargs), **cfg_kwargs)
 
 
@@ -87,13 +103,19 @@ def _dump_resolved(config: ExperimentConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = dataclasses.asdict(config)
     payload = {**payload.pop("hp"), **payload}
+    del payload["n_meta_train"]  # run_single derives it; --config rejects it
     with open(out_dir / "resolved_config.yaml", "w") as f:
         yaml.safe_dump(payload, f, sort_keys=False)
 
 
-def _datasets(config: ExperimentConfig) -> dict:
-    """The benchmark domains, after the checks of the keys they bound."""
+def _datasets(config: ExperimentConfig, targets: list | None) -> dict:
+    """The benchmark domains, after the checks of the keys they bound and
+    of the held-out ``targets`` (None: every domain)."""
     datasets = bench.canonical_datasets(config.bench_overrides)
+    missing = [t for t in targets or [] if t not in datasets]
+    if missing:
+        raise ValueError(f"target {missing[0]} is not a domain; the domain "
+                         f"ids are {sorted(datasets)}")
     config.hp.validate(max(d.num_classes for d in datasets.values()))
     n_sources = len(datasets) - 1  # every domain but the target
     if not 1 <= config.hp.n_meta_test < n_sources:
@@ -110,11 +132,10 @@ def _datasets(config: ExperimentConfig) -> dict:
 
 
 def cmd_bench_gen(args) -> int:
-    specs, base_seed = (bench.load_spec_file(args.spec) if args.spec
-                        else (bench.canonical_domain_specs(), bench.CANONICAL["base_seed"]))
+    overrides = bench.load_spec_file(args.spec) if args.spec else {}
     if args.seed is not None:
-        base_seed = args.seed
-    datasets = [bench.make_domain(s, base_seed) for s in specs]
+        overrides["base_seed"] = args.seed
+    datasets = list(bench.canonical_datasets(overrides).values())
     out = Path(os.environ.get("MASF_OUT_DIR") or args.out)
     bench.export_csv(datasets, out / "benchmark.csv")
     print(f"wrote {out / 'benchmark.csv'} "
@@ -124,7 +145,7 @@ def cmd_bench_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config, args.set or [])
-    datasets = _datasets(config)
+    datasets = _datasets(config, None if args.target is None else [args.target])
     out_dir = config.resolved_out_dir()
     _dump_resolved(config, out_dir)
     target = args.target if args.target is not None else sorted(datasets)[-1]
@@ -161,7 +182,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_config(args.config, args.set or [])
-    datasets = _datasets(config)
+    datasets = _datasets(config, config.targets)
     out_dir = config.resolved_out_dir()
     _dump_resolved(config, out_dir)
     report = harness.run_experiment(config, datasets)

@@ -17,7 +17,7 @@ touch the data stream, so all ablation rows of one seed see identical data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class Hyperparams:
     decay_rate: float = 0.02
     decay_every: int = 100
     batch_size: int = 25           # per source domain
-    n_meta_train: int = 2
+    n_meta_train: int = 2          # run_single: sources - n_meta_test
     n_meta_test: int = 1
     local_loss_kind: str = TRIPLET
     episodic: bool = True
@@ -89,11 +89,9 @@ class EpisodeState:
     theta: ParamSet
     phi: ParamSet
     hp: Hyperparams
+    data_rng: np.random.Generator
+    algo_rng: np.random.Generator
     t: int = 0
-    data_rng: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0))
-    algo_rng: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0))
 
 
 def make_state(arch: nets.Architecture, hp: Hyperparams, seed: int) -> EpisodeState:

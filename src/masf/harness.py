@@ -256,8 +256,7 @@ def write_report_csv(report: Report, path: Path) -> None:
 
 
 def run_experiment(config: ExperimentConfig,
-                   datasets: dict[int, DomainDataset] | None = None,
-                   write_files: bool = True) -> Report:
+                   datasets: dict[int, DomainDataset] | None = None) -> Report:
     """Full grid: every leave-one-out split x ablation row x seed."""
     if datasets is None:
         datasets = bench.canonical_datasets(config.bench_overrides)
@@ -271,20 +270,16 @@ def run_experiment(config: ExperimentConfig,
         for flags in config.rows:
             for seed in config.seeds:
                 e, g, l = flags
-                metrics_path = None
-                if write_files:
-                    run_id = f"t{target}_e{int(e)}g{int(g)}l{int(l)}_s{seed}"
-                    metrics_path = out_dir / "runs" / run_id / "metrics.csv"
+                run_id = f"t{target}_e{int(e)}g{int(g)}l{int(l)}_s{seed}"
                 try:
                     acc = run_single(config, flags, target, seed, datasets,
-                                     metrics_path)
+                                     out_dir / "runs" / run_id / "metrics.csv")
                 except engine.NonFiniteLossError:
                     acc = float("nan")  # mark failed, keep going
                 rows.append((target, e, g, l, seed, acc))
 
     report = Report(rows)
-    if write_files:
-        write_report_csv(report, out_dir / "report.csv")
+    write_report_csv(report, out_dir / "report.csv")
     return report
 
 

@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -8,9 +11,10 @@ from masf import bench
 
 
 def small_spec(**kw):
+    """Canonical domain 0 (no rotation, scale 1, shift 0) made small."""
     defaults = dict(domain_id=0, n_samples=60, num_classes=3, input_dim=8)
     defaults.update(kw)
-    return bench.DomainSpec(**defaults)
+    return replace(bench.canonical_domain_specs()[0], **defaults)
 
 
 class TestDomainSpec:
@@ -21,15 +25,6 @@ class TestDomainSpec:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             small_spec(n_samples=5)
-
-    def test_bad_priors_rejected(self):
-        with pytest.raises(ValueError):
-            small_spec(class_priors=(0.5, 0.5))
-        with pytest.raises(ValueError):
-            small_spec(class_priors=(0.5, 0.4, 0.2))
-
-    def test_default_priors_uniform(self):
-        np.testing.assert_allclose(small_spec().priors, 1.0 / 3)
 
 
 class TestMakeDomain:
@@ -55,9 +50,8 @@ class TestMakeDomain:
         assert ds.labels.min() >= 0 and ds.labels.max() < 3
 
     def test_every_class_present(self):
-        skewed = small_spec(class_priors=(0.9, 0.05, 0.05))
-        ds = bench.make_domain(skewed, 0)
-        assert set(np.unique(ds.labels)) == {0, 1, 2}
+        ds = bench.make_domain(small_spec(num_classes=7, n_samples=14), 0)
+        assert set(np.unique(ds.labels)) == set(range(7))
 
     def test_rotation_moves_class_means(self):
         base = bench.make_domain(small_spec(noise_sigma=0.0, latent_sigma=1e-9), 0)
@@ -90,33 +84,48 @@ class TestMakeDomain:
                                    plain.features[order_a] * 2.0 + 1.0,
                                    atol=1e-9)
 
-    def test_permutation_preserves_multiset(self):
-        plain = bench.make_domain(small_spec(), 3)
-        perm = bench.make_domain(small_spec(permute_features=True), 3)
-        np.testing.assert_allclose(np.sort(plain.features, axis=1),
-                                   np.sort(perm.features, axis=1), atol=1e-12)
-        assert plain.features.tobytes() != perm.features.tobytes()
+
+
+def reference_label_counts(num_classes, n):
+    """The class sizes make_domain took from uniform class priors before the
+    priors were removed: a proportional allocation, every class >= 1."""
+    priors = np.full(num_classes, 1.0 / num_classes)
+    counts = np.maximum(np.floor(priors * n).astype(np.int64), 1)
+    while counts.sum() > n:
+        counts[np.argmax(counts)] -= 1
+    while counts.sum() < n:
+        counts[np.argmin(counts - priors * n)] += 1
+    return counts
+
+
+def label_counts(num_classes, n):
+    ds = bench.make_domain(small_spec(num_classes=num_classes, n_samples=n), 0)
+    return np.bincount(ds.labels, minlength=num_classes)
 
 
 class TestLabelCounts:
     def test_exact_total(self):
-        counts = bench._label_counts(np.array([0.5, 0.3, 0.2]), 10)
-        assert counts.sum() == 10
-        np.testing.assert_array_equal(counts, [5, 3, 2])
+        np.testing.assert_array_equal(label_counts(3, 10), [4, 3, 3])
 
     def test_minimum_one_per_class(self):
-        counts = bench._label_counts(np.array([0.98, 0.01, 0.01]), 20)
-        assert counts.min() >= 1 and counts.sum() == 20
+        np.testing.assert_array_equal(label_counts(4, 8), [2, 2, 2, 2])
 
     @given(st.integers(2, 6), st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
     def test_total_and_floor_invariants(self, c, seed):
-        rng = np.random.default_rng(seed)
-        priors = rng.dirichlet(np.ones(c))
-        n = int(rng.integers(2 * c, 200))
-        counts = bench._label_counts(priors, n)
+        n = int(np.random.default_rng(seed).integers(2 * c, 200))
+        counts = label_counts(c, n)
         assert counts.sum() == n
-        assert counts.min() >= 1
+        assert counts.min() >= 1 and counts.max() - counts.min() <= 1
+
+    def test_matches_uniform_prior_reference(self):
+        # equal counts give equal labels: old and new sort them by class
+        # before the rows are shuffled
+        for c in range(2, 40):
+            for n in range(2 * c, 1200, 13):
+                np.testing.assert_array_equal(
+                    label_counts(c, n), reference_label_counts(c, n),
+                    err_msg=f"num_classes={c}, n_samples={n}")
 
 
 class TestLeaveOneOut:
@@ -130,6 +139,15 @@ class TestLeaveOneOut:
     def test_too_few_domains(self):
         with pytest.raises(ValueError):
             bench.leave_one_out_splits([0])
+
+
+def drawn_domain(priors, n, seed):
+    """A 3-class domain of ``n`` rows whose labels are drawn from ``priors``
+    (None: uniform), every class at least once."""
+    rng = np.random.default_rng(seed)
+    labels = np.concatenate([np.arange(3), rng.choice(3, size=n - 3, p=priors)])
+    features = bench.make_domain(small_spec(n_samples=n), seed).features
+    return bench.DomainDataset(features, rng.permutation(labels), 0)
 
 
 def reference_sample_batch(dataset, batch_size, rng):
@@ -149,7 +167,7 @@ def reference_sample_batch(dataset, batch_size, rng):
 
 class TestSampleBatch:
     def test_stratified_covers_all_classes(self):
-        ds = bench.make_domain(small_spec(class_priors=(0.8, 0.1, 0.1)), 1)
+        ds = drawn_domain((0.8, 0.1, 0.1), 60, 1)
         rng = np.random.default_rng(0)
         for _ in range(20):
             batch = bench.sample_batch(ds, 6, True, rng)
@@ -189,8 +207,7 @@ class TestSampleBatch:
                                         (0.05, 0.05, 0.9), (0.34, 0.33, 0.33)])
     def test_matches_setdiff1d_reference(self, priors):
         for seed in range(25):
-            ds = bench.make_domain(
-                small_spec(n_samples=30 + 7 * seed, class_priors=priors), seed)
+            ds = drawn_domain(priors, 30 + 7 * seed, seed)
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for batch_size in (3, 4, 11, len(ds) // 2, len(ds)):
                 got = bench.sample_batch(ds, batch_size, True, ours)
@@ -278,16 +295,16 @@ class TestCanonical:
     def test_spec_file_matches_builtin(self, tmp_path):
         path = tmp_path / "spec.yaml"
         path.write_text(yaml.safe_dump(bench.CANONICAL, sort_keys=False))
-        specs, base_seed = bench.load_spec_file(path)
-        assert base_seed == bench.CANONICAL["base_seed"]
-        assert specs == bench.canonical_domain_specs()
+        assert bench.load_spec_file(path) == bench.CANONICAL
 
     def test_partial_spec_file_keeps_other_canonical_keys(self, tmp_path):
         path = tmp_path / "spec.yaml"
         path.write_text("num_classes: 3\nbase_seed: 7\n")
-        specs, base_seed = bench.load_spec_file(path)
-        assert base_seed == 7
-        assert specs == bench.canonical_domain_specs({"num_classes": 3})
+        overrides = bench.load_spec_file(path)
+        assert overrides == {"num_classes": 3, "base_seed": 7}
+        specs = bench.canonical_domain_specs(overrides)
+        assert specs == [replace(s, num_classes=3)
+                         for s in bench.canonical_domain_specs()]
 
     @pytest.mark.parametrize("text", ["[1, 2]\n", "7\n", "just text\n"])
     def test_spec_file_not_a_mapping_names_path(self, tmp_path, text):
@@ -295,6 +312,25 @@ class TestCanonical:
         path.write_text(text)
         with pytest.raises(ValueError, match="spec.yaml.*mapping"):
             bench.load_spec_file(path)
+
+    # sha256 of the domains' features, then of their labels, in domain order.
+    # The feature bits come from libm and BLAS, so that digest holds on the
+    # host that pinned it (x86-64, numpy 2.4.6) and may not on another.
+    @pytest.mark.parametrize("overrides, features, labels", [
+        ({}, "9b7123b6b8eafde0c9bf51f3ed319457ae5947853888dc60abc3675a71de15a8",
+         "0c8d042ff0638bca6d693865e8dba3c567bb5d6b8befdbf9e6ea5aa1c0b50a32"),
+        ({"n_samples": 503},
+         "f6e0b4a40a76c6e7d9c77ad391d6f1cfab1d74f38b3ff7ac626a9fa688e47ab4",
+         "d80596f36bd349e35279e8405650596bd46d6cd07b4c3c80947561192560639a"),
+        ({"num_classes": 3, "n_samples": 100},
+         "0c85b5ce2e8b4cdc21fa9dc4fc9d9eded06fe9101dc107799233af60ce347007",
+         "285704e36f17f0517ecff58cfc08b7c760497e40cfda54d842829e550dd95202"),
+    ])
+    def test_canonical_data_is_pinned(self, overrides, features, labels):
+        ds = bench.canonical_datasets(overrides)
+        for digest, field in ((features, "features"), (labels, "labels")):
+            data = b"".join(getattr(ds[k], field).tobytes() for k in sorted(ds))
+            assert hashlib.sha256(data).hexdigest() == digest, field
 
     def test_single_domain_model_degrades_on_far_rotation(self):
         # a linear probe fit on domain 0 should lose substantial accuracy on

@@ -9,10 +9,11 @@ ARCH = nets.Architecture(input_dim=8, num_classes=3,
 
 
 def small_datasets(n_domains=3, n=60, seed=11):
-    specs = [bench.DomainSpec(domain_id=k, n_samples=n, num_classes=3,
-                              input_dim=8, rotation_deg=30.0 * k)
-             for k in range(n_domains)]
-    return {s.domain_id: bench.make_domain(s, seed) for s in specs}
+    return bench.canonical_datasets({
+        "num_domains": n_domains, "n_samples": n, "num_classes": 3,
+        "input_dim": 8, "rotations_deg": [30.0 * k for k in range(n_domains)],
+        "scales": [1.0] * n_domains, "shifts": [0.0] * n_domains,
+        "base_seed": seed})
 
 
 def small_hp(**kw):

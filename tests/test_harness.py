@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from masf import autodiff as ad
 from masf import bench, cli, engine, harness, nets
@@ -11,10 +12,11 @@ ARCH = nets.Architecture(input_dim=8, num_classes=3,
 
 
 def small_datasets(n_domains=3, n=60, seed=11):
-    specs = [bench.DomainSpec(domain_id=k, n_samples=n, num_classes=3,
-                              input_dim=8, rotation_deg=30.0 * k)
-             for k in range(n_domains)]
-    return {s.domain_id: bench.make_domain(s, seed) for s in specs}
+    return bench.canonical_datasets({
+        "num_domains": n_domains, "n_samples": n, "num_classes": 3,
+        "input_dim": 8, "rotations_deg": [30.0 * k for k in range(n_domains)],
+        "scales": [1.0] * n_domains, "shifts": [0.0] * n_domains,
+        "base_seed": seed})
 
 
 def tiny_config(**kw):
@@ -273,8 +275,8 @@ class TestRunExperiment:
         cfg = tiny_config(rows=[harness.ALL_ROWS[0], harness.ALL_ROWS[7]],
                           seeds=[0, 1], out_dir=str(tmp_path / "a"))
         ds = small_datasets()
-        r1 = harness.run_experiment(cfg, ds, write_files=False)
-        r2 = harness.run_experiment(cfg, ds, write_files=False)
+        r1 = harness.run_experiment(cfg, ds)
+        r2 = harness.run_experiment(cfg, ds)
         assert len(r1.rows) == 3 * 2 * 2  # targets x rows x seeds
         assert r1.rows == r2.rows
 
@@ -399,8 +401,7 @@ class TestCli:
                          "--set", "alpha=0.05", "--set", "eta=0.05",
                          "--set", "gamma=0.05",
                          "--set", "feature_widths=[10, 6]",
-                         "--set", "metric_widths=[8, 4]",
-                         "--set", "n_meta_train=2"])
+                         "--set", "metric_widths=[8, 4]"])
         assert code == 0
         assert (tmp_path / "resolved_config.yaml").exists()
         assert (tmp_path / "metrics.csv").exists()
@@ -563,8 +564,7 @@ class TestCli:
                          "--set", "iterations=2", "--set", "batch_size=12",
                          "--set", "alpha=1e-5", "--set", "eta=5e-2",
                          "--set", "feature_widths=[10, 6]",
-                         "--set", "metric_widths=[8, 4]",
-                         "--set", "n_meta_train=2"])
+                         "--set", "metric_widths=[8, 4]"])
         assert code == 0, capsys.readouterr().err
 
     def test_config_file_numbers_take_declared_types(self, tmp_path):
@@ -620,6 +620,13 @@ class TestCli:
         ("feature_widths=[true, 4]", "feature_widths"),
         ("metric_widths=[]", "metric_widths"),
         ("metric_widths=[8, 0]", "metric_widths"),
+        ("episodic=abc", "episodic"),
+        ("seeds=abc", "seeds"),
+        ("seeds=[0.5]", "seeds"),
+        ("rows=[[1, 1]]", "rows"),
+        ("targets=3", "targets"),
+        ("bench_overrides=[1]", "bench_overrides"),
+        ("n_meta_train=1", "n_meta_train"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, monkeypatch, capsys,
                                        command, item, key):
@@ -628,6 +635,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert not any(tmp_path.iterdir())  # no resolved_config.yaml either
+
+    @pytest.mark.parametrize("args", [["train", "--target", "9"],
+                                      ["ablate", "--set", "targets=[0, 9]"]])
+    def test_unknown_target_is_config_error(self, tmp_path, monkeypatch,
+                                            capsys, args):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        assert cli.main(args + ["--set", "iterations=1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: target 9 ")
+        assert "[0, 1, 2, 3]" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_n_meta_train_is_derived_not_configured(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # three domains leave two sources: one meta-train, one meta-test;
+        # setting n_meta_train is a case of test_bad_value_is_config_error
+        sets = ["iterations=2", "batch_size=12", "feature_widths=[10, 6]",
+                "metric_widths=[8, 4]", "bench_overrides={num_domains: 3}"]
+        args = ["train", "--seed", "0", "--target", "2"]
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "first"))
+        assert cli.main(args + [a for s in sets for a in ("--set", s)]) == 0
+        resolved = tmp_path / "first" / "resolved_config.yaml"
+        assert "n_meta_train" not in yaml.safe_load(resolved.read_text())
+
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "second"))
+        assert cli.main(args + ["--config", str(resolved)]) == 0
+        assert ((tmp_path / "first" / "metrics.csv").read_bytes()
+                == (tmp_path / "second" / "metrics.csv").read_bytes())
 
     def test_train_honours_bench_overrides(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
