@@ -41,6 +41,12 @@ class DomainSpec:
     latent_sigma: float      # within-class spread of the latents
 
     def __post_init__(self):
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
+        dims = max(VARIANT_DIMS + INVARIANT_DIMS) + 1
+        if self.input_dim < dims:
+            raise ValueError(f"input_dim must be at least {dims}: the class "
+                             f"latents use dims 0-{dims - 1}, got {self.input_dim}")
         if self.scale == 0:
             raise ValueError("scale must keep the transform invertible")
         if self.n_samples < 2 * self.num_classes:
@@ -242,6 +248,8 @@ def canonical_domain_specs(overrides: dict | None = None) -> list[DomainSpec]:
     if unknown:
         raise ValueError(f"unknown benchmark keys: {sorted(unknown)}")
     n, _ = cfg.pop("num_domains"), cfg.pop("base_seed")
+    if n < 1:
+        raise ValueError(f"num_domains must be at least 1, got {n}")
     for key in _PER_DOMAIN:
         if len(cfg[key]) < n:
             raise ValueError(f"benchmark key {key!r} has {len(cfg[key])} "

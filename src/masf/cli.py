@@ -112,6 +112,9 @@ def _datasets(config: ExperimentConfig, targets: list | None) -> dict:
     """The benchmark domains, after the checks of the keys they bound and
     of the held-out ``targets`` (None: every domain)."""
     datasets = bench.canonical_datasets(config.bench_overrides)
+    if len(datasets) < 3:
+        raise ValueError(f"num_domains must be at least 3 to train (a target, "
+                         f"a meta-train and a meta-test source), got {len(datasets)}")
     missing = [t for t in targets or [] if t not in datasets]
     if missing:
         raise ValueError(f"target {missing[0]} is not a domain; the domain "

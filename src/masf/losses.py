@@ -10,10 +10,11 @@ the same features. The local term is metric learning over embeddings:
 contrastive pairs or triplets with online semi-hard mining.
 
 Triplet distances come from one Gram matrix G = E E^T of the embeddings:
-d^2(a, b) = G[a, a] + G[b, b] - 2 G[a, b]. The miner and the silhouette
-take them in NumPy (``distance_matrix``); the triplet hinge builds the same
-[N, N] matrix as a graph and picks its (anchor, positive) and (anchor,
-negative) entries.
+d^2(a, b) = G[a, a] + G[b, b] - 2 G[a, b], in NumPy (``_sq_dists``). The
+miner, the silhouette and the triplet hinge's choice of active triplets all
+read that one rule. The hinge itself is a quadratic form in the embeddings:
+the active triplets fold into a constant Laplacian L, and the graph is
+sum(E * (L @ E)) plus a constant, four op nodes of which none is [N, N].
 """
 
 from __future__ import annotations
@@ -153,20 +154,28 @@ def contrastive_loss_on_pairs(embeddings: Expr, labels: np.ndarray,
     return ad.mean(per_pair)
 
 
-def distance_matrix(values: np.ndarray) -> np.ndarray:
-    """Euclidean distances [N, N] between the rows of ``values`` (numpy).
+def _sq_dists(values: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances [N, N] between the rows of ``values``,
+    unclamped (numpy).
 
     Gram form: d^2(a, b) = |a|^2 + |b|^2 - 2 a.b from one ``values @
     values.T``, with the squared norms read off its diagonal, so the diagonal
-    and coincident rows are exactly 0. Rounding can push d^2 below 0; it is
-    clamped there. d^2 carries an absolute error of a few ulps of |a|^2, so
-    a distance well below 1e-8 |a| is not resolved.
+    and coincident rows are exactly 0. Rounding can push d^2 below 0. d^2
+    carries an absolute error of a few ulps of |a|^2, so a distance well
+    below 1e-8 |a| is not resolved.
     """
     gram = values @ values.T
     sq = gram.diagonal().copy()  # a strided view would slow the broadcast
     d2 = sq[:, None] + sq
     gram *= 2.0  # in place: a third [N, N] buffer costs more than the math
     d2 -= gram
+    return d2
+
+
+def distance_matrix(values: np.ndarray) -> np.ndarray:
+    """Euclidean distances [N, N] between the rows of ``values`` (numpy):
+    the square root of ``_sq_dists``, clamped at 0."""
+    d2 = _sq_dists(values)
     return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
 
 
@@ -258,20 +267,28 @@ def triplet_loss_semihard(embeddings: Expr, labels: np.ndarray,
                           margin: float) -> Expr:
     """Mean over mined triplets of max(0, d(a,p)^2 - d(a,n)^2 + xi).
 
-    The squared distances are entries of one [N, N] graph built by the rule
-    of ``distance_matrix``, so the hinge sees the distances the miner saw.
+    A triplet is active when its hinge, taken from the miner's d^2 rule
+    (``_sq_dists``), is above 0; a hinge of exactly 0 is not. Each active
+    triplet adds +1/T to W[a, p] and -1/T to W[a, n], so the mean of their
+    d(a,p)^2 - d(a,n)^2 is sum_ab W[a, b] d^2(a, b), which is the quadratic
+    form sum(E * (L @ E)) with the Laplacian L = diag(rowsum W + colsum W)
+    - W - W^T. Each active triplet adds xi / T on top.
     """
     anchors, positives, negatives = mine_semihard_triplets(
         embeddings.value, labels)
     if anchors.size == 0:
         log.warning("no valid triplet in batch; local loss is 0")
         return ad.const(0.0)
-    n = embeddings.shape[0]
-    gram = ad.matmul(embeddings, ad.transpose(embeddings))
-    sq = ad.gather_rows(gram, np.arange(n))
-    d2 = ad.sub(ad.add(ad.reshape(sq, (n, 1)), sq), ad.mul(ad.const(2.0), gram))
-    d2 = ad.reshape(d2, (n * n,))
-    hinge = ad.relu(ad.add(ad.sub(ad.select_rows(d2, anchors * n + positives),
-                                  ad.select_rows(d2, anchors * n + negatives)),
-                           ad.const(margin)))
-    return ad.mean(hinge)
+    n, t = embeddings.shape[0], anchors.size
+    d2 = _sq_dists(embeddings.value).ravel()
+    ap, an = anchors * n + positives, anchors * n + negatives
+    active = (d2[ap] - d2[an]) + margin > 0.0
+    # w holds -T W in integers, so w + w^T with its column sums taken off
+    # the diagonal is T L (a column sum of W^T is a row sum of W)
+    w = np.bincount(an[active], minlength=n * n)
+    w -= np.bincount(ap[active], minlength=n * n)
+    w = w.reshape(n, n)
+    lap = w + w.T
+    lap.flat[::n + 1] -= lap.sum(axis=0)
+    quad = ad.reduce_sum(ad.mul(embeddings, ad.matmul(ad.const(lap / t), embeddings)))
+    return ad.add(quad, ad.const(margin * np.count_nonzero(active) / t))

@@ -365,6 +365,13 @@ def matmul_case(draw, rng):
     return ad.matmul, [normal(rng, (n, k)), normal(rng, (k, m))]
 
 
+def const_matmul_case(draw, rng):
+    """A constant left operand, as in the triplet loss's L @ E."""
+    n, k, m = draw(st.tuples(*[st.integers(1, 3)] * 3), label="n, k, m")
+    left = ad.const(normal(rng, (n, k)))
+    return (lambda b: ad.matmul(left, b)), [normal(rng, (k, m))]
+
+
 def sum_to_case(draw, rng):
     shape = draw(ANY_SHAPE, label="shape")
     target = reduced(draw, shape)
@@ -401,10 +408,13 @@ def scatter_rows_case(draw, rng):
 
 
 # Every op of autodiff._FORWARD apart from add/sub/mul/div (see
-# TestBroadcastProperty): name -> (draw, rng) -> (op, input arrays).
+# TestBroadcastProperty), plus the operand patterns of the triplet loss's
+# quadratic form: name -> (draw, rng) -> (op, input arrays).
 OP_CASES = {
     "neg": unary(ad.neg),
     "matmul": matmul_case,
+    "matmul-const-left": const_matmul_case,
+    "mul-same-node": unary(lambda a: ad.mul(a, a)),
     "transpose": unary(ad.transpose, shapes=MATRIX),
     "relu": unary(ad.relu, values=off_kink),
     "exp": unary(ad.exp),

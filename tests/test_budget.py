@@ -32,14 +32,14 @@ CONFIGS = {  # batch size per source domain, local loss on or off
 # per config: the most graph nodes and value-mode op calls of any step, by op
 BUDGET = {
     "full_triplet": {
-        "graph": {"add": 15, "broadcast": 2, "const": 38, "div": 2, "exp": 3,
-                  "gather_rows": 8, "leaf": 10, "log": 3, "matmul": 15,
-                  "mul": 18, "neg": 1, "relu": 6, "reshape": 5,
-                  "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 14,
-                  "sum": 7, "sum_to": 3, "transpose": 6},
-        "values": {"add": 33, "broadcast": 12, "div": 10, "matmul": 29,
-                   "mul": 41, "neg": 17, "reshape": 13, "scatter_rows": 11,
-                   "sum_to": 16, "transpose": 35},
+        "graph": {"add": 14, "broadcast": 2, "const": 37, "div": 2, "exp": 3,
+                  "gather_rows": 5, "leaf": 10, "log": 3, "matmul": 15,
+                  "mul": 17, "neg": 1, "relu": 5, "reshape": 3,
+                  "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 12,
+                  "sum": 7, "sum_to": 3, "transpose": 5},
+        "values": {"add": 27, "broadcast": 12, "div": 10, "matmul": 27,
+                   "mul": 39, "neg": 13, "reshape": 9, "scatter_rows": 5,
+                   "sum_to": 12, "transpose": 31},
     },
     "episodic_global": {
         "graph": {"add": 10, "broadcast": 2, "const": 29, "div": 1, "exp": 3,
@@ -52,14 +52,14 @@ BUDGET = {
                    "sum_to": 8, "transpose": 24},
     },
     "wide_triplet": {
-        "graph": {"add": 15, "broadcast": 2, "const": 38, "div": 2, "exp": 3,
-                  "gather_rows": 8, "leaf": 10, "log": 3, "matmul": 15,
-                  "mul": 18, "neg": 1, "relu": 6, "reshape": 5,
-                  "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 14,
-                  "sum": 7, "sum_to": 3, "transpose": 6},
-        "values": {"add": 33, "broadcast": 12, "div": 10, "matmul": 29,
-                   "mul": 41, "neg": 17, "reshape": 13, "scatter_rows": 11,
-                   "sum_to": 16, "transpose": 35},
+        "graph": {"add": 14, "broadcast": 2, "const": 37, "div": 2, "exp": 3,
+                  "gather_rows": 5, "leaf": 10, "log": 3, "matmul": 15,
+                  "mul": 17, "neg": 1, "relu": 5, "reshape": 3,
+                  "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 12,
+                  "sum": 7, "sum_to": 3, "transpose": 5},
+        "values": {"add": 27, "broadcast": 12, "div": 10, "matmul": 27,
+                   "mul": 39, "neg": 13, "reshape": 9, "scatter_rows": 5,
+                   "sum_to": 12, "transpose": 31},
     },
 }
 

@@ -394,6 +394,18 @@ class TestCli:
         assert (tmp_path / "gen" / "benchmark.csv").exists()
         assert not (tmp_path / "benchmark.csv").exists()
 
+    @pytest.mark.parametrize("spec, key", [
+        ("num_classes: 0", "num_classes"), ("input_dim: 3", "input_dim"),
+        ("num_domains: 0", "num_domains")])
+    def test_bench_gen_bad_spec_is_config_error(self, tmp_path, monkeypatch,
+                                                capsys, spec, key):
+        (tmp_path / "spec.yaml").write_text(spec + "\n")
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "out"))
+        assert cli.main(["bench-gen", "--spec", str(tmp_path / "spec.yaml")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out").exists()
+
     def test_train_writes_artifacts(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
         code = cli.main(["train", "--seed", "0", "--target", "3",
@@ -603,6 +615,11 @@ class TestCli:
     @pytest.mark.parametrize("item, key", [
         ("bench_overrides={bogus: 1}", "'bogus'"),
         ("bench_overrides={num_domains: 5}", "'rotations_deg'"),
+        ("bench_overrides={num_domains: 0}", "num_domains"),
+        ("bench_overrides={num_domains: 1}", "num_domains"),
+        ("bench_overrides={num_domains: 2}", "num_domains"),
+        ("bench_overrides={num_classes: 0}", "num_classes"),
+        ("bench_overrides={input_dim: 2}", "input_dim"),
         ("clip_threshold=0", "clip_threshold"),
         ("tau=-1", "tau"),
         ("batch_size=3", "batch_size"),

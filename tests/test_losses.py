@@ -473,6 +473,25 @@ def reference_triplet_loss_semihard(embeddings, labels, margin):
     return ad.mean(ad.relu(ad.add(ad.sub(d2_ap, d2_an), ad.const(margin))))
 
 
+def reference_gram_triplet_loss_semihard(embeddings, labels, margin):
+    """The hinge as an [N, N] graph of Gram-form d^2 whose (anchor, positive)
+    and (anchor, negative) entries are picked and clamped one triplet at a
+    time, kept as the quadratic form's reference."""
+    anchors, positives, negatives = losses.mine_semihard_triplets(
+        embeddings.value, labels)
+    if anchors.size == 0:
+        return ad.const(0.0)
+    n = embeddings.shape[0]
+    gram = ad.matmul(embeddings, ad.transpose(embeddings))
+    sq = ad.gather_rows(gram, np.arange(n))
+    d2 = ad.sub(ad.add(ad.reshape(sq, (n, 1)), sq), ad.mul(ad.const(2.0), gram))
+    d2 = ad.reshape(d2, (n * n,))
+    hinge = ad.relu(ad.add(ad.sub(ad.select_rows(d2, anchors * n + positives),
+                                  ad.select_rows(d2, anchors * n + negatives)),
+                           ad.const(margin)))
+    return ad.mean(hinge)
+
+
 def assert_same_triplets(e, labels):
     got = losses.mine_semihard_triplets(e, labels)
     want = reference_mine_semihard_triplets(e, labels)
@@ -797,3 +816,92 @@ class TestTriplet:
         e = nets.metric_forward(phi, nets.feature_forward(psi, ad.const(x)))
         loss = losses.contrastive_loss(e, labels, 1.0, np.random.default_rng(2))
         assert ad.finite_diff_check(loss, phi.tensors + psi.tensors) < 1e-5
+
+
+def triplet_hinges(e_val, labels, margin):
+    """Every mined triplet's d(a,p)^2 - d(a,n)^2 + margin, by the miner's rule."""
+    a, p, n = losses.mine_semihard_triplets(e_val, labels)
+    d2 = losses.distance_matrix(e_val) ** 2
+    return d2[a, p] - d2[a, n] + margin
+
+
+class TestTripletQuadraticForm:
+    """The quadratic-form hinge against the [N, N] graph hinge: loss, and the
+    gradient in value mode and in graph mode."""
+
+    @staticmethod
+    def loss_and_grads(fn, e_val, labels, margin):
+        e = ad.leaf(e_val)
+        loss = fn(e, labels, margin)
+        graph = ad.grad(loss, [e])[e]
+        with ad.values_only():
+            values = ad.grad(loss, [e])[e]
+        return float(loss.value), graph.value, values.value
+
+    def assert_matches_reference(self, e_val, labels, margin):
+        got = self.loss_and_grads(losses.triplet_loss_semihard, e_val, labels, margin)
+        want = self.loss_and_grads(reference_gram_triplet_loss_semihard,
+                                   e_val, labels, margin)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+        # entries that cancel to rounding noise are held to their tensor's
+        # scale, not to their own
+        for g, w in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(g, w, rtol=1e-12,
+                                       atol=1e-12 * np.abs(w).max())
+        return got
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_graph_hinge(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n, dim = int(rng.integers(6, 151)), int(rng.integers(1, 9))
+        labels = rng.integers(0, int(rng.integers(2, 8)), size=n)
+        self.assert_matches_reference(rng.normal(size=(n, dim)), labels,
+                                      float(rng.uniform(0.1, 2.0)))
+
+    @pytest.mark.parametrize("n", [6, 40, 150])
+    def test_some_triplets_inactive(self, n):
+        rng = np.random.default_rng(n)
+        e_val, labels = rng.normal(size=(n, 3)), np.arange(n) % 3
+        # half the hinges below 0 at this margin
+        margin = -float(np.median(triplet_hinges(e_val, labels, 0.0)))
+        hinges = triplet_hinges(e_val, labels, margin)
+        assert 0 < np.count_nonzero(hinges > 0) < hinges.size
+        self.assert_matches_reference(e_val, labels, margin)
+
+    @pytest.mark.parametrize("n", [6, 150])
+    def test_all_triplets_inactive_give_zero(self, n):
+        rng = np.random.default_rng(n)
+        labels = np.arange(n) % 3
+        e_val = 10.0 * np.eye(3)[labels] + 0.01 * rng.normal(size=(n, 3))
+        assert (triplet_hinges(e_val, labels, 0.5) < 0).all()
+        loss, graph, values = self.assert_matches_reference(e_val, labels, 0.5)
+        assert loss == 0.0
+        assert not graph.any() and not values.any()
+
+    def test_hinge_of_exactly_zero_is_inactive(self):
+        # anchor 0 / pos 1 / neg 2: 1 - 4 + 3 = 0, not counted;
+        # anchor 1 / pos 0 / neg 2 (fallback): 1 - 1 + 3 = 3
+        e_val, labels = np.array([[0.0], [1.0], [2.0]]), np.array([0, 0, 1])
+        loss, graph, _ = self.assert_matches_reference(e_val, labels, 3.0)
+        assert loss == 1.5
+        # gradient of ((e1 - e0)^2 - (e1 - e2)^2) / 2
+        np.testing.assert_array_equal(graph, [[-1.0], [2.0], [-1.0]])
+
+    def test_no_triplet_is_zero(self):
+        e_val = np.random.default_rng(0).normal(size=(6, 2))
+        loss, graph, values = self.assert_matches_reference(
+            e_val, np.zeros(6, dtype=int), 1.0)
+        assert loss == 0.0
+        assert not graph.any() and not values.any()
+
+    def test_graph_is_one_quadratic_form(self):
+        rng = np.random.default_rng(1)
+        e = ad.leaf(rng.normal(size=(20, 3)))
+        loss = losses.triplet_loss_semihard(e, np.arange(20) % 4, 1.0)
+        ops, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            if node.inputs:
+                ops.append(node.op)
+                stack.extend(node.inputs)
+        assert sorted(ops) == ["add", "matmul", "mul", "sum"]
