@@ -12,6 +12,7 @@ drifting cue generalizes worse to held-out rotations.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,14 +107,6 @@ def make_domain(spec: DomainSpec, base_seed: int) -> DomainDataset:
 
     order = rng.permutation(spec.n_samples)
     return DomainDataset(x[order], labels[order], spec.domain_id)
-
-
-def leave_one_out_splits(domain_ids) -> list[tuple[list, object]]:
-    """Every domain once as the unseen target, the rest as sources."""
-    ids = list(domain_ids)
-    if len(ids) < 2:
-        raise ValueError("need at least 2 domains for leave-one-out")
-    return [([d for d in ids if d != target], target) for target in ids]
 
 
 def sample_batch(dataset: DomainDataset, batch_size: int, stratified: bool,
@@ -240,13 +233,36 @@ _PER_DOMAIN = {"rotations_deg": "rotation_deg", "scales": "scale",
                "shifts": "shift"}
 
 
+def _is_number(v) -> bool:
+    """An int, or a finite float; a bool is not a number."""
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+def _check_override(key: str, value) -> None:
+    """A ValueError naming ``key`` if ``value`` is not of the kind of its
+    CANONICAL value, or is a negative sigma or seed."""
+    if key in _PER_DOMAIN:
+        kind, fits = "a list of finite numbers", isinstance(value, list) and all(
+            map(_is_number, value))
+    elif type(CANONICAL[key]) is int:
+        kind, fits = "an int", type(value) is int
+    else:
+        kind, fits = "a finite number", _is_number(value)
+    if not fits:
+        raise ValueError(f"benchmark key {key!r} expects {kind}, got {value!r}")
+    if key in ("noise_sigma", "latent_sigma", "base_seed") and value < 0:
+        raise ValueError(f"benchmark key {key!r} must be non-negative, got {value!r}")
+
+
 def canonical_domain_specs(overrides: dict | None = None) -> list[DomainSpec]:
     """The canonical domain specs with ``overrides`` (keys of CANONICAL)
-    applied; a bad key is a ValueError that names it."""
+    applied; a bad key or value is a ValueError that names the key."""
     cfg = {**CANONICAL, **(overrides or {})}
     unknown = set(cfg) - set(CANONICAL)
     if unknown:
         raise ValueError(f"unknown benchmark keys: {sorted(unknown)}")
+    for key, value in (overrides or {}).items():
+        _check_override(key, value)
     n, _ = cfg.pop("num_domains"), cfg.pop("base_seed")
     if n < 1:
         raise ValueError(f"num_domains must be at least 1, got {n}")

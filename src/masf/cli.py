@@ -9,14 +9,13 @@ Verbs:
 
 Configuration is a flat YAML mapping of ExperimentConfig and Hyperparams
 fields (with no --config, their defaults: the canonical study) plus --set
-KEY=VALUE overrides. n_meta_train is not among them: a run derives it as
-the number of source domains minus n_meta_test. Every run writes the
-configuration as resolved_config.yaml, which --config reads back. The
-environment variable MASF_OUT_DIR, when set and not empty, overrides the
-output directory.
+KEY=VALUE overrides. A field the verb does not read (UNREAD) is a config
+error. Every run writes the configuration it read as resolved_config.yaml,
+which --config reads back. The environment variable MASF_OUT_DIR, when set
+and not empty, overrides the output directory.
 
-Exit codes: 0 success, 1 config error, 2 run failure (non-finite loss),
-3 I/O error.
+Exit codes: 0 success, 1 config error (a usage error too), 2 run failure
+(non-finite loss), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -36,6 +35,12 @@ from .engine import Hyperparams
 from .harness import ExperimentConfig
 
 EXIT_OK, EXIT_CONFIG, EXIT_RUN, EXIT_IO = 0, 1, 2, 3
+
+# The config fields a run verb does not read: train takes --seed and --target
+# and trains the row that episodic, use_global and use_local set; ablate
+# trains each row of rows; a run derives n_meta_train from n_meta_test.
+UNREAD = {"train": ("rows", "seeds", "targets", "n_meta_train"),
+          "ablate": ("episodic", "use_global", "use_local", "n_meta_train")}
 
 
 def _coerce(key: str, value, declared: str):
@@ -72,7 +77,8 @@ def _coerce(key: str, value, declared: str):
     return number if declared == "float" else int(number)
 
 
-def _load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
+def _load_config(path: str | None, overrides: list[str],
+                 command: str) -> ExperimentConfig:
     raw: dict = {}
     if path:
         with open(path) as f:
@@ -83,15 +89,15 @@ def _load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
             raise ValueError(f"override {item!r} is not KEY=VALUE")
         raw[key] = yaml.safe_load(value)
 
-    if "n_meta_train" in raw:
-        raise ValueError("config key 'n_meta_train' cannot be set: it is the "
-                         "number of source domains minus n_meta_test")
     hp_fields = {f.name: f.type for f in dataclasses.fields(Hyperparams)}
     cfg_fields = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)
                   if f.name != "hp"}
     unknown = set(raw) - set(hp_fields) - set(cfg_fields)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    unread = set(raw) & set(UNREAD[command])
+    if unread:
+        raise ValueError(f"config keys {sorted(unread)} are not read by {command}")
     hp_kwargs = {k: _coerce(k, v, hp_fields[k]) for k, v in raw.items()
                  if k in hp_fields}
     cfg_kwargs = {k: _coerce(k, v, cfg_fields[k]) for k, v in raw.items()
@@ -99,11 +105,11 @@ def _load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
     return ExperimentConfig(hp=Hyperparams(**hp_kwargs), **cfg_kwargs)
 
 
-def _dump_resolved(config: ExperimentConfig, out_dir: Path) -> None:
+def _dump_resolved(config: ExperimentConfig, out_dir: Path, command: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = dataclasses.asdict(config)
-    payload = {**payload.pop("hp"), **payload}
-    del payload["n_meta_train"]  # run_single derives it; --config rejects it
+    payload = {k: v for k, v in {**payload.pop("hp"), **payload}.items()
+               if k not in UNREAD[command]}
     with open(out_dir / "resolved_config.yaml", "w") as f:
         yaml.safe_dump(payload, f, sort_keys=False)
 
@@ -136,8 +142,6 @@ def _datasets(config: ExperimentConfig, targets: list | None) -> dict:
 
 def cmd_bench_gen(args) -> int:
     overrides = bench.load_spec_file(args.spec) if args.spec else {}
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
     datasets = list(bench.canonical_datasets(overrides).values())
     out = Path(os.environ.get("MASF_OUT_DIR") or args.out)
     bench.export_csv(datasets, out / "benchmark.csv")
@@ -147,10 +151,10 @@ def cmd_bench_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config, args.set or [])
+    config = _load_config(args.config, args.set or [], "train")
     datasets = _datasets(config, None if args.target is None else [args.target])
     out_dir = config.resolved_out_dir()
-    _dump_resolved(config, out_dir)
+    _dump_resolved(config, out_dir, "train")
     target = args.target if args.target is not None else sorted(datasets)[-1]
     flags = (config.hp.episodic, config.hp.use_global, config.hp.use_local)
     acc, state, _, _ = harness.run_single(
@@ -184,10 +188,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = _load_config(args.config, args.set or [])
+    config = _load_config(args.config, args.set or [], "ablate")
     datasets = _datasets(config, config.targets)
     out_dir = config.resolved_out_dir()
-    _dump_resolved(config, out_dir)
+    _dump_resolved(config, out_dir, "ablate")
     report = harness.run_experiment(config, datasets)
     for flags, mean, std, failed in report.summary():
         e, g, l = ("x" if v else "-" for v in flags)
@@ -214,14 +218,18 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, not argparse's 2
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="masf", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="masf", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bench-gen", help="generate benchmark CSVs")
     p.add_argument("--spec", help="benchmark spec YAML (default: canonical)")
-    p.add_argument("--seed", type=int, help="override base seed")
     p.add_argument("--out", default="bench_out")
     p.set_defaults(func=cmd_bench_gen)
 
@@ -252,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -260,9 +260,7 @@ def run_experiment(config: ExperimentConfig,
     """Full grid: every leave-one-out split x ablation row x seed."""
     if datasets is None:
         datasets = bench.canonical_datasets(config.bench_overrides)
-    targets = config.targets
-    if targets is None:
-        targets = [t for _, t in bench.leave_one_out_splits(sorted(datasets))]
+    targets = sorted(datasets) if config.targets is None else config.targets
 
     out_dir = config.resolved_out_dir()
     rows = []

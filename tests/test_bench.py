@@ -128,19 +128,6 @@ class TestLabelCounts:
                     err_msg=f"num_classes={c}, n_samples={n}")
 
 
-class TestLeaveOneOut:
-    def test_four_domains(self):
-        splits = bench.leave_one_out_splits([0, 1, 2, 3])
-        assert len(splits) == 4
-        for sources, target in splits:
-            assert target not in sources
-            assert sorted(sources + [target]) == [0, 1, 2, 3]
-
-    def test_too_few_domains(self):
-        with pytest.raises(ValueError):
-            bench.leave_one_out_splits([0])
-
-
 def drawn_domain(priors, n, seed):
     """A 3-class domain of ``n`` rows whose labels are drawn from ``priors``
     (None: uniform), every class at least once."""

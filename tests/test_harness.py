@@ -278,6 +278,7 @@ class TestRunExperiment:
         r1 = harness.run_experiment(cfg, ds)
         r2 = harness.run_experiment(cfg, ds)
         assert len(r1.rows) == 3 * 2 * 2  # targets x rows x seeds
+        assert [r[0] for r in r1.rows[::4]] == [0, 1, 2]  # each domain once
         assert r1.rows == r2.rows
 
     def test_report_csv_byte_identical(self, tmp_path):
@@ -354,8 +355,9 @@ class TestCanonicalConfig:
             harness.canonical_experiment_config(bogus=1)
 
     def test_defaults_are_the_canonical_study(self):
-        assert (cli._load_config(None, []) == harness.ExperimentConfig()
-                == harness.canonical_experiment_config())
+        for command in cli.UNREAD:
+            assert (cli._load_config(None, [], command) == harness.ExperimentConfig()
+                    == harness.canonical_experiment_config())
 
 
 class TestSvg:
@@ -396,7 +398,15 @@ class TestCli:
 
     @pytest.mark.parametrize("spec, key", [
         ("num_classes: 0", "num_classes"), ("input_dim: 3", "input_dim"),
-        ("num_domains: 0", "num_domains")])
+        ("num_domains: 0", "num_domains"),
+        ("noise_sigma: -1", "noise_sigma"), ("latent_sigma: -1", "latent_sigma"),
+        ("input_dim: 4.5", "input_dim"), ("num_classes: 2.5", "num_classes"),
+        ("num_classes: true", "num_classes"), ("n_samples: 1e9", "n_samples"),
+        ("rotations_deg: 5", "rotations_deg"),
+        ("scales: [1.0, x, 1.0, 1.0]", "scales"),
+        ("scales: [.inf, 1.0, 1.0, 1.0]", "scales"),
+        ("noise_sigma: .nan", "noise_sigma"),
+        ("base_seed: -1", "base_seed"), ("base_seed: 1.5", "base_seed")])
     def test_bench_gen_bad_spec_is_config_error(self, tmp_path, monkeypatch,
                                                 capsys, spec, key):
         (tmp_path / "spec.yaml").write_text(spec + "\n")
@@ -431,17 +441,24 @@ class TestCli:
                                                  ("ablate", "report.csv")])
     def test_resolved_config_loads_back(self, tmp_path, monkeypatch, capsys,
                                         command, output):
-        sets = ["iterations=2", "seeds=[0]", "targets=[3]",
-                "rows=[[true, false, true]]", "alpha=1e-3",
-                "feature_widths=[10, 6]", "metric_widths=[8, 4]",
+        # each verb is given only the keys it reads
+        sets = ["iterations=2", "alpha=1e-3", "feature_widths=[10, 6]",
+                "metric_widths=[8, 4]",
                 "bench_overrides={shifts: [0.0, 0.1, 0.2, 0.3]}"]
-        args = [command, "--set", sets[0]]
         if command == "train":
-            args += ["--seed", "0", "--target", "3"]
+            sets += ["episodic=true", "use_global=false", "use_local=true"]
+            args = [command, "--seed", "0", "--target", "3"]
+        else:
+            sets += ["seeds=[0]", "targets=[3]", "rows=[[true, false, true]]"]
+            args = [command]
+        args += ["--set", sets[0]]
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "first"))
         assert cli.main(args + [a for s in sets[1:] for a in ("--set", s)]) == 0
         resolved = tmp_path / "first" / "resolved_config.yaml"
-        assert cli._load_config(str(resolved), []) == cli._load_config(None, sets)
+        assert set(yaml.safe_load(resolved.read_text())).isdisjoint(
+            cli.UNREAD[command])
+        assert (cli._load_config(str(resolved), [], command)
+                == cli._load_config(None, sets, command))
 
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "second"))
         assert cli.main(args + ["--config", str(resolved)]) == 0
@@ -583,7 +600,7 @@ class TestCli:
         path = tmp_path / "cfg.yaml"
         path.write_text("alpha: 1e-5\ngamma: 2\nbatch_size: 1e2\n"
                         "iterations: '7'\ntrain_fraction: 1\n")
-        config = cli._load_config(str(path), ["eta=3E-4"])
+        config = cli._load_config(str(path), ["eta=3E-4"], "train")
         assert (config.hp.alpha, config.hp.eta) == (1e-5, 3e-4)
         assert type(config.hp.gamma) is float and config.hp.gamma == 2.0
         assert type(config.hp.batch_size) is int and config.hp.batch_size == 100
@@ -595,7 +612,7 @@ class TestCli:
     def test_unconvertible_number_names_key(self, item):
         key = item.split("=")[0]
         with pytest.raises(ValueError, match=f"config key '{key}'"):
-            cli._load_config(None, [item])
+            cli._load_config(None, [item], "train")
 
     def test_unconvertible_number_in_file_is_config_error(self, tmp_path,
                                                           monkeypatch, capsys):
@@ -644,6 +661,15 @@ class TestCli:
         ("targets=3", "targets"),
         ("bench_overrides=[1]", "bench_overrides"),
         ("n_meta_train=1", "n_meta_train"),
+        ("bench_overrides={noise_sigma: -1}", "noise_sigma"),
+        ("bench_overrides={latent_sigma: -1}", "latent_sigma"),
+        ("bench_overrides={input_dim: 4.5}", "input_dim"),
+        ("bench_overrides={num_classes: 2.5}", "num_classes"),
+        ("bench_overrides={n_samples: 1e9}", "n_samples"),
+        ("bench_overrides={rotations_deg: 5}", "rotations_deg"),
+        ("bench_overrides={base_seed: -1}", "base_seed"),
+        ("bench_overrides={base_seed: 1.5}", "base_seed"),
+        ("bench_overrides={latent_sigma: .inf}", "latent_sigma"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, monkeypatch, capsys,
                                        command, item, key):
@@ -652,6 +678,54 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert not any(tmp_path.iterdir())  # no resolved_config.yaml either
+
+    @pytest.mark.parametrize("command, item", [
+        (command, item) for command, items in [
+            ("train", ["rows=[[true, true, true]]", "seeds=[0]", "targets=[3]",
+                       "n_meta_train=2"]),
+            ("ablate", ["episodic=false", "use_global=false", "use_local=false",
+                        "n_meta_train=2"])]
+        for item in items])
+    def test_unread_key_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                        command, item):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        assert cli.main([command, "--set", "iterations=1", "--set", item]) == 1
+        err = capsys.readouterr().err
+        key = item.split("=")[0]
+        assert err == f"config error: config keys ['{key}'] are not read by {command}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_ablate_resolved_config_is_not_a_train_config(self, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "ablate"))
+        assert cli.main(["ablate", "--set", "iterations=1", "--set", "seeds=[0]",
+                         "--set", "targets=[3]",
+                         "--set", "rows=[[false, false, false]]"]) == 0
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "train"))
+        resolved = tmp_path / "ablate" / "resolved_config.yaml"
+        assert cli.main(["train", "--config", str(resolved)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'rows'" in err
+        assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("args, flag", [
+        (["train", "--bogus"], "--bogus"), (["train", "--seed", "abc"], "--seed"),
+        (["eval"], "--ckpt"), (["frobnicate"], "frobnicate"),
+        (["bench-gen", "--seed", "7"], "--seed"), ([], "command")])
+    def test_usage_error_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                         args, flag):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [["--help"], ["train", "--help"]])
+    def test_help_exits_0(self, capsys, args):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(args)
+        assert exit_info.value.code == 0
+        assert "usage: masf" in capsys.readouterr().out
 
     @pytest.mark.parametrize("args", [["train", "--target", "9"],
                                       ["ablate", "--set", "targets=[0, 9]"]])
