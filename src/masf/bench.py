@@ -54,6 +54,16 @@ class DomainSpec:
             raise ValueError("need at least 2 samples per class")
 
 
+def as_labels(labels) -> np.ndarray:
+    """``labels`` as an int64 array; a ValueError if one is not a whole number."""
+    values = np.asarray(labels)
+    if values.dtype.kind not in "biu":
+        whole = np.isfinite(values) & (np.floor(values) == values)
+        if not whole.all():
+            raise ValueError(f"label {values[~whole][0]} is not a whole number")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass
 class DomainDataset:
     features: np.ndarray  # [N, input_dim]
@@ -62,7 +72,7 @@ class DomainDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = as_labels(self.labels)
 
     def __len__(self):
         return len(self.labels)

@@ -7,7 +7,9 @@ pair when there is no split), from one feature forward over the stacked
 rows of all its domains and one weighted sum over all pairs. The caller may
 pass that forward in: the meta step runs it once and the local term reads
 the same features. The local term is metric learning over embeddings:
-contrastive pairs or triplets with online semi-hard mining.
+contrastive pairs or triplets with online semi-hard mining, which orders each
+distance-matrix row by distance, then negatives first, then by column, so a
+positive's semi-hard negative is the next after it. Labels are whole numbers.
 
 Triplet distances come from one Gram matrix G = E E^T of the embeddings:
 d^2(a, b) = G[a, a] + G[b, b] - 2 G[a, b], in NumPy (``_sq_dists``). The
@@ -26,6 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nets
 from .autodiff import Expr
+from .bench import as_labels
 from .nets import ParamSet
 
 log = logging.getLogger(__name__)
@@ -33,7 +36,7 @@ log = logging.getLogger(__name__)
 
 def task_loss(logits: Expr, labels: np.ndarray) -> Expr:
     """Mean cross-entropy of softmax(logits) against integer labels."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_labels(labels)
     n, c = logits.shape
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError("label out of range")
@@ -48,7 +51,7 @@ def class_means(z: Expr, labels: np.ndarray, num_classes: int) -> tuple[Expr, np
     Rows of absent classes are zero and masked out; callers must exclude
     them downstream.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_labels(labels)
     counts = np.bincount(labels, minlength=num_classes)
     sel = np.arange(num_classes)[:, None] == labels
     sel = sel / np.maximum(counts, 1)[:, None]
@@ -92,7 +95,7 @@ def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
     if not pairs:
         raise ValueError("need at least one domain pair")
     ids = sorted({k for pair in pairs for k in pair})
-    labels = [np.asarray(batches[k][1], dtype=np.int64) for k in ids]
+    labels = [as_labels(batches[k][1]) for k in ids]
     if any(l.min() < 0 or l.max() >= num_classes for l in labels):
         raise ValueError("label out of range")
     if z is None:
@@ -129,7 +132,7 @@ def contrastive_loss(embeddings: Expr, labels: np.ndarray, margin: float,
 
     Same-class pairs contribute d^2, different-class pairs (max(0, xi-d))^2.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_labels(labels)
     _check_local_batch(embeddings.shape, labels)
     n = embeddings.shape[0]
     if n < 2:
@@ -142,7 +145,7 @@ def contrastive_loss(embeddings: Expr, labels: np.ndarray, margin: float,
 def contrastive_loss_on_pairs(embeddings: Expr, labels: np.ndarray,
                               first: np.ndarray, second: np.ndarray,
                               margin: float) -> Expr:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_labels(labels)
     a = ad.select_rows(embeddings, first)
     b = ad.select_rows(embeddings, second)
     d2 = _row_sq_dists(a, b)
@@ -187,28 +190,6 @@ def _check_local_batch(shape: tuple[int, ...], labels: np.ndarray) -> None:
         raise ValueError(f"{labels.size} labels for {shape[0]} embedding rows")
 
 
-def _sort_rows(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort every row of ``dist``, equal distances in column order.
-
-    Returns ``order`` [N, N], each row's flat positions ``row * N + column``
-    from nearest to farthest; ``run`` [N, N - 1], true where slot j + 1 holds
-    the distance of slot j (the NaNs, which sort last, count as one
-    distance); and the rows where ``run`` is true anywhere. One quicksort
-    orders all rows; it leaves equal distances in any order, so only those
-    rows are sorted again, stably.
-    """
-    n = dist.shape[0]
-    rows = np.arange(0, n * n, n)[:, None]
-    order = dist.argsort(axis=1)
-    order += rows
-    sorted_d = dist.take(order)
-    run = sorted_d[:, 1:] == sorted_d[:, :-1]
-    run |= np.isnan(sorted_d[:, :-1])
-    tied = np.flatnonzero(run.any(axis=1))
-    order[tied] = dist[tied].argsort(axis=1, kind="stable") + rows[tied]
-    return order, run, tied
-
-
 def mine_semihard_triplets(embedding_values: np.ndarray,
                            labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Semi-hard mining over a batch (pure numpy, no gradient flow).
@@ -220,15 +201,15 @@ def mine_semihard_triplets(embedding_values: np.ndarray,
     distance always takes the fallback. Triplets come ordered by anchor, then
     by positive.
 
-    One row sort serves every anchor (``_sort_rows``: a quicksort, and a
-    stable re-sort of the rows with equal distances only). A running count
-    of negatives along each sorted row, carried over a run of equal
-    distances to the run's end, gives for every positive the number c of
-    negatives no farther than it: the pick is the row's c-th negative in
-    sorted order (from 0), or, when c is the row's negative count, the first
-    negative of the last run that holds one.
+    Every row of the distance matrix is put in one order: by distance (NaNs
+    last, equal to each other), then negatives before positives, then by
+    column. The negatives before a positive are then exactly the negatives no
+    farther than it, so the running count c of negatives at its slot picks
+    the row's c-th negative (from 0), the nearest one farther than it. When
+    c is the row's negative count, the pick is the row's first negative at
+    its farthest negative distance; on an untied row, its last negative.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_labels(labels)
     _check_local_batch(np.shape(embedding_values), labels)
     n = labels.size
     neg = labels[:, None] != labels
@@ -239,24 +220,31 @@ def mine_semihard_triplets(embedding_values: np.ndarray,
     anchors, positives = np.divmod(flat, n)
     if flat.size == 0:
         return anchors, positives, flat  # all three empty
-    # the float [N, N] buffers die in the call, before the integer ones are
-    # built: fewer live buffers, fewer pages the heap must fault in anew
-    order, run, tied = _sort_rows(distance_matrix(embedding_values))
+    dist = distance_matrix(embedding_values)
+    # a quicksort orders the rows with distinct distances; the rows where
+    # two are equal, or that hold a NaN, are sorted again on both keys by a
+    # stable lexsort, which keeps equal keys in column order
+    rows = np.arange(0, n * n, n)[:, None]
+    order = dist.argsort(axis=1)
+    order += rows  # flat positions row * N + column
+    sorted_d = dist.take(order)
+    tied = (sorted_d[:, 1:] == sorted_d[:, :-1]).any(axis=1)
+    tied = np.flatnonzero(tied | np.isnan(sorted_d[:, -1]))
+    tied_d, tied_neg = dist[tied], neg[tied]
+    del dist, sorted_d  # fewer live [N, N] buffers
+    order[tied] = np.lexsort((~tied_neg, tied_d)) + rows[tied]
     is_neg = neg.take(order)
-    # negatives at or before each slot; on tied rows every slot takes the
-    # count at the last slot of its run
-    count = np.cumsum(is_neg, axis=1, dtype=np.int32)
-    last = np.where(run[tied], n - 1, np.arange(n - 1))
-    last = np.minimum.accumulate(last[:, ::-1], axis=1)[:, ::-1]
-    count[tied, :-1] = np.take_along_axis(count[tied], last, axis=1)
+    count = np.cumsum(is_neg, axis=1, dtype=np.int32)  # negatives up to each slot
     q = count[:, -1]  # negatives per row
     by_column = np.empty_like(count)
     by_column.ravel()[order] = count
     c = by_column.ravel()[flat]  # negatives no farther than each positive
-    # the fallback comes after every negative nearer than the farthest
-    run_start = np.argmax(count == q[:, None], axis=1)
-    nearer = np.where(run_start > 0, count[np.arange(n), run_start - 1], 0)
-    k = np.where(c < q[anchors], c, nearer[anchors])
+    # far: the fallback's rank among the row's negatives (argmax takes the first
+    # maximum, a NaN first); c < q implies c <= far: min(c, far) is either pick
+    far = q - 1
+    far_column = np.where(tied_neg, tied_d, -np.inf).argmax(axis=1)
+    far[tied] = by_column[tied, far_column] - 1
+    k = np.minimum(c, far[anchors])
     # every row's negatives, nearest first, one row after the other
     nearest = order.ravel().compress(is_neg.ravel())
     start = np.cumsum(q) - q
@@ -283,12 +271,13 @@ def triplet_loss_semihard(embeddings: Expr, labels: np.ndarray,
     d2 = _sq_dists(embeddings.value).ravel()
     ap, an = anchors * n + positives, anchors * n + negatives
     active = (d2[ap] - d2[an]) + margin > 0.0
-    # w holds -T W in integers, so w + w^T with its column sums taken off
-    # the diagonal is T L (a column sum of W^T is a row sum of W)
+    # w holds -T W in integers, so w + w^T with its column sums taken off the
+    # diagonal is T L (a column sum of W^T is a row sum of W), exact in float64
     w = np.bincount(an[active], minlength=n * n)
     w -= np.bincount(ap[active], minlength=n * n)
     w = w.reshape(n, n)
-    lap = w + w.T
+    lap = np.add(w, w.T, dtype=np.float64)
     lap.flat[::n + 1] -= lap.sum(axis=0)
-    quad = ad.reduce_sum(ad.mul(embeddings, ad.matmul(ad.const(lap / t), embeddings)))
+    lap /= t
+    quad = ad.reduce_sum(ad.mul(embeddings, ad.matmul(ad.const(lap), embeddings)))
     return ad.add(quad, ad.const(margin * np.count_nonzero(active) / t))

@@ -98,6 +98,19 @@ def reference_label_counts(num_classes, n):
     return counts
 
 
+class TestDomainDataset:
+    @pytest.mark.parametrize("labels", [[0.9, 2.5], [0, np.nan], [1, np.inf]])
+    def test_labels_not_whole_numbers_rejected(self, labels):
+        with pytest.raises(ValueError, match="is not a whole number"):
+            bench.DomainDataset(np.zeros((2, 3)), labels, 0)
+
+    @pytest.mark.parametrize("labels, want", [([0.0, 2.0], [0, 2]), ([], [])])
+    def test_integral_float_and_empty_labels_accepted(self, labels, want):
+        ds = bench.DomainDataset(np.zeros((len(labels), 3)), labels, 0)
+        assert ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.labels, want)
+
+
 def label_counts(num_classes, n):
     ds = bench.make_domain(small_spec(num_classes=num_classes, n_samples=n), 0)
     return np.bincount(ds.labels, minlength=num_classes)

@@ -53,6 +53,13 @@ class TestTaskLoss:
         with pytest.raises(ValueError):
             losses.task_loss(ad.leaf(np.zeros((2, 3))), [0, 3])
 
+    def test_labels_not_whole_numbers_rejected(self):
+        # int64 casting would score classes 0 and 2
+        with pytest.raises(ValueError, match="label 0.9 is not a whole number"):
+            losses.task_loss(ad.leaf(np.zeros((2, 3))), [0.9, 2.5])
+        loss = losses.task_loss(ad.leaf(np.zeros((2, 3))), [0.0, 2.0])
+        assert float(loss.value) == pytest.approx(np.log(3.0), abs=1e-12)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(8, 3))
@@ -607,9 +614,17 @@ def make_mining_batch(seed, n, dim, num_classes, kind):
     elif kind == "nan":  # NaN rows: NaN distances sort last
         e = rng.normal(size=(n, dim))
         e[rng.random(n) < 0.2] = np.nan
-    else:
+    else:  # "partly_tied" and "pos_neg_tie"
         e = partly_tied_batch(rng, max(n, 3), dim)[:n]
-    return e, rng.integers(0, num_classes, size=n)
+    labels = rng.integers(0, num_classes, size=n)
+    if kind == "pos_neg_tie" and n >= 3:
+        # row 0's tie is a positive (1) and a negative (2) at one distance
+        labels[1:3] = labels[0], labels[0] + 1
+    return e, labels
+
+
+MINING_KINDS = ["float", "grid", "duplicated", "identical", "partly_tied",
+                "pos_neg_tie", "nan"]
 
 
 def assert_same_as_sorted_reference(e, labels):
@@ -621,15 +636,70 @@ def assert_same_as_sorted_reference(e, labels):
     return got
 
 
+def assert_semihard_rule(e, labels):
+    """Check the miner against its rule, read off the distances alone: for
+    each same-class pair (a, p), a != p, of an anchor with a negative, in
+    row-major order, the pick is the nearest negative strictly farther than
+    p, lowest index first; if there is none, the farthest negative, lowest
+    index first. A NaN distance is farther than any number."""
+    labels = np.asarray(labels)
+    a, p, n = losses.mine_semihard_triplets(e, labels)
+    neg = labels[:, None] != labels
+    pair = ~neg & ~np.eye(labels.size, dtype=bool) & neg.any(axis=1)[:, None]
+    want_a, want_p = np.nonzero(pair)
+    np.testing.assert_array_equal(a, want_a)
+    np.testing.assert_array_equal(p, want_p)
+    key = np.nan_to_num(losses.distance_matrix(e), nan=np.inf)
+    for anchor in np.unique(a):
+        rows = a == anchor
+        d = key[anchor]
+        d_pos = d[p[rows]][:, None]
+        farther = neg[anchor] & (d > d_pos)  # [positives, N]
+        nearest = np.where(farther, d, np.inf).min(axis=1, keepdims=True)
+        semihard = np.argmax(farther & (d == nearest), axis=1)
+        fallback = np.argmax(neg[anchor] & (d == d[neg[anchor]].max()))
+        want = np.where(farther.any(axis=1), semihard, fallback)
+        np.testing.assert_array_equal(n[rows], want)
+
+
 class TestRowSortMiner:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 150),
            dim=st.integers(1, 8), num_classes=st.integers(1, 7),
-           kind=st.sampled_from(["float", "grid", "duplicated", "identical",
-                                 "partly_tied", "nan"]))
+           kind=st.sampled_from(MINING_KINDS))
     def test_matches_sorted_reference(self, seed, n, dim, num_classes, kind):
         e, labels = make_mining_batch(seed, n, dim, num_classes, kind)
         assert_same_as_sorted_reference(e, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 150),
+           dim=st.integers(1, 8), num_classes=st.integers(1, 7),
+           kind=st.sampled_from(MINING_KINDS))
+    def test_picks_follow_the_semihard_rule(self, seed, n, dim, num_classes,
+                                            kind):
+        e, labels = make_mining_batch(seed, n, dim, num_classes, kind)
+        assert_semihard_rule(e, labels)
+
+    @pytest.mark.parametrize("x, labels, negative", [
+        # positive 1 and negative 2 both at 1: the pick is 3, at 2
+        ([0, 1, -1, 2], [0, 0, 1, 1], 3),
+        # negatives 2 and 3 both at 2, the next distance past 1: the pick is 2
+        ([0, 1, 2, -2, 3], [0, 0, 1, 1, 1], 2),
+        # ... and with the lower index on the other side of the anchor
+        ([0, 1, -2, 2, 3], [0, 0, 1, 1, 1], 2),
+        # no negative past 5; negatives 3 and 4 both at the farthest, 2:
+        # the fallback is 3
+        ([0, 5, 1, 2, -2], [0, 0, 1, 1, 1], 3),
+        # the positive ties the farthest negatives: the fallback is 2
+        ([0, 2, -2, 1, 2], [0, 0, 1, 1, 1], 2),
+    ], ids=["negative_at_positive_distance", "next_distance_tie",
+            "next_distance_tie_mirrored", "farthest_tie_fallback",
+            "positive_at_farthest_tie"])
+    def test_ties(self, x, labels, negative):
+        e = np.array(x, float)[:, None]
+        a, p, n = assert_same_as_sorted_reference(e, labels)
+        assert_same_triplets(e, labels)
+        assert n[(a == 0) & (p == 1)].tolist() == [negative]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_stable_resort_of_a_strict_subset_of_rows(self, seed):
@@ -656,9 +726,10 @@ class TestRowSortMiner:
 
     @pytest.mark.parametrize("e, labels", [
         (np.zeros((0, 3)), np.zeros(0, dtype=int)),
+        (np.zeros((0, 3)), []),
         (np.arange(8.0).reshape(4, 2), [2, 2, 2, 2]),
         (np.arange(8.0).reshape(4, 2), [0, 1, 2, 3]),
-    ], ids=["empty", "one_class", "singletons"])
+    ], ids=["empty", "empty_list", "one_class", "singletons"])
     def test_no_triplet_gives_empty_int64_arrays(self, e, labels):
         for x in losses.mine_semihard_triplets(e, labels):
             assert x.dtype == np.int64 and x.shape == (0,)
@@ -675,6 +746,23 @@ class TestRowSortMiner:
         with pytest.raises(ValueError, match=message):
             losses.contrastive_loss(ad.leaf(e), labels, 1.0,
                                     np.random.default_rng(0))
+
+    def test_labels_not_whole_numbers_rejected(self):
+        # int64 casting would put 0.2 and 0.5 in one class
+        e = np.random.default_rng(0).normal(size=(6, 2))
+        labels = [0.5, 0.5, 1.7, 1.7, 0.2, 1.2]
+        with pytest.raises(ValueError, match="label 0.5 is not a whole number"):
+            losses.mine_semihard_triplets(e, labels)
+        with pytest.raises(ValueError, match="label 0.5 is not a whole number"):
+            losses.triplet_loss_semihard(ad.leaf(e), labels, 1.0)
+        with pytest.raises(ValueError, match="label 0.5 is not a whole number"):
+            losses.contrastive_loss(ad.leaf(e), labels, 1.0,
+                                    np.random.default_rng(0))
+        whole = [0.0, 0.0, 1.0, 1.0, 2.0, 1.0]
+        for g, w in zip(losses.mine_semihard_triplets(e, whole),
+                        losses.mine_semihard_triplets(e, [0, 0, 1, 1, 2, 1])):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
 
     @pytest.mark.parametrize("shape", [(6,), (6, 2, 1)])
     def test_embeddings_not_2d_rejected(self, shape):
