@@ -243,36 +243,41 @@ _PER_DOMAIN = {"rotations_deg": "rotation_deg", "scales": "scale",
                "shifts": "shift"}
 
 
-def _is_number(v) -> bool:
-    """An int, or a finite float; a bool is not a number."""
-    return type(v) is int or (type(v) is float and math.isfinite(v))
+def _number(v):
+    """``v`` as an int or finite float, else None; a bool is not a number,
+    and a string is read as a float (YAML reads ``1e-5`` as a string)."""
+    try:
+        v = float(v) if type(v) is str else v
+    except ValueError:
+        return None
+    return v if type(v) is int or type(v) is float and math.isfinite(v) else None
 
 
-def _check_override(key: str, value) -> None:
-    """A ValueError naming ``key`` if ``value`` is not of the kind of its
-    CANONICAL value, or is a negative sigma or seed."""
+def _override(key: str, value):
+    """``value`` as the kind of ``key``'s CANONICAL value; a ValueError naming
+    ``key`` if it is not of that kind, or is a negative sigma or seed."""
     if key in _PER_DOMAIN:
-        kind, fits = "a list of finite numbers", isinstance(value, list) and all(
-            map(_is_number, value))
+        read = list(map(_number, value)) if isinstance(value, list) else [None]
+        kind, read = "a list of finite numbers", None if None in read else read
     elif type(CANONICAL[key]) is int:
-        kind, fits = "an int", type(value) is int
+        kind, read = "an int", value if type(value) is int else None
     else:
-        kind, fits = "a finite number", _is_number(value)
-    if not fits:
+        kind, read = "a finite number", _number(value)
+    if read is None:
         raise ValueError(f"benchmark key {key!r} expects {kind}, got {value!r}")
-    if key in ("noise_sigma", "latent_sigma", "base_seed") and value < 0:
+    if key in ("noise_sigma", "latent_sigma", "base_seed") and read < 0:
         raise ValueError(f"benchmark key {key!r} must be non-negative, got {value!r}")
+    return read
 
 
 def canonical_domain_specs(overrides: dict | None = None) -> list[DomainSpec]:
     """The canonical domain specs with ``overrides`` (keys of CANONICAL)
     applied; a bad key or value is a ValueError that names the key."""
-    cfg = {**CANONICAL, **(overrides or {})}
-    unknown = set(cfg) - set(CANONICAL)
+    overrides = overrides or {}
+    unknown = set(overrides) - set(CANONICAL)
     if unknown:
         raise ValueError(f"unknown benchmark keys: {sorted(unknown)}")
-    for key, value in (overrides or {}).items():
-        _check_override(key, value)
+    cfg = {**CANONICAL, **{k: _override(k, v) for k, v in overrides.items()}}
     n, _ = cfg.pop("num_domains"), cfg.pop("base_seed")
     if n < 1:
         raise ValueError(f"num_domains must be at least 1, got {n}")

@@ -17,7 +17,7 @@ touch the data stream, so all ablation rows of one seed see identical data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -61,6 +61,9 @@ class Hyperparams:
     use_local: bool = True
 
     def validate(self, num_classes: int | None = None) -> None:
+        for f in fields(self):  # a NaN would pass every check below
+            if f.type == "float" and not np.isfinite(value := getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a finite number, got {value}")
         if min(self.alpha, self.eta, self.gamma) <= 0:
             raise ValueError("learning rates must be positive")
         if self.beta1 < 0 or self.beta2 < 0:

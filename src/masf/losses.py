@@ -4,19 +4,19 @@ The global term aligns per-domain soft confusion matrices (temperature-
 softened class predictions of class-mean features) with a symmetrized KL
 divergence, averaged over domain pairs (meta-train x meta-test, or every
 pair when there is no split), from one feature forward over the stacked
-rows of all its domains and one weighted sum over all pairs. The caller may
-pass that forward in: the meta step runs it once and the local term reads
-the same features. The local term is metric learning over embeddings:
-contrastive pairs or triplets with online semi-hard mining, which orders each
-distance-matrix row by distance, then negatives first, then by column, so a
-positive's semi-hard negative is the next after it. Labels are whole numbers.
+rows of all its domains, which the local term may share. The local term is
+metric learning over embeddings: contrastive pairs or triplets with online
+semi-hard mining, which orders each distance-matrix row by distance, then
+negatives first, then by column, so a positive's semi-hard negative is the
+next after it. Labels are whole numbers.
+
+Both semantic terms are one pairwise quadratic form (``_pair_form``): of
+the soft rows and their logs, and of the embeddings with themselves.
 
 Triplet distances come from one Gram matrix G = E E^T of the embeddings:
 d^2(a, b) = G[a, a] + G[b, b] - 2 G[a, b], in NumPy (``_sq_dists``). The
 miner, the silhouette and the triplet hinge's choice of active triplets all
-read that one rule. The hinge itself is a quadratic form in the embeddings:
-the active triplets fold into a constant Laplacian L, and the graph is
-sum(E * (L @ E)) plus a constant, four op nodes of which none is [N, N].
+read that one rule.
 """
 
 from __future__ import annotations
@@ -77,6 +77,17 @@ def symm_kl(p: Expr, q: Expr) -> Expr:
     return ad.mul(ad.const(0.5), ad.reduce_sum(ad.mul(diff, logdiff)))
 
 
+def _pair_form(a: Expr, b: Expr, w: np.ndarray, scale: float) -> Expr:
+    """sum_ij -w[i, j] / scale * (a_i - a_j).(b_i - b_j) over rows [N, k],
+    as sum(a * (L @ b)): L * scale is w + w^T with its column sums (a column
+    sum of w^T is a row sum of w) taken off the diagonal, exact in float64
+    for integer ``w``. No graph node is [N, N]."""
+    lap = np.add(w, w.T, dtype=np.float64)
+    lap.flat[::len(w) + 1] -= lap.sum(axis=0)
+    lap /= scale
+    return ad.reduce_sum(ad.mul(a, ad.matmul(ad.const(lap), b)))
+
+
 def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
                           tau: float, num_classes: int, *,
                           z: Expr | None = None) -> Expr:
@@ -85,11 +96,10 @@ def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
 
     ``batches`` maps a domain id to its (features [N, d_in], labels [N])
     batch. The D domains the pairs name are stacked in sorted id order and
-    give one [D*C, C] soft matrix of (domain, class) cells; every pair's
-    class blocks are gathered from it and summed with one weight vector.
-    ``z`` is F_psi of that stack, if the caller has it already (the meta
-    step shares it with the local loss); otherwise the stack goes through
-    the feature extractor here.
+    give one [D*C, C] soft matrix S of (domain, class) cells, and the loss
+    is the pair form of S and log S over cell pairs. ``z`` is F_psi of that
+    stack, if the caller has it already (the meta step shares it with the
+    local loss); otherwise the stack goes through the feature extractor here.
     """
     pairs = list(pairs)
     if not pairs:
@@ -104,22 +114,16 @@ def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
     cells = np.concatenate([p * num_classes + l for p, l in enumerate(labels)])
     means, present = class_means(z, cells, len(ids) * num_classes)
     soft = soft_label_matrix(theta, means, tau)
-    log_soft = ad.log(soft)
-
-    # rows[p, s] holds the soft-matrix rows of side s (i or j) of pair p
-    blocks = np.array([[ids.index(i), ids.index(j)] for i, j in pairs])
-    rows = blocks[:, :, None] * num_classes + np.arange(num_classes)
-    shared = present[rows[:, 0]] & present[rows[:, 1]]
-    counts = shared.sum(axis=1, keepdims=True)
-    if not counts.all():
-        raise ValueError("no shared class between a domain pair")
-    i_rows, j_rows = rows[:, 0].ravel(), rows[:, 1].ravel()
-    diff = ad.sub(ad.select_rows(soft, i_rows), ad.select_rows(soft, j_rows))
-    logdiff = ad.sub(ad.select_rows(log_soft, i_rows),
-                     ad.select_rows(log_soft, j_rows))
-    weights = 0.5 * shared / (counts * len(pairs))
-    return ad.reduce_sum(ad.mul(ad.reduce_sum(ad.mul(diff, logdiff), axis=1),
-                                ad.const(weights.ravel())))
+    # a row's symmetrized KL is half of (S_r - S_s).(log S_r - log S_s), so
+    # each pair puts -1/(shared classes) on its cells r, s of each shared class
+    w = np.zeros((soft.shape[0],) * 2)
+    for pair in pairs:
+        r, s = (ids.index(k) * num_classes + np.arange(num_classes) for k in pair)
+        shared = present[r] & present[s]
+        if not shared.any():
+            raise ValueError("no shared class between a domain pair")
+        w[r[shared], s[shared]] -= 1.0 / shared.sum()
+    return _pair_form(soft, ad.log(soft), w, 2 * len(pairs))
 
 
 def _row_sq_dists(a: Expr, b: Expr) -> Expr:
@@ -258,9 +262,8 @@ def triplet_loss_semihard(embeddings: Expr, labels: np.ndarray,
     A triplet is active when its hinge, taken from the miner's d^2 rule
     (``_sq_dists``), is above 0; a hinge of exactly 0 is not. Each active
     triplet adds +1/T to W[a, p] and -1/T to W[a, n], so the mean of their
-    d(a,p)^2 - d(a,n)^2 is sum_ab W[a, b] d^2(a, b), which is the quadratic
-    form sum(E * (L @ E)) with the Laplacian L = diag(rowsum W + colsum W)
-    - W - W^T. Each active triplet adds xi / T on top.
+    d(a,p)^2 - d(a,n)^2 is sum_ab W[a, b] d^2(a, b), the pair form of E with
+    itself with whole-count weights -T W, plus xi / T per active triplet.
     """
     anchors, positives, negatives = mine_semihard_triplets(
         embeddings.value, labels)
@@ -271,13 +274,7 @@ def triplet_loss_semihard(embeddings: Expr, labels: np.ndarray,
     d2 = _sq_dists(embeddings.value).ravel()
     ap, an = anchors * n + positives, anchors * n + negatives
     active = (d2[ap] - d2[an]) + margin > 0.0
-    # w holds -T W in integers, so w + w^T with its column sums taken off the
-    # diagonal is T L (a column sum of W^T is a row sum of W), exact in float64
     w = np.bincount(an[active], minlength=n * n)
     w -= np.bincount(ap[active], minlength=n * n)
-    w = w.reshape(n, n)
-    lap = np.add(w, w.T, dtype=np.float64)
-    lap.flat[::n + 1] -= lap.sum(axis=0)
-    lap /= t
-    quad = ad.reduce_sum(ad.mul(embeddings, ad.matmul(ad.const(lap), embeddings)))
+    quad = _pair_form(embeddings, embeddings, w.reshape(n, n), t)
     return ad.add(quad, ad.const(margin * np.count_nonzero(active) / t))

@@ -292,6 +292,18 @@ class TestCanonical:
         with pytest.raises(ValueError, match="'rotations_deg'.*num_domains=5"):
             bench.canonical_datasets({"num_domains": 5})
 
+    def test_exponent_strings_read_as_floats(self):
+        # YAML 1.1 reads 1e-5 as a string; int keys still take only ints
+        specs = bench.canonical_domain_specs(
+            {"noise_sigma": "1e-5", "scales": [1, "1e-1", 1, 1]})
+        assert specs == bench.canonical_domain_specs(
+            {"noise_sigma": 1.0e-5, "scales": [1, 0.1, 1, 1]})
+        assert all(type(s.noise_sigma) is float for s in specs)
+        for overrides in [{"n_samples": "1e3"}, {"noise_sigma": "nan"},
+                          {"scales": [1, "inf", 1, 1]}, {"noise_sigma": "x"}]:
+            with pytest.raises(ValueError, match=repr(next(iter(overrides)))):
+                bench.canonical_domain_specs(overrides)
+
     def test_spec_file_matches_builtin(self, tmp_path):
         path = tmp_path / "spec.yaml"
         path.write_text(yaml.safe_dump(bench.CANONICAL, sort_keys=False))

@@ -33,33 +33,33 @@ CONFIGS = {  # batch size per source domain, local loss on or off
 BUDGET = {
     "full_triplet": {
         "graph": {"add": 14, "broadcast": 2, "const": 37, "div": 2, "exp": 3,
-                  "gather_rows": 5, "leaf": 10, "log": 3, "matmul": 15,
-                  "mul": 17, "neg": 1, "relu": 5, "reshape": 3,
-                  "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 12,
-                  "sum": 7, "sum_to": 3, "transpose": 5},
-        "values": {"add": 27, "broadcast": 12, "div": 10, "matmul": 27,
-                   "mul": 39, "neg": 13, "reshape": 9, "scatter_rows": 5,
-                   "sum_to": 12, "transpose": 31},
+                  "gather_rows": 1, "leaf": 10, "log": 3, "matmul": 16,
+                  "mul": 16, "neg": 1, "relu": 5, "reshape": 3,
+                  "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 10,
+                  "sum": 6, "sum_to": 3, "transpose": 5},
+        "values": {"add": 25, "broadcast": 11, "div": 10, "matmul": 28,
+                   "mul": 38, "neg": 11, "reshape": 8, "scatter_rows": 1,
+                   "sum_to": 12, "transpose": 32},
     },
     "episodic_global": {
         "graph": {"add": 10, "broadcast": 2, "const": 29, "div": 1, "exp": 3,
-                  "gather_rows": 5, "leaf": 6, "log": 3, "matmul": 12,
-                  "mul": 15, "neg": 1, "relu": 4, "reshape": 2,
-                  "scatter_rows": 1, "sub": 12, "sum": 5, "sum_to": 3,
+                  "gather_rows": 1, "leaf": 6, "log": 3, "matmul": 13,
+                  "mul": 14, "neg": 1, "relu": 4, "reshape": 2,
+                  "scatter_rows": 1, "sub": 10, "sum": 4, "sum_to": 3,
                   "transpose": 5},
-        "values": {"add": 22, "broadcast": 8, "div": 4, "matmul": 20,
-                   "mul": 24, "neg": 11, "reshape": 5, "scatter_rows": 5,
-                   "sum_to": 8, "transpose": 24},
+        "values": {"add": 20, "broadcast": 7, "div": 4, "matmul": 21,
+                   "mul": 23, "neg": 9, "reshape": 4, "scatter_rows": 1,
+                   "sum_to": 8, "transpose": 25},
     },
     "wide_triplet": {
         "graph": {"add": 14, "broadcast": 2, "const": 37, "div": 2, "exp": 3,
-                  "gather_rows": 5, "leaf": 10, "log": 3, "matmul": 15,
-                  "mul": 17, "neg": 1, "relu": 5, "reshape": 3,
-                  "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 12,
-                  "sum": 7, "sum_to": 3, "transpose": 5},
-        "values": {"add": 27, "broadcast": 12, "div": 10, "matmul": 27,
-                   "mul": 39, "neg": 13, "reshape": 9, "scatter_rows": 5,
-                   "sum_to": 12, "transpose": 31},
+                  "gather_rows": 1, "leaf": 10, "log": 3, "matmul": 16,
+                  "mul": 16, "neg": 1, "relu": 5, "reshape": 3,
+                  "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 10,
+                  "sum": 6, "sum_to": 3, "transpose": 5},
+        "values": {"add": 25, "broadcast": 11, "div": 10, "matmul": 28,
+                   "mul": 38, "neg": 11, "reshape": 8, "scatter_rows": 1,
+                   "sum_to": 12, "transpose": 32},
     },
 }
 

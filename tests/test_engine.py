@@ -54,6 +54,16 @@ class TestHyperparams:
         with pytest.raises(ValueError, match=key):
             engine.Hyperparams(**{key: value}).validate()
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", np.nan), ("beta2", np.nan), ("beta1", np.inf),
+        ("tau", np.inf), ("clip_threshold", np.inf), ("xi", -np.inf),
+        ("decay_rate", np.nan)])
+    def test_non_finite_float_rejected_by_make_state(self, key, value):
+        # beta2=nan would skip the local loss: nan > 0 is False
+        hp = small_hp(**{key: value})
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+            engine.make_state(ARCH, hp, 0)
+
 
 class TestSplitDomains:
     def test_partition(self):

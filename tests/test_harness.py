@@ -416,6 +416,21 @@ class TestCli:
         assert err.startswith("config error:") and key in err
         assert not (tmp_path / "out").exists()
 
+    def test_bench_gen_reads_exponent_floats(self, tmp_path, monkeypatch,
+                                             capsys):
+        # YAML 1.1 reads 1e-5 and 1e-1 as strings, 1.0e-5 and 0.1 as floats
+        csv_bytes = []
+        for name, spec in [("exp", "noise_sigma: 1e-5\nscales: [1, 1e-1, 1, 1]\n"),
+                           ("dec", "noise_sigma: 1.0e-5\nscales: [1, 0.1, 1, 1]\n"),
+                           ("canonical", "{}\n")]:
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(spec)
+            monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / name))
+            assert cli.main(["bench-gen", "--spec", str(path)]) == 0
+            csv_bytes.append((tmp_path / name / "benchmark.csv").read_bytes())
+        exp, dec, canonical = csv_bytes
+        assert exp == dec != canonical
+
     def test_train_writes_artifacts(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
         code = cli.main(["train", "--seed", "0", "--target", "3",
@@ -670,6 +685,10 @@ class TestCli:
         ("bench_overrides={base_seed: -1}", "base_seed"),
         ("bench_overrides={base_seed: 1.5}", "base_seed"),
         ("bench_overrides={latent_sigma: .inf}", "latent_sigma"),
+        ("alpha=.nan", "alpha"), ("eta=.inf", "eta"), ("gamma=.nan", "gamma"),
+        ("beta1=.nan", "beta1"), ("beta1=.inf", "beta1"),
+        ("beta2=.nan", "beta2"), ("tau=.inf", "tau"), ("xi=.nan", "xi"),
+        ("clip_threshold=.inf", "clip_threshold"), ("eta=-.inf", "eta"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, monkeypatch, capsys,
                                        command, item, key):

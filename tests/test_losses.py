@@ -993,3 +993,49 @@ class TestTripletQuadraticForm:
                 ops.append(node.op)
                 stack.extend(node.inputs)
         assert sorted(ops) == ["add", "matmul", "mul", "sum"]
+
+
+def direct_pair_sum(a, b, w, scale):
+    """sum_ij -w[i, j] / scale * (a_i - a_j).(b_i - b_j), term by term, and
+    the sum of the terms' magnitudes."""
+    terms = [-w[i, j] / scale * np.dot(a[i] - a[j], b[i] - b[j])
+             for i in range(len(w)) for j in range(len(w))]
+    return sum(terms), sum(map(abs, terms))
+
+
+class TestPairForm:
+    """``losses._pair_form``, the Laplacian form of both semantic losses,
+    against the direct double sum over row pairs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           k=st.integers(1, 5), same=st.booleans(),
+           integer=st.booleans(), scale=st.floats(0.1, 10.0))
+    def test_matches_direct_sum(self, seed, n, k, same, integer, scale):
+        rng = np.random.default_rng(seed)
+        # asymmetric weights, some rows and columns all zero
+        w = rng.integers(-3, 4, size=(n, n)) if integer else rng.normal(size=(n, n))
+        w[rng.random(n) < 0.3] = 0
+        w[:, rng.random(n) < 0.3] = 0
+        a = ad.leaf(rng.normal(size=(n, k)))
+        b = a if same else ad.leaf(rng.normal(size=(n, k)))
+        got = float(losses._pair_form(a, b, w, scale).value)
+        want, magnitude = direct_pair_sum(a.value, b.value, w, scale)
+        # terms of both signs can cancel: rounding is held to their magnitude
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-13 * magnitude)
+        leaves = [a] if same else [a, b]
+        loss = losses._pair_form(a, b, w, scale)
+        assert ad.finite_diff_check(loss, leaves) < 1e-7
+
+    def test_global_loss_gathers_no_rows(self):
+        psi, theta, _ = make_params(3)
+        rng = np.random.default_rng(3)
+        batches = {k: make_batch(rng) for k in range(3)}
+        loss = losses.global_alignment_loss(batches, [(0, 2), (1, 2)], psi,
+                                            theta, 2.0, 3)
+        ops, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            ops.add(node.op)
+            stack.extend(node.inputs)
+        assert not ops & {"gather_rows", "scatter_rows"}
