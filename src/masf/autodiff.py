@@ -27,15 +27,14 @@ Numerical conventions:
   * everything is float64,
   * ``log`` and ``div`` are guarded with an additive epsilon of 1e-12,
   * softmax-style ops go through log-sum-exp with max subtraction,
-  * the row scatter is one ``np.bincount`` over flat positions computed
-    from the index, which sums like ``np.add.at``.
+  * the row scatter is ``np.add.at`` into zeros, so repeated indices sum
+    in input order.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Sequence
@@ -130,17 +129,9 @@ def _fwd_sqrt(attrs, a):
 
 
 def _fwd_scatter_rows(attrs, a):
-    shape, index = attrs["shape"], attrs["index"]
-    # flat position of each picked cell, row-major over the indexed axes,
-    # then of every entry of the axes the index leaves whole
-    bins = index[0]
-    for i, n in zip(index[1:], shape[1:]):
-        bins = bins * n + i
-    inner = math.prod(shape[len(index):])
-    if inner != 1:
-        bins = (bins[:, None] * inner + np.arange(inner)).ravel()
-    size = math.prod(shape)
-    return np.bincount(bins, weights=a.ravel(), minlength=size).reshape(shape)
+    out = np.zeros(attrs["shape"])
+    np.add.at(out, attrs["index"], a)
+    return out
 
 
 _FORWARD: dict[str, Callable] = {
@@ -259,9 +250,8 @@ def reshape(a: Expr, shape: Sequence[int]) -> Expr:
 
 # One indexing primitive and its adjoint. ``index`` is a tuple of integer
 # arrays as in ``a[index]``: (idx,) takes whole rows, (arange(N), idx) takes
-# one entry per row. The scatter is one bincount over the flat positions the
-# index picks, so repeated indices accumulate, in input order as np.add.at
-# into zeros would add them. Each op's VJP is the other one.
+# one entry per row. The scatter is np.add.at into zeros, so repeated indices
+# accumulate in input order. Each op's VJP is the other one.
 
 def _gather(a: Expr, index: tuple) -> Expr:
     return _make("gather_rows", (a,), {"index": index})
@@ -293,9 +283,8 @@ def select_rows(a: Expr, idx: np.ndarray) -> Expr:
 
 # composites
 
-def mean(a: Expr, axis: int | None = None) -> Expr:
-    n = a.value.size if axis is None else a.shape[axis]
-    return mul(reduce_sum(a, axis), const(1.0 / n))
+def mean(a: Expr) -> Expr:
+    return mul(reduce_sum(a), const(1.0 / a.value.size))
 
 
 def log_sum_exp(a: Expr, axis: int | None = None) -> Expr:
@@ -306,15 +295,16 @@ def log_sum_exp(a: Expr, axis: int | None = None) -> Expr:
     return add(log(s), const(np.squeeze(m_val, axis=axis)))
 
 
-def log_softmax(a: Expr, axis: int = -1) -> Expr:
-    if a.value.ndim != 2 or axis not in (1, -1):
-        raise ValueError("log_softmax expects a [N, C] tensor, axis=1")
+def log_softmax(a: Expr) -> Expr:
+    """Row-wise log-softmax of a [N, C] tensor."""
+    if a.value.ndim != 2:
+        raise ValueError("log_softmax expects a [N, C] tensor")
     lse = log_sum_exp(a, axis=1)
     return sub(a, reshape(lse, (a.shape[0], 1)))
 
 
-def softmax(a: Expr, axis: int = -1) -> Expr:
-    return exp(log_softmax(a, axis))
+def softmax(a: Expr) -> Expr:
+    return exp(log_softmax(a))
 
 
 # ---------------------------------------------------------------------------

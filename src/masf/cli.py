@@ -46,20 +46,21 @@ UNREAD = {"train": ("rows", "seeds", "targets", "n_meta_train"),
 def _coerce(key: str, value, declared: str):
     """``value`` as the declared type of config field ``key`` (YAML reads
     ``1e-5`` as a string); a value of another type is a ValueError naming
-    ``key``. Layer widths, seeds and targets are lists of ints."""
+    ``key``. Widths, seeds, rows and targets (or null) are non-empty lists."""
     if declared not in ("int", "float"):
-        ints = isinstance(value, list) and all(type(i) is int and i >= 0
-                                               for i in value)
+        listed = isinstance(value, list) and value != []
+        ints = listed and all(type(i) is int and i >= 0 for i in value)
         expected, fits = {
             "bool": ("true or false", type(value) is bool),
             "str": ("a string", type(value) is str),
             "dict": ("a mapping", type(value) is dict),
             "tuple[int, ...]": ("a non-empty list of positive ints",
-                                ints and value != [] and 0 not in value),
-            "seeds": ("a list of non-negative ints", ints),
-            "targets": ("null or a list of domain ids", value is None or ints),
-            "rows": ("a list of [episodic, global, local] rows of true or false",
-                     isinstance(value, list) and all(
+                                ints and 0 not in value),
+            "seeds": ("a non-empty list of non-negative ints", ints),
+            "targets": ("null or a non-empty list of domain ids",
+                        value is None or ints),
+            "rows": ("a non-empty list of [episodic, global, local] rows of "
+                     "true or false", listed and all(
                          isinstance(r, list) and len(r) == 3
                          and all(type(f) is bool for f in r) for r in value)),
         }[key if key in ("seeds", "targets", "rows") else declared]

@@ -116,11 +116,11 @@ class MetricsRecord:
     inner_grad_norm: float
     outer_grad_norm: float
 
-    FIELDS = ("iteration", "task_loss", "global_loss", "local_loss",
-              "outer_lr", "inner_grad_norm", "outer_grad_norm")
-
     def row(self) -> list:
         return [getattr(self, f) for f in self.FIELDS]
+
+
+MetricsRecord.FIELDS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def split_domains(domain_ids, n_tr: int, n_te: int,

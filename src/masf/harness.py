@@ -256,10 +256,8 @@ def write_report_csv(report: Report, path: Path) -> None:
 
 
 def run_experiment(config: ExperimentConfig,
-                   datasets: dict[int, DomainDataset] | None = None) -> Report:
+                   datasets: dict[int, DomainDataset]) -> Report:
     """Full grid: every leave-one-out split x ablation row x seed."""
-    if datasets is None:
-        datasets = bench.canonical_datasets(config.bench_overrides)
     targets = sorted(datasets) if config.targets is None else config.targets
 
     out_dir = config.resolved_out_dir()
@@ -286,8 +284,8 @@ def run_experiment(config: ExperimentConfig,
 
 
 def write_svg_lines(path: Path, series: dict[str, list[float]],
-                    title: str = "", width: int = 640, height: int = 400) -> None:
-    """Plot one polyline per named series into a standalone SVG file."""
+                    title: str = "") -> None:
+    """Plot one polyline per named series into a standalone 640 x 400 SVG."""
     all_vals = [v for vals in series.values() for v in vals]
     if not all_vals:
         raise ValueError("nothing to plot")
@@ -295,7 +293,8 @@ def write_svg_lines(path: Path, series: dict[str, list[float]],
     path.parent.mkdir(parents=True, exist_ok=True)
     lo, hi = min(all_vals), max(all_vals)
     span = (hi - lo) or 1.0
-    pad, plot_w, plot_h = 50, width - 100, height - 100
+    width, height, pad = 640, 400, 50
+    plot_w, plot_h = width - 2 * pad, height - 2 * pad
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

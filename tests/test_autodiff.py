@@ -60,6 +60,47 @@ class TestEvaluate:
             x.value[0] = 5.0
 
 
+def _grad_of_non_leaf():
+    x = ad.leaf(2.0)
+    ad.grad(ad.square(x), [ad.mul(x, x)])
+
+
+def _clip_at(threshold):
+    return lambda: ad.clip_by_norm(
+        ad.GradMap([ad.leaf(0.0)], [ad.const(1.0)]), threshold)
+
+
+# input checks: (call, exception, message); each calls the public API once
+INPUT_CHECKS = {
+    "div-unrepaired": (lambda: ad.div(ad.leaf(1.0), ad.leaf(-1e-12)),
+                       ad.DomainError, "division by zero"),
+    "sqrt-negative": (lambda: ad.sqrt(ad.leaf([1.0, -1.0])),
+                      ad.DomainError, "sqrt of negative"),
+    "transpose-1d": (lambda: ad.transpose(ad.leaf([1.0, 2.0])),
+                     ValueError, "2-D tensor"),
+    "index-2d": (lambda: ad.select_rows(ad.leaf(np.ones((3, 2))),
+                                        np.zeros((2, 2), dtype=int)),
+                 ValueError, "vector of indices"),
+    "gather-rows-shapes": (lambda: ad.gather_rows(ad.leaf(np.ones((3, 2))),
+                                                  np.array([0, 1])),
+                           ValueError, "N indices"),
+    "select-rows-0d": (lambda: ad.select_rows(ad.leaf(1.0), np.array([0])),
+                       ValueError, "tensor with rows"),
+    "log-softmax-1d": (lambda: ad.log_softmax(ad.leaf([1.0, 2.0])),
+                       ValueError, r"\[N, C\] tensor"),
+    "grad-non-leaf": (_grad_of_non_leaf, ValueError, "leaf nodes"),
+    "clip-zero": (_clip_at(0.0), ValueError, "must be positive"),
+    "clip-negative": (_clip_at(-1.0), ValueError, "must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_check(name):
+    call, error, message = INPUT_CHECKS[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestGrad:
     def test_square(self):
         x = ad.leaf(3.0)

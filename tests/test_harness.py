@@ -714,6 +714,26 @@ class TestCli:
         assert err == f"config error: config keys ['{key}'] are not read by {command}\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("key", ["rows", "seeds", "targets"])
+    def test_empty_grid_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                        key):
+        # an empty grid would train nothing and write a header-only report
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        assert cli.main(["ablate", "--set", "iterations=1",
+                         "--set", f"{key}=[]"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key '{key}' expects ")
+        assert "a non-empty list" in err and err.endswith(", got []\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_override_without_equals_is_config_error(self, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        assert cli.main(["ablate", "--set", "iterations"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: override 'iterations' is not KEY=VALUE\n")
+        assert not any(tmp_path.iterdir())
+
     def test_ablate_resolved_config_is_not_a_train_config(self, tmp_path,
                                                           monkeypatch, capsys):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "ablate"))

@@ -187,6 +187,13 @@ class TestGlobalAlignment:
                                             psi, theta, 2.0, 3)
         assert float(loss.value) == pytest.approx(0.0, abs=1e-9)
 
+    def test_no_pairs_rejected(self):
+        psi, theta, _ = make_params(0)
+        batch, _ = self._batches(0)
+        with pytest.raises(ValueError, match="at least one domain pair"):
+            losses.global_alignment_loss({0: batch, 1: batch}, [], psi, theta,
+                                         2.0, 3)
+
     def test_two_train_one_test_averages_two_pairs(self):
         psi, theta, _ = make_params(1)
         (b0, b1), (b2, _) = self._batches(1), self._batches(2)

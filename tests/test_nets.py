@@ -101,6 +101,34 @@ class TestForward:
             np.testing.assert_array_equal(t.value, b)
 
 
+class TestInputChecks:
+    def test_duplicate_names(self):
+        w = ad.leaf(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="duplicate parameter names"):
+            nets.ParamSet(nets.TASK_NET, [("w0", w), ("w0", w)])
+
+    def test_unknown_name(self):
+        _, theta, _ = nets.init_params(ARCH, 0)
+        with pytest.raises(KeyError, match="w1"):
+            theta["w1"]
+
+    def test_replace_wrong_count(self):
+        _, theta, _ = nets.init_params(ARCH, 0)
+        with pytest.raises(ValueError, match="tensor count mismatch"):
+            theta.replace(theta.tensors[:1])
+
+    def test_replace_wrong_shape(self):
+        _, theta, _ = nets.init_params(ARCH, 0)
+        w0, b0 = theta.tensors
+        with pytest.raises(ValueError, match="shape mismatch for b0"):
+            theta.replace([w0, ad.leaf(np.zeros(b0.shape[0] + 1))])
+
+    def test_metric_forward_given_psi(self):
+        psi, _, _ = nets.init_params(ARCH, 0)
+        with pytest.raises(ValueError, match="expected metric-net parameters"):
+            nets.metric_forward(psi, ad.const(np.ones((2, ARCH.feature_dim))))
+
+
 class TestMetricNet:
     def test_unit_row_norms(self):
         psi, _, phi = nets.init_params(ARCH, 3)
