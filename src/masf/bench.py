@@ -54,14 +54,21 @@ class DomainSpec:
             raise ValueError("need at least 2 samples per class")
 
 
-def as_labels(labels) -> np.ndarray:
-    """``labels`` as an int64 array; a ValueError if one is not a whole number."""
+def as_labels(labels, num_classes: int | None = None) -> np.ndarray:
+    """``labels`` as an int64 array; a ValueError if one is not a whole
+    number or, given ``num_classes``, not in [0, num_classes)."""
     values = np.asarray(labels)
     if values.dtype.kind not in "biu":
         whole = np.isfinite(values) & (np.floor(values) == values)
         if not whole.all():
             raise ValueError(f"label {values[~whole][0]} is not a whole number")
-    return values.astype(np.int64, copy=False)
+    values = values.astype(np.int64, copy=False)
+    if num_classes is not None:
+        bad = (values < 0) | (values >= num_classes)
+        if bad.any():
+            raise ValueError(f"label out of range [0, {num_classes}): "
+                             f"{values[bad][0]}")
+    return values
 
 
 @dataclass
@@ -73,6 +80,9 @@ class DomainDataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = as_labels(self.labels)
+        if self.labels.size and self.labels.min() < 0:
+            raise ValueError(f"domain {self.domain_id}: label "
+                             f"{self.labels.min()} is negative")
 
     def __len__(self):
         return len(self.labels)
@@ -119,6 +129,11 @@ def make_domain(spec: DomainSpec, base_seed: int) -> DomainDataset:
     return DomainDataset(x[order], labels[order], spec.domain_id)
 
 
+def _class_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each class's row count, and the rows stably sorted by class."""
+    return np.bincount(labels), np.argsort(labels, kind="stable")
+
+
 def sample_batch(dataset: DomainDataset, batch_size: int, stratified: bool,
                  rng: np.random.Generator) -> DomainDataset:
     """Mini-batch without replacement; stratified mode guarantees every
@@ -132,15 +147,13 @@ def sample_batch(dataset: DomainDataset, batch_size: int, stratified: bool,
     c = dataset.num_classes
     if batch_size < c:
         raise ValueError("stratified batch needs batch_size >= num_classes")
-    counts = np.bincount(dataset.labels, minlength=c)
+    counts, order = _class_order(dataset.labels)
     if not counts.all():
         raise ValueError(f"domain {dataset.domain_id} has no row of class "
                          f"{np.flatnonzero(counts == 0)[0]}")
     # one uniform row per class; the array-bounded draw makes the same draws
     # as rng.choice(members) called once per class in class order
-    starts = np.cumsum(counts) - counts
-    chosen = np.argsort(dataset.labels, kind="stable")[
-        starts + rng.integers(0, counts)]
+    chosen = order[np.cumsum(counts) - counts + rng.integers(0, counts)]
     rest = np.ones(n, dtype=bool)  # rows not chosen yet
     rest[chosen] = False
     extra = rng.choice(np.flatnonzero(rest), size=batch_size - c, replace=False)
@@ -153,15 +166,13 @@ def train_test_split(dataset: DomainDataset, train_fraction: float,
     """Disjoint stratified split; union reproduces the original multiset."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    train_idx, test_idx = [], []
-    for cls in np.unique(dataset.labels):
-        members = rng.permutation(np.flatnonzero(dataset.labels == cls))
+    counts, order = _class_order(dataset.labels)
+    # a class without rows permutes an empty slice, which draws nothing
+    train = np.zeros(len(dataset), dtype=bool)
+    for members in np.split(order, np.cumsum(counts)[:-1]):
         cut = int(round(train_fraction * len(members)))
-        train_idx.extend(members[:cut])
-        test_idx.extend(members[cut:])
-    train_idx = np.sort(np.asarray(train_idx, dtype=np.int64))
-    test_idx = np.sort(np.asarray(test_idx, dtype=np.int64))
-    return dataset.rows(train_idx), dataset.rows(test_idx)
+        train[rng.permutation(members)[:cut]] = True
+    return dataset.rows(np.flatnonzero(train)), dataset.rows(np.flatnonzero(~train))
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +219,22 @@ def import_csv(path: str | Path) -> list[DomainDataset]:
             row += [None] * (len(header) - len(row))
             dom, label, *x = (csv_cell(path, reader.line_num, *cell)
                               for cell in zip(header, row, kinds))
+            for column, text, value in zip(header[2:], row[2:], x):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}, row {reader.line_num}, column "
+                                     f"{column!r}: expected a finite float, "
+                                     f"got {text!r}")
             rows.append((dom, label, np.array(x)))
     if not rows:
         raise ValueError(f"{path}: CSV file has no samples")
     out = []
     for dom in sorted({r[0] for r in rows}):
         sel = [r for r in rows if r[0] == dom]
-        out.append(DomainDataset(np.stack([r[2] for r in sel]),
-                                 np.array([r[1] for r in sel]), dom))
+        try:
+            out.append(DomainDataset(np.stack([r[2] for r in sel]),
+                                     np.array([r[1] for r in sel]), dom))
+        except ValueError as exc:  # a negative label
+            raise ValueError(f"{path}: {exc}") from None
     return out
 
 

@@ -183,7 +183,10 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{args.data} has {width} features per row, but "
                          f"{psi_path} takes {psi['w0'].shape[0]}")
     for ds in datasets:
-        acc = harness.evaluate_accuracy(psi, theta, ds)
+        try:
+            acc = harness.evaluate_accuracy(psi, theta, ds)
+        except ValueError as exc:  # a label the checkpoint has no class for
+            raise ValueError(f"{args.data}, domain {ds.domain_id}: {exc}") from None
         print(f"domain {ds.domain_id}: accuracy {acc:.4f}")
     return EXIT_OK
 

@@ -37,7 +37,8 @@ def evaluate_accuracy(psi: ParamSet, theta: ParamSet,
         raise ValueError("empty dataset")
     logits = nets.task_forward(
         theta, nets.feature_forward(psi, ad.const(dataset.features))).value
-    return float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
+    labels = bench.as_labels(dataset.labels, logits.shape[1])
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def _embed(psi: ParamSet, phi: ParamSet, features: np.ndarray) -> np.ndarray:
@@ -80,13 +81,8 @@ def margin_statistic(psi: ParamSet, phi: ParamSet, domain_a: DomainDataset,
                      domain_b: DomainDataset, n_pairs: int,
                      rng: np.random.Generator) -> float:
     """Monte-Carlo mean negative-pair distance minus mean positive-pair
-    distance between two domains, in metric-embedding space.
-
-    The pairs are drawn by :func:`margin_triples` in three bulk calls
-    (anchors, positives, negatives). They replaced a per-pair loop of scalar
-    draws that resampled ineligible anchors: the law is the same, but a seed
-    now gives another Monte Carlo stream, and so another estimate.
-    """
+    distance between two domains, in metric-embedding space, over the
+    pairs :func:`margin_triples` draws."""
     anchors, positives, negatives = margin_triples(domain_a, domain_b,
                                                    n_pairs, rng)
     e_a = _embed(psi, phi, domain_a.features)

@@ -36,10 +36,7 @@ log = logging.getLogger(__name__)
 
 def task_loss(logits: Expr, labels: np.ndarray) -> Expr:
     """Mean cross-entropy of softmax(logits) against integer labels."""
-    labels = as_labels(labels)
-    n, c = logits.shape
-    if labels.min() < 0 or labels.max() >= c:
-        raise ValueError("label out of range")
+    labels = as_labels(labels, logits.shape[1])
     lse = ad.log_sum_exp(logits, axis=1)
     picked = ad.gather_rows(logits, labels)
     return ad.mean(ad.sub(lse, picked))
@@ -105,9 +102,7 @@ def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
     if not pairs:
         raise ValueError("need at least one domain pair")
     ids = sorted({k for pair in pairs for k in pair})
-    labels = [as_labels(batches[k][1]) for k in ids]
-    if any(l.min() < 0 or l.max() >= num_classes for l in labels):
-        raise ValueError("label out of range")
+    labels = [as_labels(batches[k][1], num_classes) for k in ids]
     if z is None:
         z = nets.feature_forward(
             psi, ad.as_expr(np.concatenate([batches[k][0] for k in ids])))

@@ -94,40 +94,32 @@ def init_params(arch: Architecture, seed: int) -> tuple[ParamSet, ParamSet, Para
     return psi, theta, phi
 
 
-def _affine(params: ParamSet, i: int, x: Expr) -> Expr:
-    return ad.add(ad.matmul(x, params[f"w{i}"]), params[f"b{i}"])
-
-
-def _n_layers(params: ParamSet) -> int:
-    return len(params.entries) // 2
+def _mlp(params: ParamSet, role: str, h: Expr, relu_last: bool) -> Expr:
+    """Each layer x @ w{i} + b{i} of ``params`` in turn, with a ReLU between
+    layers and after the last one only if ``relu_last``."""
+    if params.role != role:
+        raise ValueError(f"expected {role.replace('_', '-')} parameters")
+    n = len(params.entries) // 2
+    for i in range(n):
+        h = ad.add(ad.matmul(h, params[f"w{i}"]), params[f"b{i}"])
+        if relu_last or i < n - 1:
+            h = ad.relu(h)
+    return h
 
 
 def feature_forward(psi: ParamSet, x: Expr) -> Expr:
     """MLP with ReLU after every layer (including the last)."""
-    if psi.role != FEATURE_EXTRACTOR:
-        raise ValueError("expected feature-extractor parameters")
-    h = x
-    for i in range(_n_layers(psi)):
-        h = ad.relu(_affine(psi, i, h))
-    return h
+    return _mlp(psi, FEATURE_EXTRACTOR, x, relu_last=True)
 
 
 def task_forward(theta: ParamSet, z: Expr) -> Expr:
-    """Single linear layer producing unnormalized logits."""
-    if theta.role != TASK_NET:
-        raise ValueError("expected task-net parameters")
-    return _affine(theta, 0, z)
+    """MLP with a linear final layer, producing unnormalized logits."""
+    return _mlp(theta, TASK_NET, z, relu_last=False)
 
 
 def metric_forward(phi: ParamSet, z: Expr) -> Expr:
-    """Two-layer MLP, linear final layer, rows L2-normalized."""
-    if phi.role != METRIC_NET:
-        raise ValueError("expected metric-net parameters")
-    n = _n_layers(phi)
-    h = z
-    for i in range(n - 1):
-        h = ad.relu(_affine(phi, i, h))
-    e = _affine(phi, n - 1, h)
+    """MLP with a linear final layer, rows L2-normalized."""
+    e = _mlp(phi, METRIC_NET, z, relu_last=False)
     norms = ad.sqrt(ad.reduce_sum(ad.square(e), axis=1))
     return ad.div(e, ad.reshape(norms, (e.shape[0], 1)))
 

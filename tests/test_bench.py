@@ -110,6 +110,33 @@ class TestDomainDataset:
         assert ds.labels.dtype == np.int64
         np.testing.assert_array_equal(ds.labels, want)
 
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="domain 4: label -1 is negative"):
+            bench.DomainDataset(np.zeros((3, 2)), [-1, 0, 1], 4)
+
+
+class TestAsLabels:
+    @pytest.mark.parametrize("labels", [[0, 4, 2], [-3, 7], []])
+    def test_any_whole_number_without_num_classes(self, labels):
+        got = bench.as_labels(labels)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, labels)
+
+    @pytest.mark.parametrize("labels", [[0, 4, 2], [4.0], np.array([0, 1], np.uint8), []])
+    def test_in_range_accepted(self, labels):
+        np.testing.assert_array_equal(bench.as_labels(labels, 5), labels)
+
+    @pytest.mark.parametrize("labels, bad", [([0, 5, 2], 5), ([-1, 0], -1),
+                                             ([1.0, 12.0], 12)])
+    def test_out_of_range_rejected(self, labels, bad):
+        with pytest.raises(ValueError,
+                           match=rf"label out of range \[0, 5\): {bad}$"):
+            bench.as_labels(labels, 5)
+
+    def test_whole_number_checked_first(self):
+        with pytest.raises(ValueError, match="label 9.5 is not a whole number"):
+            bench.as_labels([9.5], 5)
+
 
 def label_counts(num_classes, n):
     ds = bench.make_domain(small_spec(num_classes=num_classes, n_samples=n), 0)
@@ -227,7 +254,39 @@ class TestSampleBatch:
                 np.testing.assert_array_equal(got.labels, want_y)
 
 
+def reference_train_test_split(dataset, train_fraction, rng):
+    """The split as first written, one ``flatnonzero`` per class present;
+    the library's split must make the same RNG calls and pick the same rows."""
+    train_idx, test_idx = [], []
+    for cls in np.unique(dataset.labels):
+        members = rng.permutation(np.flatnonzero(dataset.labels == cls))
+        cut = int(round(train_fraction * len(members)))
+        train_idx.extend(members[:cut])
+        test_idx.extend(members[cut:])
+    return (np.sort(np.asarray(train_idx, dtype=np.int64)),
+            np.sort(np.asarray(test_idx, dtype=np.int64)))
+
+
 class TestTrainTestSplit:
+    @pytest.mark.parametrize("labels", [
+        "random", [0, 1, 1, 1, 2, 2], [0, 2, 2, 4, 4], [3], []],
+        ids=["random", "one-row-class", "label-gap", "one-row", "empty"])
+    @pytest.mark.parametrize("fraction", [0.3, 0.5, 0.7])
+    def test_matches_per_class_reference(self, labels, fraction):
+        for seed in range(25):
+            ys = labels
+            if labels == "random":
+                ys = np.random.default_rng(seed).integers(0, 4, size=20 + seed)
+            # each row's feature is its index, so rows give back indices
+            ds = bench.DomainDataset(np.arange(len(ys), dtype=float)[:, None],
+                                     ys, 0)
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            tr, te = bench.train_test_split(ds, fraction, ours)
+            want_tr, want_te = reference_train_test_split(ds, fraction, ref)
+            assert tr.features[:, 0].astype(np.int64).tobytes() == want_tr.tobytes()
+            assert te.features[:, 0].astype(np.int64).tobytes() == want_te.tobytes()
+            assert ours.bit_generator.state == ref.bit_generator.state
+
     def test_disjoint_and_complete(self):
         ds = bench.make_domain(small_spec(), 4)
         tr, te = bench.train_test_split(ds, 0.7, np.random.default_rng(0))
@@ -267,6 +326,22 @@ class TestCsvRoundtrip:
         (ds,) = bench.import_csv(path)
         np.testing.assert_array_equal(ds.features, [[0.5]])
         np.testing.assert_array_equal(ds.labels, [1])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"domain,label,f0,f1\n0,1,0.5,0.25\n0,0,0.5,{cell}\n")
+        with pytest.raises(ValueError) as err:
+            bench.import_csv(path)
+        assert str(err.value) == (f"{path}, row 3, column 'f1': expected "
+                                  f"a finite float, got {cell!r}")
+
+    def test_negative_label_names_file_and_domain(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("domain,label,f0\n2,1,0.5\n2,-1,0.5\n")
+        with pytest.raises(ValueError) as err:
+            bench.import_csv(path)
+        assert str(err.value) == f"{path}: domain 2: label -1 is negative"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +45,14 @@ def poison_meta_step(monkeypatch):
 
 
 class TestEvaluateAccuracy:
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_label_beyond_logits_rejected(self, label):
+        psi, theta, _ = nets.init_params(ARCH, 0)
+        ds = bench.DomainDataset(np.zeros((2, ARCH.input_dim)), [0, 1], 0)
+        ds.labels[1] = label  # past the dataset's own check
+        with pytest.raises(ValueError, match=rf"label out of range \[0, 3\): {label}$"):
+            harness.evaluate_accuracy(psi, theta, ds)
+
     def test_perfect_predictor(self):
         # identity feature net + task head that copies the label dimension
         arch = nets.Architecture(input_dim=3, num_classes=3,
@@ -557,6 +566,53 @@ class TestCli:
         data.write_text(text)
         assert cli.main(["eval", "--ckpt", str(tmp_path), "--data", str(data)]) == 1
         assert capsys.readouterr().err == f"config error: {data}, {where}\n"
+
+    @staticmethod
+    def _checkpoint_and_rows(tmp_path):
+        """An ARCH checkpoint in ``tmp_path``, and two domains as CSV rows,
+        each a list of cells, the header first."""
+        psi, theta, _ = nets.init_params(ARCH, 0)
+        nets.save_params(psi, tmp_path / "psi.bin")
+        nets.save_params(theta, tmp_path / "theta.bin")
+        data = tmp_path / "data.csv"
+        bench.export_csv(list(small_datasets(2).values()), data)
+        return [line.split(",") for line in data.read_text().splitlines()]
+
+    @staticmethod
+    def _eval(tmp_path, rows):
+        data = tmp_path / "data.csv"
+        data.write_text("".join(",".join(row) + "\n" for row in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning reaches the user
+            return cli.main(["eval", "--ckpt", str(tmp_path), "--data", str(data)])
+
+    def test_eval_rejects_label_beyond_checkpoint_classes(self, tmp_path, capsys):
+        rows = self._checkpoint_and_rows(tmp_path)
+        for row in rows[1:]:
+            if row[0] == "1":
+                row[1] = str(int(row[1]) + 7)
+        first = next(row[1] for row in rows[1:] if row[0] == "1")
+        assert self._eval(tmp_path, rows) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("domain 0: accuracy") and "domain 1" not in out
+        assert err == (f"config error: {tmp_path / 'data.csv'}, domain 1: label "
+                       f"out of range [0, {ARCH.num_classes}): {first}\n")
+
+    def test_eval_rejects_negative_label(self, tmp_path, capsys):
+        rows = self._checkpoint_and_rows(tmp_path)
+        rows[-1][1] = "-1"
+        assert self._eval(tmp_path, rows) == 1
+        assert capsys.readouterr() == ("", f"config error: {tmp_path / 'data.csv'}: "
+                                           f"domain 1: label -1 is negative\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_eval_rejects_non_finite_feature(self, tmp_path, capsys, cell):
+        rows = self._checkpoint_and_rows(tmp_path)
+        rows[2][-1] = cell
+        assert self._eval(tmp_path, rows) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {tmp_path / 'data.csv'}, row 3, column "
+            f"'f{ARCH.input_dim - 1}': expected a finite float, got {cell!r}\n")
 
     @pytest.mark.parametrize("text, where", [
         ("iteration,task_loss\n0,1.0\n1,abc\n",

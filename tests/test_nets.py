@@ -93,6 +93,40 @@ class TestForward:
         with pytest.raises(ValueError):
             nets.task_forward(psi, ad.const(np.ones((1, 6))))
 
+    @pytest.mark.parametrize("forward, role", [
+        (nets.feature_forward, "feature-extractor"),
+        (nets.task_forward, "task-net"), (nets.metric_forward, "metric-net")])
+    def test_wrong_role_message(self, forward, role):
+        psi, theta, _ = nets.init_params(ARCH, 0)
+        wrong = theta if forward is nets.feature_forward else psi
+        with pytest.raises(ValueError, match=f"^expected {role} parameters$"):
+            forward(wrong, ad.const(np.ones((1, 6))))
+
+    @pytest.mark.parametrize("forward, index, ops", [
+        (nets.feature_forward, 0, ["matmul", "add", "relu"] * 2),
+        (nets.task_forward, 1, ["matmul", "add"]),
+        (nets.metric_forward, 2, ["matmul", "add", "relu", "matmul", "add",
+                                  "square", "sum", "sqrt", "reshape", "div"])])
+    def test_graph_ops_in_order(self, forward, index, ops):
+        params = nets.init_params(ARCH, 0)[index]
+        x = ad.const(np.ones((2, 6 if index == 0 else ARCH.feature_dim)))
+        seen, stack = {}, [forward(params, x)]
+        while stack:
+            node = stack.pop()
+            if node.id > x.id and node.id not in seen:
+                seen[node.id] = node.op
+                stack.extend(node.inputs)
+        assert [seen[i] for i in sorted(seen)] == ops
+
+    def test_every_task_layer_applied(self):
+        # a hand-made two-layer task net: ReLU between layers, none after
+        params = nets.ParamSet(nets.TASK_NET, [
+            ("w0", ad.leaf(np.eye(2))), ("b0", ad.leaf([0.0, -1.0])),
+            ("w1", ad.leaf([[1.0, 2.0, 0.0], [3.0, 0.0, -1.0]])),
+            ("b1", ad.leaf([0.0, 0.0, -0.5]))])
+        logits = nets.task_forward(params, ad.const([[-1.0, 3.0]]))
+        np.testing.assert_array_equal(logits.value, [[6.0, 0.0, -2.5]])
+
     def test_forward_does_not_mutate_params(self):
         psi, _, _ = nets.init_params(ARCH, 2)
         before = [t.value.copy() for t in psi.tensors]
