@@ -122,7 +122,8 @@ class TestAsLabels:
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, labels)
 
-    @pytest.mark.parametrize("labels", [[0, 4, 2], [4.0], np.array([0, 1], np.uint8), []])
+    @pytest.mark.parametrize("labels", [[0, 4, 2], [4.0], [],
+                                        np.array([0, 1], np.uint8)])
     def test_in_range_accepted(self, labels):
         np.testing.assert_array_equal(bench.as_labels(labels, 5), labels)
 

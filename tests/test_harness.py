@@ -50,7 +50,8 @@ class TestEvaluateAccuracy:
         psi, theta, _ = nets.init_params(ARCH, 0)
         ds = bench.DomainDataset(np.zeros((2, ARCH.input_dim)), [0, 1], 0)
         ds.labels[1] = label  # past the dataset's own check
-        with pytest.raises(ValueError, match=rf"label out of range \[0, 3\): {label}$"):
+        with pytest.raises(ValueError,
+                           match=rf"label out of range \[0, 3\): {label}$"):
             harness.evaluate_accuracy(psi, theta, ds)
 
     def test_perfect_predictor(self):
