@@ -195,14 +195,18 @@ def export_csv(datasets: list[DomainDataset], path: str | Path) -> None:
 
 def csv_cell(path, row: int, column: str, text: str | None, kind=float):
     """``text``, the cell in 1-based ``row`` (the header is row 1) and
-    ``column`` of CSV file ``path``, as a ``kind``. A missing cell (None)
-    or one that does not parse is a ValueError naming all three."""
+    ``column`` of CSV file ``path``, as a ``kind``. A missing cell (None),
+    one that does not parse, or a float that is not finite is a ValueError
+    naming all three."""
+    got = "no cell" if text is None else repr(text)
+    expected = f"{path}, row {row}, column {column!r}: expected"
     try:
-        return kind(text)
+        value = kind(text)
     except (TypeError, ValueError):
-        got = "no cell" if text is None else repr(text)
-        raise ValueError(f"{path}, row {row}, column {column!r}: expected "
-                         f"{kind.__name__}, got {got}") from None
+        raise ValueError(f"{expected} {kind.__name__}, got {got}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{expected} a finite float, got {got}")
+    return value
 
 
 def import_csv(path: str | Path) -> list[DomainDataset]:
@@ -219,11 +223,6 @@ def import_csv(path: str | Path) -> list[DomainDataset]:
             row += [None] * (len(header) - len(row))
             dom, label, *x = (csv_cell(path, reader.line_num, *cell)
                               for cell in zip(header, row, kinds))
-            for column, text, value in zip(header[2:], row[2:], x):
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}, row {reader.line_num}, column "
-                                     f"{column!r}: expected a finite float, "
-                                     f"got {text!r}")
             rows.append((dom, label, np.array(x)))
     if not rows:
         raise ValueError(f"{path}: CSV file has no samples")

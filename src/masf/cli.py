@@ -38,29 +38,32 @@ EXIT_OK, EXIT_CONFIG, EXIT_RUN, EXIT_IO = 0, 1, 2, 3
 
 # The config fields a run verb does not read: train takes --seed and --target
 # and trains the row that episodic, use_global and use_local set; ablate
-# trains each row of rows; a run derives n_meta_train from n_meta_test.
-UNREAD = {"train": ("rows", "seeds", "targets", "n_meta_train"),
-          "ablate": ("episodic", "use_global", "use_local", "n_meta_train")}
+# trains each row of rows.
+UNREAD = {"train": ("rows", "seeds", "targets"),
+          "ablate": ("episodic", "use_global", "use_local")}
 
 
 def _coerce(key: str, value, declared: str):
     """``value`` as the declared type of config field ``key`` (YAML reads
     ``1e-5`` as a string); a value of another type is a ValueError naming
-    ``key``. Widths, seeds, rows and targets (or null) are non-empty lists."""
+    ``key``. Widths, seeds, rows and targets (or null) are non-empty lists;
+    the last three, a grid to train, list no entry twice."""
     if declared not in ("int", "float"):
         listed = isinstance(value, list) and value != []
         ints = listed and all(type(i) is int and i >= 0 for i in value)
+        distinct = listed and len(set(map(repr, value))) == len(value)
         expected, fits = {
             "bool": ("true or false", type(value) is bool),
             "str": ("a string", type(value) is str),
             "dict": ("a mapping", type(value) is dict),
             "tuple[int, ...]": ("a non-empty list of positive ints",
                                 ints and 0 not in value),
-            "seeds": ("a non-empty list of non-negative ints", ints),
-            "targets": ("null or a non-empty list of domain ids",
-                        value is None or ints),
-            "rows": ("a non-empty list of [episodic, global, local] rows of "
-                     "true or false", listed and all(
+            "seeds": ("a non-empty list of distinct non-negative ints",
+                      ints and distinct),
+            "targets": ("null or a non-empty list of distinct domain ids",
+                        value is None or ints and distinct),
+            "rows": ("a non-empty list of distinct [episodic, global, local] "
+                     "rows of true or false", distinct and all(
                          isinstance(r, list) and len(r) == 3
                          and all(type(f) is bool for f in r) for r in value)),
         }[key if key in ("seeds", "targets", "rows") else declared]
@@ -152,6 +155,8 @@ def cmd_bench_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     config = _load_config(args.config, args.set or [], "train")
     datasets = _datasets(config, None if args.target is None else [args.target])
     out_dir = config.resolved_out_dir()
@@ -215,6 +220,8 @@ def cmd_plot(args) -> int:
     if unknown:
         raise ValueError(f"{args.metrics}: no column {', '.join(map(repr, unknown))}; "
                          f"available: {', '.join(available) or 'none'}")
+    if not rows:
+        raise ValueError(f"{args.metrics}: nothing to plot, the file has no rows")
     series = {col: [bench.csv_cell(args.metrics, line, col, r[col])
                     for line, r in rows] for col in args.columns}
     harness.write_svg_lines(Path(args.out), series, title=Path(args.metrics).stem)

@@ -207,8 +207,7 @@ def run_single(config: ExperimentConfig, flags: tuple, target, seed: int,
         metric_widths=tuple(config.metric_widths))
     sources = sorted(k for k in datasets if k != target)
     hp = replace(config.hp, episodic=episodic, use_global=use_global,
-                 use_local=use_local,
-                 n_meta_train=len(sources) - config.hp.n_meta_test)
+                 use_local=use_local)
 
     run_seed = _run_seed(seed, target)
     split_rng = np.random.default_rng(

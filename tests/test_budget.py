@@ -75,8 +75,7 @@ def step_counts(name: str, monkeypatch) -> list[dict[str, Counter]]:
         feature_widths=tuple(cfg.feature_widths),
         metric_widths=tuple(cfg.metric_widths))
     hp = replace(cfg.hp, episodic=True, use_global=True,
-                 local_loss_kind=engine.TRIPLET,
-                 n_meta_train=len(sources) - cfg.hp.n_meta_test, **CONFIGS[name])
+                 local_loss_kind=engine.TRIPLET, **CONFIGS[name])
     state = engine.make_state(arch, hp, SEED)
 
     count = {"graph": Counter(), "values": Counter()}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,23 +70,25 @@ class TestHyperparams:
 class TestSplitDomains:
     def test_partition(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            tr, te = engine.split_domains([0, 1, 2], 2, 1, rng)
-            assert sorted(tr + te) == [0, 1, 2]
-            assert len(tr) == 2 and len(te) == 1
+        for ids, n_te in [([0, 1, 2], 1), ([0, 1, 2], 2), ([3, 5, 7, 9], 1)]:
+            for _ in range(50):
+                tr, te = engine.split_domains(ids, n_te, rng)
+                assert sorted(tr + te) == ids
+                assert len(tr) == len(ids) - n_te and len(te) == n_te
 
     def test_every_domain_eventually_held_out(self):
         rng = np.random.default_rng(1)
-        held = {engine.split_domains([0, 1, 2], 2, 1, rng)[1][0]
+        held = {engine.split_domains([0, 1, 2], 1, rng)[1][0]
                 for _ in range(100)}
         assert held == {0, 1, 2}
 
     def test_bad_sizes(self):
+        # meta-test needs a domain, and meta-train the ones it leaves
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            engine.split_domains([0, 1, 2], 1, 1, rng)
-        with pytest.raises(ValueError):
-            engine.split_domains([0], 0, 1, rng)
+        for ids, n_te in [([0, 1, 2], 0), ([0, 1, 2], 3), ([0], 1), ([0], 0)]:
+            with pytest.raises(ValueError, match=f"^n_meta_test .* got {n_te}$"):
+                engine.split_domains(ids, n_te, rng)
+        assert rng.random() == np.random.default_rng(0).random()  # no draw
 
 
 class TestDecayedLr:
@@ -248,6 +252,21 @@ class TestMetaStep:
         state = self._state(local_loss_kind=engine.CONTRASTIVE)
         _, rec = engine.meta_step(state, self._batches(ds, state))
         assert np.isfinite(rec.local_loss)
+
+    def test_class_count_read_from_output_layer(self):
+        # a two-layer task net, w0 [6, 3] and w1 [3, 5], has five classes
+        arch = replace(ARCH, num_classes=5)
+        ds = bench.canonical_datasets({
+            "num_domains": 3, "n_samples": 60, "num_classes": 5,
+            "input_dim": 8, "rotations_deg": [0.0, 30.0, 60.0],
+            "scales": [1.0] * 3, "shifts": [0.0] * 3})
+        rng = np.random.default_rng(0)
+        theta = nets.ParamSet(nets.TASK_NET, [
+            (name, ad.leaf(rng.normal(0.0, 0.5, shape))) for name, shape in
+            [("w0", (6, 3)), ("b0", (3,)), ("w1", (3, 5)), ("b1", (5,))]])
+        state = replace(engine.make_state(arch, small_hp(), 0), theta=theta)
+        state = engine.train(state, ds, 2)
+        assert [t.shape for t in state.theta.tensors] == [(6, 3), (3,), (3, 5), (5,)]
 
     def test_train_rejects_zero_iterations(self):
         with pytest.raises(ValueError):

@@ -46,8 +46,7 @@ def train_case(name: str) -> dict[str, np.ndarray]:
         num_classes=max(d.num_classes for d in datasets.values()),
         feature_widths=tuple(cfg.feature_widths),
         metric_widths=tuple(cfg.metric_widths))
-    hp = replace(cfg.hp, n_meta_train=len(sources) - cfg.hp.n_meta_test,
-                 **CASES[name])
+    hp = replace(cfg.hp, **CASES[name])
     records = []
     state = engine.train(engine.make_state(arch, hp, SEED), sources, STEPS,
                          records.append)

@@ -22,7 +22,7 @@ def small_datasets(n_domains=3, n=60, seed=11):
 
 def tiny_config(**kw):
     hp = engine.Hyperparams(alpha=0.05, eta=0.05, gamma=0.05, beta2=0.005,
-                            batch_size=12, decay_every=10, n_meta_train=1)
+                            batch_size=12, decay_every=10)
     defaults = dict(hp=hp, iterations=3, seeds=[0], feature_widths=(10, 6),
                     metric_widths=(8, 4))
     defaults.update(kw)
@@ -620,7 +620,11 @@ class TestCli:
          "row 3, column 'task_loss': expected float, got 'abc'"),
         ("iteration,task_loss\n0,1.0\n1\n",
          "row 3, column 'task_loss': expected float, got no cell"),
-    ], ids=["bad-cell", "short-row"])
+        ("iteration,task_loss\n0,1.0\n1,nan\n",
+         "row 3, column 'task_loss': expected a finite float, got 'nan'"),
+        ("iteration,task_loss\n0,-inf\n1,0.5\n",
+         "row 2, column 'task_loss': expected a finite float, got '-inf'"),
+    ], ids=["bad-cell", "short-row", "nan", "-inf"])
     def test_plot_names_bad_csv_cell(self, tmp_path, capsys, text, where):
         metrics = tmp_path / "m.csv"
         metrics.write_text(text)
@@ -655,7 +659,8 @@ class TestCli:
         out = tmp_path / "plots" / "m.svg"
         assert cli.main(["plot", "--metrics", str(metrics),
                          "--out", str(out)]) == 1
-        assert "nothing to plot" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"config error: {metrics}: nothing to plot, the file has no rows\n")
         assert not out.parent.exists()
 
     def test_train_with_scientific_notation_override(self, tmp_path,
@@ -757,10 +762,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command, item", [
         (command, item) for command, items in [
-            ("train", ["rows=[[true, true, true]]", "seeds=[0]", "targets=[3]",
-                       "n_meta_train=2"]),
-            ("ablate", ["episodic=false", "use_global=false", "use_local=false",
-                        "n_meta_train=2"])]
+            ("train", ["rows=[[true, true, true]]", "seeds=[0]", "targets=[3]"]),
+            ("ablate", ["episodic=false", "use_global=false", "use_local=false"])]
         for item in items])
     def test_unread_key_is_config_error(self, tmp_path, monkeypatch, capsys,
                                         command, item):
@@ -781,6 +784,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config key '{key}' expects ")
         assert "a non-empty list" in err and err.endswith(", got []\n")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", "[0, 0]"), ("targets", "[3, 1, 3]"),
+        ("rows", "[[true, true, true], [false, false, false], [true, true, true]]")])
+    def test_duplicate_grid_entry_is_config_error(self, tmp_path, monkeypatch,
+                                                  capsys, key, value):
+        # a repeated entry would train one cell twice and overwrite its run
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        assert cli.main(["ablate", "--set", "iterations=1",
+                         "--set", f"{key}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key '{key}' expects ")
+        assert "of distinct" in err
         assert not any(tmp_path.iterdir())
 
     def test_override_without_equals_is_config_error(self, tmp_path,
@@ -807,7 +824,8 @@ class TestCli:
     @pytest.mark.parametrize("args, flag", [
         (["train", "--bogus"], "--bogus"), (["train", "--seed", "abc"], "--seed"),
         (["eval"], "--ckpt"), (["frobnicate"], "frobnicate"),
-        (["bench-gen", "--seed", "7"], "--seed"), ([], "command")])
+        (["bench-gen", "--seed", "7"], "--seed"), ([], "command"),
+        (["train", "--seed", "-1"], "--seed")])
     def test_usage_error_is_config_error(self, tmp_path, monkeypatch, capsys,
                                          args, flag):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))

@@ -73,8 +73,9 @@ def reference_step(state, batches):
     rng = copy.deepcopy(state.algo_rng)
     ids = sorted(batches)
     perm = rng.permutation(len(ids))
-    d_tr = [ids[i] for i in perm[:hp.n_meta_train]]
-    d_te = [ids[i] for i in perm[hp.n_meta_train:]]
+    n_tr = len(ids) - hp.n_meta_test
+    d_tr = [ids[i] for i in perm[:n_tr]]
+    d_te = [ids[i] for i in perm[n_tr:]]
     psi, theta, phi = state.psi, state.theta, state.phi
     params = psi.tensors + theta.tensors
     n_psi = len(psi.tensors)
