@@ -316,11 +316,12 @@ def canonical_datasets(overrides: dict | None = None) -> dict[int, DomainDataset
             for s in canonical_domain_specs(overrides)}
 
 
-def load_spec_file(path: str | Path) -> dict:
-    """Read a benchmark spec from disk: a YAML mapping of keys of CANONICAL,
-    the overrides that :func:`canonical_datasets` takes."""
+def load_spec_file(path: str | Path, what: str = "benchmark spec") -> dict:
+    """The YAML mapping in file ``path`` ({} if empty), by default a benchmark
+    spec: keys of CANONICAL, the overrides :func:`canonical_datasets` takes.
+    Anything else is a ValueError naming the file and ``what`` it holds."""
     with open(path) as f:
-        cfg = yaml.safe_load(f) or {}
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: benchmark spec must be a YAML mapping")
-    return cfg
+        cfg = yaml.safe_load(f)
+    if not isinstance(cfg, dict | None):
+        raise ValueError(f"{path}: {what} must be a YAML mapping")
+    return cfg or {}

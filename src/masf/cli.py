@@ -83,10 +83,7 @@ def _coerce(key: str, value, declared: str):
 
 def _load_config(path: str | None, overrides: list[str],
                  command: str) -> ExperimentConfig:
-    raw: dict = {}
-    if path:
-        with open(path) as f:
-            raw = yaml.safe_load(f) or {}
+    raw = bench.load_spec_file(path, "config") if path else {}
     for item in overrides:
         key, _, value = item.partition("=")
         if not _:
@@ -118,30 +115,24 @@ def _dump_resolved(config: ExperimentConfig, out_dir: Path, command: str) -> Non
         yaml.safe_dump(payload, f, sort_keys=False)
 
 
-def _datasets(config: ExperimentConfig, targets: list | None) -> dict:
-    """The benchmark domains, after the checks of the keys they bound and
-    of the held-out ``targets`` (None: every domain)."""
+def _datasets(config: ExperimentConfig, flags: tuple, targets) -> tuple[dict, list]:
+    """The benchmark domains and the held-out ``targets`` (a list, or a slice
+    of the sorted domain ids), once each target's run has been set up, which
+    checks every key that bounds a run."""
     datasets = bench.canonical_datasets(config.bench_overrides)
     if len(datasets) < 3:
         raise ValueError(f"num_domains must be at least 3 to train (a target, "
                          f"a meta-train and a meta-test source), got {len(datasets)}")
-    missing = [t for t in targets or [] if t not in datasets]
+    targets = sorted(datasets)[targets] if isinstance(targets, slice) else targets
+    missing = [t for t in targets if t not in datasets]
     if missing:
         raise ValueError(f"target {missing[0]} is not a domain; the domain "
                          f"ids are {sorted(datasets)}")
-    config.hp.validate(max(d.num_classes for d in datasets.values()))
-    n_sources = len(datasets) - 1  # every domain but the target
-    if not 1 <= config.hp.n_meta_test < n_sources:
-        raise ValueError(f"n_meta_test must be between 1 and {n_sources - 1}")
     if config.iterations < 1:
         raise ValueError("iterations must be >= 1")
-    # the split's size does not depend on its rng; any domain can be a source
-    train_rows = min(len(bench.train_test_split(d, config.train_fraction,
-                                                np.random.default_rng(0))[0])
-                     for d in datasets.values())
-    if config.hp.batch_size > train_rows:
-        raise ValueError(f"batch_size exceeds a source's {train_rows}-row training split")
-    return datasets
+    for target in targets:  # no check reads the flags or the run seed
+        harness.prepare_run(config, flags, datasets, target, 0)
+    return datasets, targets
 
 
 def cmd_bench_gen(args) -> int:
@@ -158,11 +149,11 @@ def cmd_train(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     config = _load_config(args.config, args.set or [], "train")
-    datasets = _datasets(config, None if args.target is None else [args.target])
+    flags = (config.hp.episodic, config.hp.use_global, config.hp.use_local)
+    datasets, (target,) = _datasets(  # no --target: the last domain
+        config, flags, slice(-1, None) if args.target is None else [args.target])
     out_dir = config.resolved_out_dir()
     _dump_resolved(config, out_dir, "train")
-    target = args.target if args.target is not None else sorted(datasets)[-1]
-    flags = (config.hp.episodic, config.hp.use_global, config.hp.use_local)
     acc, state, _, _ = harness.run_single(
         config, flags, target, args.seed, datasets,
         metrics_path=out_dir / "metrics.csv", return_state=True)
@@ -198,7 +189,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_config(args.config, args.set or [], "ablate")
-    datasets = _datasets(config, config.targets)
+    datasets, _ = _datasets(config, config.rows[0], config.targets or slice(None))
     out_dir = config.resolved_out_dir()
     _dump_resolved(config, out_dir, "ablate")
     report = harness.run_experiment(config, datasets)

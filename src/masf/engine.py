@@ -123,14 +123,19 @@ class MetricsRecord:
 MetricsRecord.FIELDS = tuple(f.name for f in fields(MetricsRecord))
 
 
+def check_n_meta_test(n_te: int, n_sources: int) -> None:
+    """An episode needs a meta-test and a meta-train source: 1 <= n_te < n_sources."""
+    if not 1 <= n_te < n_sources:
+        raise ValueError(f"n_meta_test must be at least 1 and less than the "
+                         f"{n_sources} source domains, got {n_te}")
+
+
 def split_domains(domain_ids, n_te: int,
                   rng: np.random.Generator) -> tuple[list, list]:
     """Uniformly random disjoint partition into meta-train and ``n_te``
     meta-test domains; meta-train is every domain meta-test leaves."""
     ids = list(domain_ids)
-    if not 1 <= n_te < len(ids):
-        raise ValueError(f"n_meta_test must be at least 1 and less than the "
-                         f"{len(ids)} source domains, got {n_te}")
+    check_n_meta_test(n_te, len(ids))
     n_tr = len(ids) - n_te
     perm = rng.permutation(len(ids))
     return [ids[i] for i in perm[:n_tr]], [ids[i] for i in perm[n_tr:]]

@@ -98,7 +98,7 @@ def margin_statistic(psi: ParamSet, phi: ParamSet, domain_a: DomainDataset,
 def target_alignment(psi: ParamSet, theta: ParamSet, source: DomainDataset,
                      target: DomainDataset, tau: float) -> float:
     """Soft-confusion alignment loss between a source and the target domain."""
-    num_classes = max(source.num_classes, target.num_classes)
+    num_classes = theta.tensors[-1].shape[0]  # the output layer's bias
     batches = {"source": (source.features, source.labels),
                "target": (target.features, target.labels)}
     loss = losses.global_alignment_loss(batches, [("source", "target")],
@@ -190,34 +190,46 @@ def _run_seed(seed: int, target) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def architecture(config: ExperimentConfig,
+                 datasets: dict[int, DomainDataset]) -> nets.Architecture:
+    """Sizes from the domains' input width and class count, and the config."""
+    return nets.Architecture(
+        input_dim=next(iter(datasets.values())).features.shape[1],
+        num_classes=max(d.num_classes for d in datasets.values()),
+        feature_widths=tuple(config.feature_widths),
+        metric_widths=tuple(config.metric_widths))
+
+
+def prepare_run(config: ExperimentConfig, flags: tuple,
+                datasets: dict[int, DomainDataset], target, run_seed: int):
+    """``(state, train, holdout)``: one (row, target) run's initial state and
+    each source's split. Data preparation depends only on (run_seed, target),
+    never on the ablation flags, so all rows of one cell see identical data."""
+    hp = replace(config.hp, episodic=flags[0], use_global=flags[1],
+                 use_local=flags[2])
+    sources = sorted(k for k in datasets if k != target)
+    engine.check_n_meta_test(hp.n_meta_test, len(sources))
+    split_rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=run_seed, spawn_key=(1,)))
+    train, holdout = {}, {}
+    for k in sources:
+        train[k], holdout[k] = bench.train_test_split(
+            datasets[k], config.train_fraction, split_rng)
+        if len(train[k]) < hp.batch_size:
+            raise ValueError(f"batch_size {hp.batch_size} exceeds domain {k}'s "
+                             f"{len(train[k])}-row training split")
+    return (engine.make_state(architecture(config, datasets), hp, run_seed),
+            train, holdout)
+
+
 def run_single(config: ExperimentConfig, flags: tuple, target, seed: int,
                datasets: dict[int, DomainDataset],
                metrics_path: Path | None = None,
                return_state: bool = False):
-    """Train one (row, split, seed) cell and return target accuracy.
-
-    Data preparation depends only on (seed, target), never on the ablation
-    flags, so all rows of one cell see identical data order.
-    """
-    episodic, use_global, use_local = flags
-    arch = nets.Architecture(
-        input_dim=datasets[target].features.shape[1],
-        num_classes=max(d.num_classes for d in datasets.values()),
-        feature_widths=tuple(config.feature_widths),
-        metric_widths=tuple(config.metric_widths))
-    sources = sorted(k for k in datasets if k != target)
-    hp = replace(config.hp, episodic=episodic, use_global=use_global,
-                 use_local=use_local)
-
-    run_seed = _run_seed(seed, target)
-    split_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=run_seed, spawn_key=(1,)))
-    train_parts, holdout_parts = {}, {}
-    for k in sources:
-        train_parts[k], holdout_parts[k] = bench.train_test_split(
-            datasets[k], config.train_fraction, split_rng)
-
-    state = engine.make_state(arch, hp, run_seed)
+    """Train one (row, split, seed) cell and return target accuracy; with
+    ``return_state``, also the trained state and the sources' splits."""
+    state, train_parts, holdout_parts = prepare_run(
+        config, flags, datasets, target, _run_seed(seed, target))
     records = []
     sink = records.append if metrics_path is not None else None
     try:

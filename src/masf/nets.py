@@ -31,10 +31,10 @@ class Architecture:
 
     def __post_init__(self):
         if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        widths = (self.input_dim, *self.feature_widths, *self.metric_widths)
-        if any(w < 1 for w in widths):
-            raise ValueError("all layer widths must be >= 1")
+            raise ValueError(f"num_classes must be at least 2, got {self.num_classes}")
+        for name in ("input_dim", "feature_widths", "metric_widths"):
+            if min(np.atleast_1d(widths := getattr(self, name)), default=0) < 1:
+                raise ValueError(f"{name} must be at least 1 per layer, got {widths}")
 
     @property
     def feature_dim(self) -> int:

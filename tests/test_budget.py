@@ -18,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from masf import autodiff as ad
-from masf import bench, engine, harness, nets
+from masf import bench, engine, harness
 
 TARGET = 3
 SEED = 0
@@ -69,14 +69,9 @@ def step_counts(name: str, monkeypatch) -> list[dict[str, Counter]]:
     cfg = harness.canonical_experiment_config()
     datasets = bench.canonical_datasets()
     sources = {k: d for k, d in datasets.items() if k != TARGET}
-    arch = nets.Architecture(
-        input_dim=datasets[TARGET].features.shape[1],
-        num_classes=max(d.num_classes for d in datasets.values()),
-        feature_widths=tuple(cfg.feature_widths),
-        metric_widths=tuple(cfg.metric_widths))
     hp = replace(cfg.hp, episodic=True, use_global=True,
                  local_loss_kind=engine.TRIPLET, **CONFIGS[name])
-    state = engine.make_state(arch, hp, SEED)
+    state = engine.make_state(harness.architecture(cfg, datasets), hp, SEED)
 
     count = {"graph": Counter(), "values": Counter()}
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from masf import bench, engine, harness, nets
+from masf import bench, engine, harness
 
 GOLDEN = Path(__file__).parent / "data" / "golden_meta_steps.npz"
 RTOL = 1e-12
@@ -41,15 +41,10 @@ def train_case(name: str) -> dict[str, np.ndarray]:
     cfg = harness.canonical_experiment_config()
     datasets = bench.canonical_datasets()
     sources = {k: d for k, d in datasets.items() if k != TARGET}
-    arch = nets.Architecture(
-        input_dim=datasets[TARGET].features.shape[1],
-        num_classes=max(d.num_classes for d in datasets.values()),
-        feature_widths=tuple(cfg.feature_widths),
-        metric_widths=tuple(cfg.metric_widths))
     hp = replace(cfg.hp, **CASES[name])
     records = []
-    state = engine.train(engine.make_state(arch, hp, SEED), sources, STEPS,
-                         records.append)
+    state = engine.make_state(harness.architecture(cfg, datasets), hp, SEED)
+    state = engine.train(state, sources, STEPS, records.append)
     out = {f"{name}/records": np.array([r.row() for r in records], dtype=np.float64)}
     for pset in (state.psi, state.theta, state.phi):
         for key, tensor in pset.entries:

@@ -280,6 +280,62 @@ class TestTargetAlignment:
         assert harness.target_alignment(psi, theta, ds[0], ds[2], 2.0) >= 0.0
 
 
+    def test_label_theta_has_no_class_for_rejected(self):
+        # theta's output layer sets the classes, as in meta_step
+        psi, theta, _ = nets.init_params(ARCH, 1)
+        ds = small_datasets(2)
+        four = bench.DomainDataset(ds[1].features, np.arange(60) % 4, 1)
+        with pytest.raises(ValueError, match=r"label out of range \[0, 3\): 3$"):
+            harness.target_alignment(psi, theta, ds[0], four, 2.0)
+
+
+def _arrays(state, *splits) -> list[np.ndarray]:
+    """psi, theta and phi, then the features and labels of each split."""
+    out = [t.value for p in (state.psi, state.theta, state.phi) for t in p.tensors]
+    for parts in splits:
+        assert sorted(parts) == [0, 1]  # target 2 of small_datasets
+        out += [a for k in sorted(parts) for a in (parts[k].features, parts[k].labels)]
+    return out
+
+
+class TestPrepareRun:
+    def test_run_single_is_prepare_train_evaluate(self):
+        cfg, ds, flags = tiny_config(), small_datasets(), harness.ALL_ROWS[7]
+        acc, state, train, holdout = harness.run_single(
+            cfg, flags, 2, 5, ds, return_state=True)
+        start, train2, holdout2 = harness.prepare_run(
+            cfg, flags, ds, 2, harness._run_seed(5, 2))
+        trained = engine.train(start, train2, cfg.iterations)
+        assert acc == harness.evaluate_accuracy(trained.psi, trained.theta, ds[2])
+        got = _arrays(state, train, holdout)
+        expected = _arrays(trained, train2, holdout2)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+
+    def test_flags_change_no_data(self):
+        cfg, ds = tiny_config(), small_datasets()
+        runs = [harness.prepare_run(cfg, flags, ds, 2, 7)
+                for flags in harness.ALL_ROWS]
+        for flags, (state, *_) in zip(harness.ALL_ROWS, runs):
+            assert (state.hp.episodic, state.hp.use_global,
+                    state.hp.use_local) == flags
+        first = _arrays(*runs[0])
+        for run in runs[1:]:
+            for a, b in zip(_arrays(*run), first):
+                np.testing.assert_array_equal(a, b)
+
+    def test_batch_beyond_a_split_fails_before_metrics(self, tmp_path):
+        # 60 rows of 3 classes per domain: a 0.7 split keeps 14 of each 20
+        cfg = tiny_config(hp=replace(tiny_config().hp, batch_size=43))
+        path = tmp_path / "metrics.csv"
+        with pytest.raises(ValueError, match="^batch_size 43 exceeds domain 0's "
+                                             "42-row training split$"):
+            harness.run_single(cfg, harness.ALL_ROWS[7], 2, 0,
+                               small_datasets(), path)
+        assert not path.exists()
+
+
 class TestRunExperiment:
     def test_report_shape_and_determinism(self, tmp_path):
         cfg = tiny_config(rows=[harness.ALL_ROWS[0], harness.ALL_ROWS[7]],
@@ -691,6 +747,28 @@ class TestCli:
         with pytest.raises(ValueError, match=f"config key '{key}'"):
             cli._load_config(None, [item], "train")
 
+    @pytest.mark.parametrize("text", ["5\n", "- a\n", "[]\n", "just text\n"])
+    def test_config_not_a_mapping_names_file(self, tmp_path, monkeypatch,
+                                             capsys, text):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "out"))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert cli.main(["train", "--config", str(path),
+                         "--set", "iterations=1"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {path}: config must be a YAML mapping\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_te", [0, 3])
+    def test_n_meta_test_rule_is_the_engine_s(self, tmp_path, monkeypatch,
+                                              capsys, n_te):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        assert cli.main(["train", "--set", "iterations=1",
+                         "--set", f"n_meta_test={n_te}"]) == 1
+        with pytest.raises(ValueError) as engine_error:
+            engine.split_domains([0, 1, 2], n_te, np.random.default_rng(0))
+        assert capsys.readouterr().err == f"config error: {engine_error.value}\n"
+
     def test_unconvertible_number_in_file_is_config_error(self, tmp_path,
                                                           monkeypatch, capsys):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
@@ -713,6 +791,7 @@ class TestCli:
         ("bench_overrides={num_domains: 1}", "num_domains"),
         ("bench_overrides={num_domains: 2}", "num_domains"),
         ("bench_overrides={num_classes: 0}", "num_classes"),
+        ("bench_overrides={num_classes: 1}", "num_classes"),
         ("bench_overrides={input_dim: 2}", "input_dim"),
         ("clip_threshold=0", "clip_threshold"),
         ("tau=-1", "tau"),

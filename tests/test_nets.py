@@ -46,6 +46,20 @@ class TestInit:
             nets.Architecture(input_dim=4, num_classes=3, feature_widths=(0,),
                               metric_widths=(4,))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_classes", 1, "num_classes must be at least 2, got 1"),
+        ("input_dim", 0, "input_dim must be at least 1 per layer, got 0"),
+        ("feature_widths", (4, 0),
+         r"feature_widths must be at least 1 per layer, got \(4, 0\)"),
+        ("metric_widths", (),
+         r"metric_widths must be at least 1 per layer, got \(\)"),
+    ])
+    def test_invalid_arch_names_field(self, field, value, message):
+        sizes = dict(input_dim=4, num_classes=3, feature_widths=(4,),
+                     metric_widths=(4,))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nets.Architecture(**{**sizes, field: value})
+
 
 class TestForward:
     def test_zero_params_zero_features(self):
