@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 # latent layout constants: class means sit on circles in dims (0,1) (rotated
 # per domain) and dims (2,3) (invariant); remaining dims are distractors
@@ -315,13 +314,3 @@ def canonical_datasets(overrides: dict | None = None) -> dict[int, DomainDataset
     return {s.domain_id: make_domain(s, seed)
             for s in canonical_domain_specs(overrides)}
 
-
-def load_spec_file(path: str | Path, what: str = "benchmark spec") -> dict:
-    """The YAML mapping in file ``path`` ({} if empty), by default a benchmark
-    spec: keys of CANONICAL, the overrides :func:`canonical_datasets` takes.
-    Anything else is a ValueError naming the file and ``what`` it holds."""
-    with open(path) as f:
-        cfg = yaml.safe_load(f)
-    if not isinstance(cfg, dict | None):
-        raise ValueError(f"{path}: {what} must be a YAML mapping")
-    return cfg or {}

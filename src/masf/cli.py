@@ -81,9 +81,21 @@ def _coerce(key: str, value, declared: str):
     return number if declared == "float" else int(number)
 
 
+def load_spec_file(path: str | Path, what: str = "benchmark spec") -> dict:
+    """The YAML mapping in file ``path`` ({} if empty), by default a benchmark
+    spec: keys of bench.CANONICAL, the overrides bench.canonical_datasets
+    takes. Anything else is a ValueError naming the file and ``what`` it
+    holds."""
+    with open(path) as f:
+        cfg = yaml.safe_load(f)
+    if not isinstance(cfg, dict | None):
+        raise ValueError(f"{path}: {what} must be a YAML mapping")
+    return cfg or {}
+
+
 def _load_config(path: str | None, overrides: list[str],
                  command: str) -> ExperimentConfig:
-    raw = bench.load_spec_file(path, "config") if path else {}
+    raw = load_spec_file(path, "config") if path else {}
     for item in overrides:
         key, _, value = item.partition("=")
         if not _:
@@ -136,7 +148,7 @@ def _datasets(config: ExperimentConfig, flags: tuple, targets) -> tuple[dict, li
 
 
 def cmd_bench_gen(args) -> int:
-    overrides = bench.load_spec_file(args.spec) if args.spec else {}
+    overrides = load_spec_file(args.spec) if args.spec else {}
     datasets = list(bench.canonical_datasets(overrides).values())
     out = Path(os.environ.get("MASF_OUT_DIR") or args.out)
     bench.export_csv(datasets, out / "benchmark.csv")

@@ -59,7 +59,8 @@ def margin_triples(domain_a: DomainDataset, domain_b: DomainDataset,
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     for d in (domain_a, domain_b):
-        if len(np.unique(d.labels)) < 2:
+        # labels are non-negative ints; np.unique would import numpy.ma
+        if np.count_nonzero(np.bincount(d.labels)) < 2:
             raise ValueError("margin statistic needs >= 2 classes per domain")
     c = max(domain_a.num_classes, domain_b.num_classes)
     same_count = np.bincount(domain_b.labels, minlength=c)
@@ -289,6 +290,9 @@ def run_experiment(config: ExperimentConfig,
 # ---------------------------------------------------------------------------
 # dependency-free SVG line plots
 
+# title and legend text as XML character data
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 
 def write_svg_lines(path: Path, series: dict[str, list[float]],
                     title: str = "") -> None:
@@ -306,7 +310,8 @@ def write_svg_lines(path: Path, series: dict[str, list[float]],
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}">',
-             f'<text x="{width // 2}" y="20" text-anchor="middle">{title}</text>',
+             f'<text x="{width // 2}" y="20" text-anchor="middle">'
+             f'{title.translate(_XML_TEXT)}</text>',
              f'<rect x="{pad}" y="{pad}" width="{plot_w}" height="{plot_h}" '
              'fill="none" stroke="#888"/>']
     for i, (name, vals) in enumerate(series.items()):
@@ -321,6 +326,6 @@ def write_svg_lines(path: Path, series: dict[str, list[float]],
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{pad + 5}" y="{pad + 15 + 15 * i}" '
-                     f'fill="{color}">{name}</text>')
+                     f'fill="{color}">{name.translate(_XML_TEXT)}</text>')
     parts.append("</svg>")
     path.write_text("\n".join(parts))

@@ -7,7 +7,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masf import bench
+from masf import bench, cli
 
 
 def small_spec(**kw):
@@ -383,12 +383,12 @@ class TestCanonical:
     def test_spec_file_matches_builtin(self, tmp_path):
         path = tmp_path / "spec.yaml"
         path.write_text(yaml.safe_dump(bench.CANONICAL, sort_keys=False))
-        assert bench.load_spec_file(path) == bench.CANONICAL
+        assert cli.load_spec_file(path) == bench.CANONICAL
 
     def test_partial_spec_file_keeps_other_canonical_keys(self, tmp_path):
         path = tmp_path / "spec.yaml"
         path.write_text("num_classes: 3\nbase_seed: 7\n")
-        overrides = bench.load_spec_file(path)
+        overrides = cli.load_spec_file(path)
         assert overrides == {"num_classes": 3, "base_seed": 7}
         specs = bench.canonical_domain_specs(overrides)
         assert specs == [replace(s, num_classes=3)
@@ -399,7 +399,7 @@ class TestCanonical:
         path = tmp_path / "spec.yaml"
         path.write_text(text)
         with pytest.raises(ValueError, match="spec.yaml.*mapping"):
-            bench.load_spec_file(path)
+            cli.load_spec_file(path)
 
     # sha256 of the domains' features, then of their labels, in domain order.
     # The feature bits come from libm and BLAS, so that digest holds on the

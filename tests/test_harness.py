@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -168,6 +169,25 @@ class TestMarginStatistic:
         with pytest.raises(ValueError):
             harness.margin_statistic(psi, phi, mono, ds[1], 10,
                                      np.random.default_rng(0))
+
+    def test_two_classes_of_any_ids_pass(self):
+        # the rule counts the classes present, not the range of the labels
+        domain = bench.DomainDataset(np.zeros((6, 2)), [0, 3, 0, 3, 3, 0], 0)
+        anchors, positives, negatives = harness.margin_triples(
+            domain, domain, 50, np.random.default_rng(0))
+        assert np.all(domain.labels[positives] == domain.labels[anchors])
+        assert np.all(domain.labels[negatives] != domain.labels[anchors])
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("labels", [[2, 2, 2], []],
+                             ids=["one-class", "no-rows"])
+    def test_fewer_than_two_classes_rejected(self, labels, side):
+        two = bench.DomainDataset(np.zeros((4, 2)), [0, 1, 0, 1], 0)
+        few = bench.DomainDataset(np.zeros((len(labels), 2)), labels, 1)
+        pair = (few, two) if side == "a" else (two, few)
+        with pytest.raises(ValueError,
+                           match="margin statistic needs >= 2 classes per domain"):
+            harness.margin_triples(*pair, 10, np.random.default_rng(0))
 
     def test_positive_for_clustered_embeddings(self):
         # with a perfectly clustered metric space the margin must be positive
@@ -697,6 +717,16 @@ class TestCli:
         assert cli.main(["plot", "--metrics", str(metrics),
                          "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_plot_escapes_markup_in_title_and_legend(self, tmp_path, capsys):
+        metrics = tmp_path / "x&y<z>.csv"
+        metrics.write_text("a<b&c>\n1\n2\n3\n")
+        out = tmp_path / "m.svg"
+        assert cli.main(["plot", "--metrics", str(metrics), "--columns",
+                         "a<b&c>", "--out", str(out)]) == 0
+        root = ElementTree.parse(out).getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == ["x&y<z>", "a<b&c>"]
 
     def test_plot_unknown_column_is_config_error(self, tmp_path, capsys):
         metrics = tmp_path / "m.csv"
