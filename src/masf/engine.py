@@ -64,10 +64,12 @@ class Hyperparams:
         for f in fields(self):  # a NaN would pass every check below
             if f.type == "float" and not np.isfinite(value := getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be a finite number, got {value}")
-        if min(self.alpha, self.eta, self.gamma) <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.beta1 < 0 or self.beta2 < 0:
-            raise ValueError("meta-loss weights must be non-negative")
+        for key in ("alpha", "eta", "gamma"):  # the learning rates
+            if (value := getattr(self, key)) <= 0:
+                raise ValueError(f"{key} must be positive, got {value}")
+        for key in ("beta1", "beta2"):  # the meta-loss weights
+            if (value := getattr(self, key)) < 0:
+                raise ValueError(f"{key} must be non-negative, got {value}")
         if self.clip_threshold <= 0:
             raise ValueError("clip_threshold must be positive")
         if self.tau <= 0:
@@ -79,7 +81,7 @@ class Hyperparams:
         if self.xi < 0:
             raise ValueError("xi must be non-negative")
         if self.local_loss_kind not in (CONTRASTIVE, TRIPLET):
-            raise ValueError(f"unknown local loss {self.local_loss_kind!r}")
+            raise ValueError(f"unknown local_loss_kind {self.local_loss_kind!r}")
         if num_classes is not None and self.batch_size < 2 * num_classes:
             raise ValueError("batch_size must be at least 2 * num_classes")
 

@@ -7,7 +7,7 @@ without mutation. All forward passes build autodiff graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,47 +41,44 @@ class Architecture:
         return self.feature_widths[-1]
 
 
-@dataclass
+def _name(i: int) -> str:
+    """The name of a parameter set's ``i``-th tensor: w0, b0, w1, b1, ..."""
+    return f"{'wb'[i % 2]}{i // 2}"
+
+
+@dataclass(frozen=True)
 class ParamSet:
-    """Named, ordered parameter tensors for one network."""
+    """One network's tensors in layer order, named by position (``_name``)."""
 
     role: str
-    entries: list[tuple[str, Expr]] = field(default_factory=list)
+    tensors: tuple[Expr, ...]
 
     def __post_init__(self):
-        names = [n for n, _ in self.entries]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate parameter names")
+        object.__setattr__(self, "tensors", tuple(self.tensors))
 
     @property
-    def tensors(self) -> list[Expr]:
-        return [t for _, t in self.entries]
+    def entries(self) -> list[tuple[str, Expr]]:
+        return [(_name(i), t) for i, t in enumerate(self.tensors)]
 
     def __getitem__(self, name: str) -> Expr:
-        for n, t in self.entries:
-            if n == name:
-                return t
-        raise KeyError(name)
+        return dict(self.entries)[name]
 
     def replace(self, new_tensors: list[Expr]) -> "ParamSet":
-        """New ParamSet with the same names; shapes must match."""
-        if len(new_tensors) != len(self.entries):
+        """New ParamSet of the same role; shapes must match."""
+        if len(new_tensors) != len(self.tensors):
             raise ValueError("tensor count mismatch")
-        entries = []
-        for (name, old), new in zip(self.entries, new_tensors):
+        for i, (old, new) in enumerate(zip(self.tensors, new_tensors)):
             if new.shape != old.shape:
-                raise ValueError(f"shape mismatch for {name}")
-            entries.append((name, new))
-        return ParamSet(self.role, entries)
+                raise ValueError(f"shape mismatch for {_name(i)}")
+        return ParamSet(self.role, new_tensors)
 
 
 def _mlp_params(rng: np.random.Generator, role: str, dims: list[int]) -> ParamSet:
-    entries = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+    tensors = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        entries.append((f"w{i}", ad.leaf(w)))
-        entries.append((f"b{i}", ad.leaf(np.zeros(fan_out))))
-    return ParamSet(role, entries)
+        tensors += [ad.leaf(w), ad.leaf(np.zeros(fan_out))]
+    return ParamSet(role, tensors)
 
 
 def init_params(arch: Architecture, seed: int) -> tuple[ParamSet, ParamSet, ParamSet]:
@@ -99,10 +96,10 @@ def _mlp(params: ParamSet, role: str, h: Expr, relu_last: bool) -> Expr:
     layers and after the last one only if ``relu_last``."""
     if params.role != role:
         raise ValueError(f"expected {role.replace('_', '-')} parameters")
-    n = len(params.entries) // 2
-    for i in range(n):
-        h = ad.add(ad.matmul(h, params[f"w{i}"]), params[f"b{i}"])
-        if relu_last or i < n - 1:
+    layers = list(zip(params.tensors[::2], params.tensors[1::2]))
+    for i, (w, b) in enumerate(layers, 1):
+        h = ad.add(ad.matmul(h, w), b)
+        if relu_last or i < len(layers):
             h = ad.relu(h)
     return h
 
@@ -140,7 +137,7 @@ def save_params(params: ParamSet, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         np.save(f, np.array([params.role, *(n for n, _ in params.entries)]))
-        for _, t in params.entries:
+        for t in params.tensors:
             np.save(f, t.value)
 
 
@@ -153,7 +150,7 @@ def _read_record(f, path) -> np.ndarray:
 
 
 def load_params(path: str | Path, role: str) -> ParamSet:
-    """Read a parameter file with the names it was saved with. A short,
+    """Read a parameter file that ``save_params`` wrote. A short,
     overlong or foreign file is an ``OSError``; another role than ``role``,
     names off the w0, b0, w1, ... layout or layers that do not chain is a
     ``ValueError``."""
@@ -165,18 +162,18 @@ def load_params(path: str | Path, role: str) -> ParamSet:
         if saved != role:
             raise ValueError(f"{path}: holds {saved!r} parameters, "
                              f"expected {role!r}")
-        if names != [f"{k}{i}" for i in range(len(names) // 2 or 1) for k in "wb"]:
+        if names != [_name(i) for i in range(len(names) // 2 * 2 or 2)]:
             raise ValueError(f"{path}: parameter names {names} are not "
                              f"w0, b0, w1, b1, ...")
-        entries = [(name, ad.leaf(_read_record(f, path))) for name in names]
+        tensors = [ad.leaf(_read_record(f, path)) for _ in names]
         if f.read(1):
             raise OSError(f"{path}: trailing bytes after the parameters")
-    shapes = [t.shape for _, t in entries]
+    shapes = [t.shape for t in tensors]
     for i, (w, b) in enumerate(zip(shapes[::2], shapes[1::2])):
         if len(w) != 2 or b != w[1:]:
-            raise ValueError(f"{path}: w{i} {w} and b{i} {b} are not an "
-                             f"[in, out] matrix and an [out] vector")
+            raise ValueError(f"{path}: {_name(2 * i)} {w} and {_name(2 * i + 1)} "
+                             f"{b} are not an [in, out] matrix and an [out] vector")
         if i and w[0] != shapes[2 * i - 2][1]:
-            raise ValueError(f"{path}: w{i} takes {w[0]} inputs, but layer "
-                             f"{i - 1} gives {shapes[2 * i - 2][1]}")
-    return ParamSet(role, entries)
+            raise ValueError(f"{path}: {_name(2 * i)} takes {w[0]} inputs, but "
+                             f"layer {i - 1} gives {shapes[2 * i - 2][1]}")
+    return ParamSet(role, tensors)

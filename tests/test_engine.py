@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -54,6 +55,17 @@ class TestHyperparams:
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_nonpositive_clip_threshold_and_tau_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
+            engine.Hyperparams(**{key: value}).validate()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha", -1.0, "alpha must be positive, got -1.0"),
+        ("eta", 0.0, "eta must be positive, got 0.0"),
+        ("gamma", -2.0, "gamma must be positive, got -2.0"),
+        ("beta1", -1.0, "beta1 must be non-negative, got -1.0"),
+        ("beta2", -0.5, "beta2 must be non-negative, got -0.5"),
+        ("local_loss_kind", "Triplet", "unknown local_loss_kind 'Triplet'")])
+    def test_message_names_key_and_value(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             engine.Hyperparams(**{key: value}).validate()
 
     @pytest.mark.parametrize("key, value", [
@@ -261,9 +273,9 @@ class TestMetaStep:
             "input_dim": 8, "rotations_deg": [0.0, 30.0, 60.0],
             "scales": [1.0] * 3, "shifts": [0.0] * 3})
         rng = np.random.default_rng(0)
-        theta = nets.ParamSet(nets.TASK_NET, [
-            (name, ad.leaf(rng.normal(0.0, 0.5, shape))) for name, shape in
-            [("w0", (6, 3)), ("b0", (3,)), ("w1", (3, 5)), ("b1", (5,))]])
+        theta = nets.ParamSet(nets.TASK_NET, tuple(
+            ad.leaf(rng.normal(0.0, 0.5, shape))
+            for shape in [(6, 3), (3,), (3, 5), (5,)]))
         state = replace(engine.make_state(arch, small_hp(), 0), theta=theta)
         state = engine.train(state, ds, 2)
         assert [t.shape for t in state.theta.tensors] == [(6, 3), (3,), (3, 5), (5,)]

@@ -860,6 +860,9 @@ class TestCli:
         ("beta1=.nan", "beta1"), ("beta1=.inf", "beta1"),
         ("beta2=.nan", "beta2"), ("tau=.inf", "tau"), ("xi=.nan", "xi"),
         ("clip_threshold=.inf", "clip_threshold"), ("eta=-.inf", "eta"),
+        ("alpha=-1", "alpha"), ("eta=0", "eta"), ("gamma=0", "gamma"),
+        ("beta1=-1", "beta1"), ("beta2=-0.5", "beta2"),
+        ("local_loss_kind=Triplet", "local_loss_kind"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, monkeypatch, capsys,
                                        command, item, key):

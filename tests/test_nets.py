@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,10 +136,10 @@ class TestForward:
 
     def test_every_task_layer_applied(self):
         # a hand-made two-layer task net: ReLU between layers, none after
-        params = nets.ParamSet(nets.TASK_NET, [
-            ("w0", ad.leaf(np.eye(2))), ("b0", ad.leaf([0.0, -1.0])),
-            ("w1", ad.leaf([[1.0, 2.0, 0.0], [3.0, 0.0, -1.0]])),
-            ("b1", ad.leaf([0.0, 0.0, -0.5]))])
+        params = nets.ParamSet(nets.TASK_NET, (
+            ad.leaf(np.eye(2)), ad.leaf([0.0, -1.0]),
+            ad.leaf([[1.0, 2.0, 0.0], [3.0, 0.0, -1.0]]),
+            ad.leaf([0.0, 0.0, -0.5])))
         logits = nets.task_forward(params, ad.const([[-1.0, 3.0]]))
         np.testing.assert_array_equal(logits.value, [[6.0, 0.0, -2.5]])
 
@@ -149,12 +151,30 @@ class TestForward:
             np.testing.assert_array_equal(t.value, b)
 
 
-class TestInputChecks:
-    def test_duplicate_names(self):
-        w = ad.leaf(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="duplicate parameter names"):
-            nets.ParamSet(nets.TASK_NET, [("w0", w), ("w0", w)])
+class TestParamSet:
+    def test_frozen(self):
+        _, theta, _ = nets.init_params(ARCH, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            theta.tensors = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            theta.role = nets.FEATURE_EXTRACTOR
 
+    def test_names_follow_positions(self):
+        tensors = [ad.leaf(np.zeros((2, 3))), ad.leaf(np.zeros(3)),
+                   ad.leaf(np.zeros((3, 4))), ad.leaf(np.zeros(4))]
+        params = nets.ParamSet(nets.TASK_NET, tensors)
+        assert [n for n, _ in params.entries] == ["w0", "b0", "w1", "b1"]
+        for name, t in zip(["w0", "b0", "w1", "b1"], tensors):
+            assert params[name] is t
+
+    def test_list_is_stored_as_tuple(self):
+        psi, theta, _ = nets.init_params(ARCH, 0)
+        built = nets.ParamSet(nets.TASK_NET, list(theta.tensors))
+        assert isinstance(built.tensors, tuple)
+        assert psi.tensors + built.tensors == psi.tensors + theta.tensors
+
+
+class TestInputChecks:
     def test_unknown_name(self):
         _, theta, _ = nets.init_params(ARCH, 0)
         with pytest.raises(KeyError, match="w1"):
@@ -218,7 +238,7 @@ class TestSgdStep:
 
     def test_scalar_step_value(self):
         w = ad.leaf(1.0)
-        pset = nets.ParamSet(nets.TASK_NET, [("w0", w)])
+        pset = nets.ParamSet(nets.TASK_NET, (w,))
         gm = ad.GradMap([w], [ad.const(2.0)])
         assert float(nets.sgd_step(pset, gm, 0.1)["w0"].value) == pytest.approx(0.8)
 
@@ -266,10 +286,11 @@ class TestSerialization:
                                        ["w0", "b0", "w1"], ["layer0", "bias0"], []])
     def test_names_off_the_layer_layout_rejected(self, tmp_path, names):
         rng = np.random.default_rng(4)
-        params = nets.ParamSet(nets.TASK_NET, [
-            (n, ad.leaf(rng.normal(size=(2,)))) for n in names])
         path = tmp_path / "theta.bin"
-        nets.save_params(params, path)
+        with open(path, "wb") as f:  # the layout of save_params, other names
+            np.save(f, np.array([nets.TASK_NET, *names]))
+            for _ in names:
+                np.save(f, rng.normal(size=(2,)))
         with pytest.raises(ValueError, match="theta.bin: parameter names"):
             nets.load_params(path, nets.TASK_NET)
 
@@ -329,9 +350,8 @@ class TestSerialization:
         ([(6, 8), (8,), (7, 5), (5,)], r"w1 takes 7 inputs, but layer 0 gives 8"),
     ], ids=["weight-not-2d", "bias-width", "layers-do-not-chain"])
     def test_shapes_that_do_not_chain_rejected(self, tmp_path, shapes, message):
-        names = [f"{k}{i}" for i in range(len(shapes) // 2) for k in "wb"]
-        params = nets.ParamSet(nets.FEATURE_EXTRACTOR, [
-            (n, ad.leaf(np.zeros(s))) for n, s in zip(names, shapes)])
+        params = nets.ParamSet(nets.FEATURE_EXTRACTOR,
+                               tuple(ad.leaf(np.zeros(s)) for s in shapes))
         path = tmp_path / "psi.bin"
         nets.save_params(params, path)
         with pytest.raises(ValueError, match=f"psi.bin: {message}"):
