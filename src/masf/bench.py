@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,12 @@ class DomainDataset:
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1
 
+    @cached_property
+    def strata(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each class's row count, and the rows stably sorted by class. Kept
+        from the first draw or split: the arrays must not change after that."""
+        return np.bincount(self.labels), np.argsort(self.labels, kind="stable")
+
     def rows(self, idx: np.ndarray) -> "DomainDataset":
         """The rows ``idx`` of this domain, in that order."""
         return DomainDataset(self.features[idx], self.labels[idx], self.domain_id)
@@ -128,25 +135,19 @@ def make_domain(spec: DomainSpec, base_seed: int) -> DomainDataset:
     return DomainDataset(x[order], labels[order], spec.domain_id)
 
 
-def _class_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each class's row count, and the rows stably sorted by class."""
-    return np.bincount(labels), np.argsort(labels, kind="stable")
-
-
 def sample_batch(dataset: DomainDataset, batch_size: int, stratified: bool,
                  rng: np.random.Generator) -> DomainDataset:
-    """Mini-batch without replacement; stratified mode guarantees every
-    class at least one sample (required by class-mean estimation)."""
+    """Stratified mini-batch without replacement: every class gets at least
+    one row (required by class-mean estimation); ``stratified`` must be True."""
     n = len(dataset)
     if batch_size > n:
         raise ValueError("batch_size exceeds dataset size")
     if not stratified:
-        idx = rng.choice(n, size=batch_size, replace=False)
-        return dataset.rows(idx)
-    c = dataset.num_classes
+        raise ValueError("stratified must be True: every batch is stratified")
+    counts, order = dataset.strata
+    c = len(counts)
     if batch_size < c:
         raise ValueError("stratified batch needs batch_size >= num_classes")
-    counts, order = _class_order(dataset.labels)
     if not counts.all():
         raise ValueError(f"domain {dataset.domain_id} has no row of class "
                          f"{np.flatnonzero(counts == 0)[0]}")
@@ -165,7 +166,7 @@ def train_test_split(dataset: DomainDataset, train_fraction: float,
     """Disjoint stratified split; union reproduces the original multiset."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    counts, order = _class_order(dataset.labels)
+    counts, order = dataset.strata
     # a class without rows permutes an empty slice, which draws nothing
     train = np.zeros(len(dataset), dtype=bool)
     for members in np.split(order, np.cumsum(counts)[:-1]):

@@ -64,26 +64,21 @@ class Hyperparams:
         for f in fields(self):  # a NaN would pass every check below
             if f.type == "float" and not np.isfinite(value := getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be a finite number, got {value}")
-        for key in ("alpha", "eta", "gamma"):  # the learning rates
+        for key in ("alpha", "eta", "gamma", "clip_threshold", "tau"):
             if (value := getattr(self, key)) <= 0:
                 raise ValueError(f"{key} must be positive, got {value}")
-        for key in ("beta1", "beta2"):  # the meta-loss weights
+        for key in ("beta1", "beta2", "xi"):
             if (value := getattr(self, key)) < 0:
                 raise ValueError(f"{key} must be non-negative, got {value}")
-        if self.clip_threshold <= 0:
-            raise ValueError("clip_threshold must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
         if self.decay_every < 1:
-            raise ValueError("decay_every must be >= 1")
+            raise ValueError(f"decay_every must be >= 1, got {self.decay_every}")
         if not 0 <= self.decay_rate < 1:
-            raise ValueError("decay_rate must be in [0, 1)")
-        if self.xi < 0:
-            raise ValueError("xi must be non-negative")
+            raise ValueError(f"decay_rate must be in [0, 1), got {self.decay_rate}")
         if self.local_loss_kind not in (CONTRASTIVE, TRIPLET):
             raise ValueError(f"unknown local_loss_kind {self.local_loss_kind!r}")
         if num_classes is not None and self.batch_size < 2 * num_classes:
-            raise ValueError("batch_size must be at least 2 * num_classes")
+            raise ValueError(f"batch_size must be at least 2 * num_classes = "
+                             f"{2 * num_classes}, got {self.batch_size}")
 
 
 @dataclass
@@ -286,7 +281,9 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
 
 def draw_batches(datasets: dict, batch_size: int,
                  rng: np.random.Generator) -> dict:
-    """One stratified batch per domain, in sorted domain-id order."""
+    """One stratified batch per domain, in sorted domain-id order. It calls
+    ``bench.sample_batch`` through the module attribute because the benchmark's
+    tracer wraps that attribute, and tests/test_traced_spans.py checks its span."""
     out = {}
     for k in sorted(datasets):
         batch = bench.sample_batch(datasets[k], batch_size, True, rng)

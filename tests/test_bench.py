@@ -178,6 +178,14 @@ def drawn_domain(priors, n, seed):
     return bench.DomainDataset(features, rng.permutation(labels), 0)
 
 
+def sparse_domain(n, seed):
+    """A 3-class domain of ``n`` rows: one row of class 0, two of class 1."""
+    labels = np.concatenate([[0, 1, 1], np.full(n - 3, 2)])
+    features = bench.make_domain(small_spec(n_samples=n), seed).features
+    return bench.DomainDataset(
+        features, np.random.default_rng(seed).permutation(labels), 0)
+
+
 def reference_sample_batch(dataset, batch_size, rng):
     """The stratified draw as first written, with ``np.setdiff1d``; the
     library's draw must make the same RNG calls and pick the same rows."""
@@ -213,6 +221,24 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             bench.sample_batch(ds, 61, False, np.random.default_rng(0))
 
+    def test_unstratified_draw_rejected(self):
+        ds = bench.make_domain(small_spec(), 2)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^stratified must be True"):
+            bench.sample_batch(ds, 10, False, rng)
+        assert rng.bit_generator.state == state
+
+    def test_class_order_computed_once(self):
+        ds = drawn_domain((0.6, 0.3, 0.1), 40, 3)
+        assert "strata" not in vars(ds)
+        bench.sample_batch(ds, 6, True, np.random.default_rng(0))
+        counts, order = vars(ds)["strata"]
+        np.testing.assert_array_equal(counts, np.bincount(ds.labels))
+        np.testing.assert_array_equal(order, np.argsort(ds.labels, kind="stable"))
+        bench.sample_batch(ds, 6, True, np.random.default_rng(1))
+        assert ds.strata[0] is counts and ds.strata[1] is order
+
     def test_batch_smaller_than_classes_rejected(self):
         ds = bench.make_domain(small_spec(), 2)
         with pytest.raises(ValueError):
@@ -232,10 +258,13 @@ class TestSampleBatch:
         np.testing.assert_array_equal(a.features, b.features)
 
     @pytest.mark.parametrize("priors", [None, (0.6, 0.3, 0.1),
-                                        (0.05, 0.05, 0.9), (0.34, 0.33, 0.33)])
+                                        (0.05, 0.05, 0.9), (0.34, 0.33, 0.33),
+                                        "one-and-two-row-classes"])
     def test_matches_setdiff1d_reference(self, priors):
         for seed in range(25):
-            ds = drawn_domain(priors, 30 + 7 * seed, seed)
+            n = 30 + 7 * seed
+            ds = (sparse_domain(n, seed) if isinstance(priors, str)
+                  else drawn_domain(priors, n, seed))
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for batch_size in (3, 4, 11, len(ds) // 2, len(ds)):
                 got = bench.sample_batch(ds, batch_size, True, ours)

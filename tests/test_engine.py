@@ -63,10 +63,16 @@ class TestHyperparams:
         ("gamma", -2.0, "gamma must be positive, got -2.0"),
         ("beta1", -1.0, "beta1 must be non-negative, got -1.0"),
         ("beta2", -0.5, "beta2 must be non-negative, got -0.5"),
+        ("tau", -1.0, "tau must be positive, got -1.0"),
+        ("clip_threshold", 0.0, "clip_threshold must be positive, got 0.0"),
+        ("xi", -1.0, "xi must be non-negative, got -1.0"),
+        ("decay_every", 0, "decay_every must be >= 1, got 0"),
+        ("decay_rate", 1.5, "decay_rate must be in [0, 1), got 1.5"),
+        ("batch_size", 4, "batch_size must be at least 2 * num_classes = 10, got 4"),
         ("local_loss_kind", "Triplet", "unknown local_loss_kind 'Triplet'")])
     def test_message_names_key_and_value(self, key, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            engine.Hyperparams(**{key: value}).validate()
+            engine.Hyperparams(**{key: value}).validate(num_classes=5)
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", np.nan), ("beta2", np.nan), ("beta1", np.inf),

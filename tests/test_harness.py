@@ -872,6 +872,20 @@ class TestCli:
         assert err.startswith("config error:") and key in err
         assert not any(tmp_path.iterdir())  # no resolved_config.yaml either
 
+    @pytest.mark.parametrize("item, message", [
+        ("tau=-1", "tau must be positive, got -1.0"),
+        ("clip_threshold=0", "clip_threshold must be positive, got 0.0"),
+        ("xi=-1", "xi must be non-negative, got -1.0"),
+        ("decay_every=0", "decay_every must be >= 1, got 0"),
+        ("decay_rate=1.5", "decay_rate must be in [0, 1), got 1.5"),
+        ("batch_size=4", "batch_size must be at least 2 * num_classes = 10, got 4")])
+    def test_message_gives_key_and_value(self, tmp_path, monkeypatch, capsys,
+                                         item, message):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        assert cli.main(["train", "--set", "iterations=1", "--set", item]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command, item", [
         (command, item) for command, items in [
             ("train", ["rows=[[true, true, true]]", "seeds=[0]", "targets=[3]"]),
