@@ -7,9 +7,10 @@ Subpackages:
   engine    the episodic meta-training loop
   bench     synthetic multi-domain benchmark with controllable shift
   harness   evaluation, diagnostics, ablation grid and CSV reports
+  keys      each settable key's kind and bound, and their one reader
 """
 
-from . import autodiff, bench, engine, harness, losses, nets
+from . import autodiff, bench, engine, harness, keys, losses, nets
 
-__all__ = ["autodiff", "bench", "engine", "harness", "losses", "nets"]
+__all__ = ["autodiff", "bench", "engine", "harness", "keys", "losses", "nets"]
 __version__ = "0.1.0"

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import keys
+
 # latent layout constants: class means sit on circles in dims (0,1) (rotated
 # per domain) and dims (2,3) (invariant); remaining dims are distractors
 VARIANT_DIMS = (0, 1)
@@ -261,33 +263,6 @@ _PER_DOMAIN = {"rotations_deg": "rotation_deg", "scales": "scale",
                "shifts": "shift"}
 
 
-def _number(v):
-    """``v`` as an int or finite float, else None; a bool is not a number,
-    and a string is read as a float (YAML reads ``1e-5`` as a string)."""
-    try:
-        v = float(v) if type(v) is str else v
-    except ValueError:
-        return None
-    return v if type(v) is int or type(v) is float and math.isfinite(v) else None
-
-
-def _override(key: str, value):
-    """``value`` as the kind of ``key``'s CANONICAL value; a ValueError naming
-    ``key`` if it is not of that kind, or is a negative sigma or seed."""
-    if key in _PER_DOMAIN:
-        read = list(map(_number, value)) if isinstance(value, list) else [None]
-        kind, read = "a list of finite numbers", None if None in read else read
-    elif type(CANONICAL[key]) is int:
-        kind, read = "an int", value if type(value) is int else None
-    else:
-        kind, read = "a finite number", _number(value)
-    if read is None:
-        raise ValueError(f"benchmark key {key!r} expects {kind}, got {value!r}")
-    if key in ("noise_sigma", "latent_sigma", "base_seed") and read < 0:
-        raise ValueError(f"benchmark key {key!r} must be non-negative, got {value!r}")
-    return read
-
-
 def canonical_domain_specs(overrides: dict | None = None) -> list[DomainSpec]:
     """The canonical domain specs with ``overrides`` (keys of CANONICAL)
     applied; a bad key or value is a ValueError that names the key."""
@@ -295,10 +270,8 @@ def canonical_domain_specs(overrides: dict | None = None) -> list[DomainSpec]:
     unknown = set(overrides) - set(CANONICAL)
     if unknown:
         raise ValueError(f"unknown benchmark keys: {sorted(unknown)}")
-    cfg = {**CANONICAL, **{k: _override(k, v) for k, v in overrides.items()}}
+    cfg = {**CANONICAL, **{k: keys.read(k, v) for k, v in overrides.items()}}
     n, _ = cfg.pop("num_domains"), cfg.pop("base_seed")
-    if n < 1:
-        raise ValueError(f"num_domains must be at least 1, got {n}")
     for key in _PER_DOMAIN:
         if len(cfg[key]) < n:
             raise ValueError(f"benchmark key {key!r} has {len(cfg[key])} "
@@ -310,8 +283,16 @@ def canonical_domain_specs(overrides: dict | None = None) -> list[DomainSpec]:
 
 
 def canonical_datasets(overrides: dict | None = None) -> dict[int, DomainDataset]:
-    """The canonical domains, with ``overrides`` (keys of CANONICAL) applied."""
+    """The canonical domains, with ``overrides`` (keys of CANONICAL) applied;
+    a domain whose features overflow is a ValueError naming the domain."""
     seed = (overrides or {}).get("base_seed", CANONICAL["base_seed"])
-    return {s.domain_id: make_domain(s, seed)
-            for s in canonical_domain_specs(overrides)}
+    datasets = {}
+    for s in canonical_domain_specs(overrides):
+        ds = datasets[s.domain_id] = make_domain(s, seed)
+        if not np.isfinite(ds.features).all():
+            raise ValueError(
+                f"benchmark domain {s.domain_id} has non-finite features; its "
+                f"rotations_deg, scales and shifts entries are {s.rotation_deg}, "
+                f"{s.scale} and {s.shift}")
+    return datasets
 

@@ -7,15 +7,15 @@ Verbs:
   ablate      run the ablation grid and write report.csv
   plot        render metrics.csv columns as an SVG line plot
 
-Configuration is a flat YAML mapping of ExperimentConfig and Hyperparams
-fields (with no --config, their defaults: the canonical study) plus --set
-KEY=VALUE overrides. A field the verb does not read (UNREAD) is a config
-error. Every run writes the configuration it read as resolved_config.yaml,
-which --config reads back. The environment variable MASF_OUT_DIR, when set
-and not empty, overrides the output directory.
+Configuration is a flat YAML mapping of keys.CONFIG keys (with no --config,
+their defaults: the canonical study) plus --set KEY=VALUE overrides. A key
+the verb does not read (UNREAD) is a config error. Every run writes the
+configuration it read as resolved_config.yaml, which --config reads back.
+The environment variable MASF_OUT_DIR, when set and not empty, overrides
+the output directory.
 
 Exit codes: 0 success, 1 config error (a usage error too), 2 run failure
-(non-finite loss), 3 I/O error.
+(a non-finite loss or gradient norm), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import bench, engine, harness, nets
+from . import bench, engine, harness, keys, nets
 from .engine import Hyperparams
 from .harness import ExperimentConfig
 
@@ -41,44 +41,6 @@ EXIT_OK, EXIT_CONFIG, EXIT_RUN, EXIT_IO = 0, 1, 2, 3
 # trains each row of rows.
 UNREAD = {"train": ("rows", "seeds", "targets"),
           "ablate": ("episodic", "use_global", "use_local")}
-
-
-def _coerce(key: str, value, declared: str):
-    """``value`` as the declared type of config field ``key`` (YAML reads
-    ``1e-5`` as a string); a value of another type is a ValueError naming
-    ``key``. Widths, seeds, rows and targets (or null) are non-empty lists;
-    the last three, a grid to train, list no entry twice."""
-    if declared not in ("int", "float"):
-        listed = isinstance(value, list) and value != []
-        ints = listed and all(type(i) is int and i >= 0 for i in value)
-        distinct = listed and len(set(map(repr, value))) == len(value)
-        expected, fits = {
-            "bool": ("true or false", type(value) is bool),
-            "str": ("a string", type(value) is str),
-            "dict": ("a mapping", type(value) is dict),
-            "tuple[int, ...]": ("a non-empty list of positive ints",
-                                ints and 0 not in value),
-            "seeds": ("a non-empty list of distinct non-negative ints",
-                      ints and distinct),
-            "targets": ("null or a non-empty list of distinct domain ids",
-                        value is None or ints and distinct),
-            "rows": ("a non-empty list of distinct [episodic, global, local] "
-                     "rows of true or false", distinct and all(
-                         isinstance(r, list) and len(r) == 3
-                         and all(type(f) is bool for f in r) for r in value)),
-        }[key if key in ("seeds", "targets", "rows") else declared]
-        if not fits:
-            raise ValueError(f"config key {key!r} expects {expected}, got {value!r}")
-        if key == "rows":
-            return [tuple(r) for r in value]
-        return tuple(value) if declared.startswith("tuple") else value
-    try:
-        number = None if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
-        number = None
-    if number is None or (declared == "int" and not number.is_integer()):
-        raise ValueError(f"config key {key!r} expects {declared}, got {value!r}")
-    return number if declared == "float" else int(number)
 
 
 def load_spec_file(path: str | Path, what: str = "benchmark spec") -> dict:
@@ -102,20 +64,16 @@ def _load_config(path: str | None, overrides: list[str],
             raise ValueError(f"override {item!r} is not KEY=VALUE")
         raw[key] = yaml.safe_load(value)
 
-    hp_fields = {f.name: f.type for f in dataclasses.fields(Hyperparams)}
-    cfg_fields = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)
-                  if f.name != "hp"}
-    unknown = set(raw) - set(hp_fields) - set(cfg_fields)
+    unknown = set(raw) - set(keys.CONFIG)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     unread = set(raw) & set(UNREAD[command])
     if unread:
         raise ValueError(f"config keys {sorted(unread)} are not read by {command}")
-    hp_kwargs = {k: _coerce(k, v, hp_fields[k]) for k, v in raw.items()
-                 if k in hp_fields}
-    cfg_kwargs = {k: _coerce(k, v, cfg_fields[k]) for k, v in raw.items()
-                  if k in cfg_fields}
-    return ExperimentConfig(hp=Hyperparams(**hp_kwargs), **cfg_kwargs)
+    read = {k: keys.read(k, v) for k, v in raw.items()}
+    hp = {f.name: read.pop(f.name) for f in dataclasses.fields(Hyperparams)
+          if f.name in read}
+    return ExperimentConfig(hp=Hyperparams(**hp), **read)
 
 
 def _dump_resolved(config: ExperimentConfig, out_dir: Path, command: str) -> None:
@@ -140,8 +98,6 @@ def _datasets(config: ExperimentConfig, flags: tuple, targets) -> tuple[dict, li
     if missing:
         raise ValueError(f"target {missing[0]} is not a domain; the domain "
                          f"ids are {sorted(datasets)}")
-    if config.iterations < 1:
-        raise ValueError("iterations must be >= 1")
     for target in targets:  # no check reads the flags or the run seed
         harness.prepare_run(config, flags, datasets, target, 0)
     return datasets, targets

@@ -22,16 +22,16 @@ from dataclasses import InitVar, dataclass, fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import bench, losses, nets
+from . import bench, keys, losses, nets
 from .autodiff import Expr, GradMap
 from .nets import ParamSet
 
-CONTRASTIVE = "contrastive"
-TRIPLET = "triplet"
+CONTRASTIVE, TRIPLET = keys.CONFIG["local_loss_kind"][1]  # the local losses
 
 
 class NonFiniteLossError(RuntimeError):
-    """A loss went NaN/Inf; the iteration is aborted with diagnostics."""
+    """A loss or a gradient norm went NaN/Inf; the iteration is aborted with
+    diagnostics."""
 
 
 @dataclass
@@ -61,21 +61,11 @@ class Hyperparams:
     n_meta_train: InitVar[int | None] = None  # unread; test_acceptance passes it
 
     def validate(self, num_classes: int | None = None) -> None:
-        for f in fields(self):  # a NaN would pass every check below
-            if f.type == "float" and not np.isfinite(value := getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be a finite number, got {value}")
-        for key in ("alpha", "eta", "gamma", "clip_threshold", "tau"):
-            if (value := getattr(self, key)) <= 0:
-                raise ValueError(f"{key} must be positive, got {value}")
-        for key in ("beta1", "beta2", "xi"):
-            if (value := getattr(self, key)) < 0:
-                raise ValueError(f"{key} must be non-negative, got {value}")
-        if self.decay_every < 1:
-            raise ValueError(f"decay_every must be >= 1, got {self.decay_every}")
-        if not 0 <= self.decay_rate < 1:
-            raise ValueError(f"decay_rate must be in [0, 1), got {self.decay_rate}")
-        if self.local_loss_kind not in (CONTRASTIVE, TRIPLET):
-            raise ValueError(f"unknown local_loss_kind {self.local_loss_kind!r}")
+        """Check each field by its keys.CONFIG rule, and the batch size."""
+        for f in fields(self):
+            # keys.read takes YAML's exponent strings; a field holds the number
+            if keys.read(f.name, value := getattr(self, f.name)) != value:
+                raise ValueError(f"{f.name} must be a number, not the string {value!r}")
         if num_classes is not None and self.batch_size < 2 * num_classes:
             raise ValueError(f"batch_size must be at least 2 * num_classes = "
                              f"{2 * num_classes}, got {self.batch_size}")
@@ -218,6 +208,7 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
     if hp.episodic:
         psi2, theta2, inner_norm = _apply_inner(
             state.psi, state.theta, l_task, hp.alpha, hp.clip_threshold)
+        _check_finite(inner_norm, "inner gradient norm", state.t)
     else:
         psi2, theta2 = state.psi, state.theta
 
@@ -254,6 +245,7 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
         grads = ad.grad(outer_obj, params)
     norm = ad.global_norm(grads)
     outer_norm = float(norm.value)
+    _check_finite(outer_norm, "outer gradient norm", state.t)
     grads = ad.clip_by_norm(grads, hp.clip_threshold, norm)
     eta_t = decayed_lr(hp.eta, state.t, hp.decay_rate, hp.decay_every)
     new_psi = _descend(state.psi, grads, eta_t)

@@ -152,8 +152,8 @@ def _read_record(f, path) -> np.ndarray:
 def load_params(path: str | Path, role: str) -> ParamSet:
     """Read a parameter file that ``save_params`` wrote. A short,
     overlong or foreign file is an ``OSError``; another role than ``role``,
-    names off the w0, b0, w1, ... layout or layers that do not chain is a
-    ``ValueError``."""
+    names off the w0, b0, w1, ... layout, layers that do not chain or a
+    NaN or inf entry is a ``ValueError``."""
     with open(path, "rb") as f:
         header = _read_record(f, path)
         if header.dtype.kind != "U" or header.ndim != 1 or not header.size:
@@ -176,4 +176,7 @@ def load_params(path: str | Path, role: str) -> ParamSet:
         if i and w[0] != shapes[2 * i - 2][1]:
             raise ValueError(f"{path}: {_name(2 * i)} takes {w[0]} inputs, but "
                              f"layer {i - 1} gives {shapes[2 * i - 2][1]}")
+    for i, t in enumerate(tensors):
+        if not np.isfinite(t.value).all():
+            raise ValueError(f"{path}: {_name(i)} holds a NaN or inf entry")
     return ParamSet(role, tensors)

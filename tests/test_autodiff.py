@@ -622,6 +622,10 @@ class TestClipByNorm:
         gm = self._gm([[0.1, 0.1]])
         assert ad.clip_by_norm(gm, 2.0) is gm
 
+    def test_untouched_at_threshold(self):
+        gm = self._gm([[3.0, 4.0]])  # norm exactly 5
+        assert ad.clip_by_norm(gm, 5.0) is gm
+
     def test_zero_grads_pass_through(self):
         gm = ad.clip_by_norm(self._gm([[0.0, 0.0]]), 2.0)
         np.testing.assert_array_equal(gm.grads[0].value, [0.0, 0.0])

@@ -409,6 +409,12 @@ class TestCanonical:
             with pytest.raises(ValueError, match=repr(next(iter(overrides)))):
                 bench.canonical_domain_specs(overrides)
 
+    def test_nonfinite_features_rejected_naming_domain_and_keys(self):
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+                ValueError, match="^benchmark domain 3 has non-finite features; "
+                "its rotations_deg, scales and shifts entries are 90.0, 1e[+]308 "):
+            bench.canonical_datasets({"scales": [1, 1, 1, 1e308]})
+
     def test_spec_file_matches_builtin(self, tmp_path):
         path = tmp_path / "spec.yaml"
         path.write_text(yaml.safe_dump(bench.CANONICAL, sort_keys=False))

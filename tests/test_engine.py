@@ -46,6 +46,13 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             engine.Hyperparams(batch_size=5).validate(num_classes=3)
 
+    @pytest.mark.parametrize("key, value", [("alpha", "0.05"), ("decay_every", "100")])
+    def test_numeric_string_rejected(self, key, value):
+        # the CLI reads "1e-5" as a number; the dataclass takes numbers only
+        with pytest.raises(ValueError, match=f"^{key} must be a number, not the "
+                           f"string '{value}'$"):
+            engine.Hyperparams(**{key: value}).validate()
+
     @pytest.mark.parametrize("every", [0, -1])
     def test_nonpositive_decay_every_rejected(self, every):
         with pytest.raises(ValueError, match="decay_every"):
@@ -173,6 +180,29 @@ class TestMetaStep:
             changed = any(np.abs(a.value - b.value).max() > 0
                           for a, b in zip(old_p.tensors, new_p.tensors))
             assert changed
+
+    def test_nonfinite_inner_grad_norm_raises(self):
+        # a huge output layer keeps the task loss finite, but psi's inner
+        # gradient, scaled by it, squares past the largest float
+        ds = small_datasets()
+        state = self._state()
+        theta = list(state.theta.tensors)
+        theta[-2] = ad.leaf(theta[-2].value * 1e160)
+        state = replace(state, theta=state.theta.replace(theta))
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+                engine.NonFiniteLossError,
+                match="^inner gradient norm is non-finite at iteration 0: inf$"):
+            engine.meta_step(state, self._batches(ds, state))
+
+    def test_nonfinite_outer_grad_norm_raises(self):
+        # every loss stays finite at tau = 1e-300, but the outer gradient,
+        # which divides by tau, does not
+        ds = small_datasets()
+        state = self._state(tau=1e-300)
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+                engine.NonFiniteLossError,
+                match="^outer gradient norm is non-finite at iteration 0: inf$"):
+            engine.meta_step(state, self._batches(ds, state))
 
     def test_phi_frozen_without_local_loss(self):
         ds = small_datasets()

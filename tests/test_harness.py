@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from masf import autodiff as ad
-from masf import bench, cli, engine, harness, nets
+from masf import bench, cli, engine, harness, losses, nets
 
 ARCH = nets.Architecture(input_dim=8, num_classes=3,
                          feature_widths=(10, 6), metric_widths=(8, 4))
@@ -290,6 +290,17 @@ class TestTargetAlignment:
         ds = small_datasets(2)
         assert harness.target_alignment(psi, theta, ds[0], ds[0], 2.0) == \
             pytest.approx(0.0, abs=1e-9)
+
+    def test_value_at_tau_half_is_the_alignment_loss(self):
+        psi, theta, _ = nets.init_params(ARCH, 1)
+        ds = small_datasets(3)
+        batches = {"source": (ds[0].features, ds[0].labels),
+                   "target": (ds[2].features, ds[2].labels)}
+        loss = losses.global_alignment_loss(batches, [("source", "target")],
+                                            psi, theta, 0.5, 3)
+        got = harness.target_alignment(psi, theta, ds[0], ds[2], 0.5)
+        assert got == float(loss.value)
+        assert got != harness.target_alignment(psi, theta, ds[0], ds[2], 1.0)
 
     def test_nonnegative(self):
         psi, theta, _ = nets.init_params(ARCH, 1)
@@ -618,6 +629,40 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"config error: {data} has 2 features per row, but "
             f"{tmp_path / 'psi.bin'} takes {ARCH.input_dim}\n")
+
+    def test_eval_rejects_nonfinite_checkpoint(self, tmp_path, capsys):
+        # NaN logits would argmax to class 0 and read as an accuracy
+        psi, theta, _ = nets.init_params(ARCH, 0)
+        w0 = ad.leaf(np.full(psi["w0"].shape, np.nan))
+        nets.save_params(psi.replace([w0, *psi.tensors[1:]]), tmp_path / "psi.bin")
+        nets.save_params(theta, tmp_path / "theta.bin")
+        data = tmp_path / "data.csv"
+        bench.export_csv(list(small_datasets(1).values()), data)
+        assert cli.main(["eval", "--ckpt", str(tmp_path), "--data", str(data)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {tmp_path / 'psi.bin'}: w0 holds a NaN or inf entry\n")
+
+    def test_overflowing_benchmark_is_config_error(self, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = cli.main(["train", "--set", "iterations=2", "--set",
+                             "bench_overrides={scales: [1, 1, 1, 1e308]}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: benchmark domain 3 has non-finite "
+                              "features") and "1e+308" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_overflowing_grad_norm_is_run_failure(self, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = cli.main(["train", "--set", "iterations=3",
+                             "--set", "tau=1e-300"])
+        assert code == 2
+        assert capsys.readouterr().err == ("run failure: outer gradient norm is "
+                                           "non-finite at iteration 0: inf\n")
 
     def test_eval_rejects_task_net_of_another_width(self, tmp_path, capsys):
         psi, _, _ = nets.init_params(ARCH, 0)

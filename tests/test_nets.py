@@ -294,6 +294,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="theta.bin: parameter names"):
             nets.load_params(path, nets.TASK_NET)
 
+    @pytest.mark.parametrize("index, value", [(0, np.nan), (3, -np.inf)])
+    def test_nonfinite_tensor_rejected_naming_path_and_tensor(self, tmp_path,
+                                                             index, value):
+        psi, _, _ = nets.init_params(ARCH, 9)
+        tensors = [t.value.copy() for t in psi.tensors]
+        tensors[index].flat[0] = value
+        path = tmp_path / "psi.bin"
+        nets.save_params(psi.replace([ad.leaf(t) for t in tensors]), path)
+        name = psi.entries[index][0]
+        with pytest.raises(ValueError, match=f"psi.bin: {name} holds a NaN or inf"):
+            nets.load_params(path, nets.FEATURE_EXTRACTOR)
+
     def test_other_role_rejected_naming_path_and_roles(self, tmp_path):
         _, theta, _ = nets.init_params(ARCH, 9)
         path = tmp_path / "theta.bin"
