@@ -50,14 +50,8 @@ class DomainError(ArithmeticError):
     """A guarded op received a value outside its domain beyond epsilon repair."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
-
-
 class Expr:
-    """One node of the computation graph (immutable after construction)."""
+    """One graph node; it freezes the float64 array it is handed, unconverted."""
 
     __slots__ = ("id", "op", "inputs", "attrs", "value")
 
@@ -67,7 +61,8 @@ class Expr:
         self.op = op
         self.inputs = inputs
         self.attrs = attrs or {}
-        self.value = _freeze(value)
+        value.setflags(write=False)
+        self.value = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -164,7 +159,8 @@ def _make(op: str, inputs: tuple[Expr, ...], attrs: dict | None = None) -> Expr:
         value = _FORWARD[op](attrs, inputs[0].value)
     else:
         value = _FORWARD[op](attrs, inputs[0].value, inputs[1].value)
-    return Expr(op, inputs, value, attrs)
+    # an op on 0-d arrays returns a NumPy scalar; float64 operands give float64
+    return Expr(op, inputs, np.asarray(value), attrs)
 
 
 # elementwise ops (numpy broadcasting allowed)
@@ -457,12 +453,13 @@ def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
 
     ids = {p.id for p in params}
     path = _path(scalar, ids)
+    live = ids.union(path)  # the inputs whose adjoints the sweep needs
     O = _sweep_op.get()
     adjoints = {scalar.id: const(1.0)}
     for node in reversed(path.values()):  # parents first
         g = adjoints.pop(node.id)  # complete: its consumers came first
         for inp, rule in zip(node.inputs, _VJP[node.op]):
-            if inp.id in path or inp.id in ids:
+            if inp.id in live:
                 gi = rule(O, node, g, *node.inputs)
                 prev = adjoints.get(inp.id)
                 adjoints[inp.id] = gi if prev is None else O("add", prev, gi)

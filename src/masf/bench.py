@@ -51,9 +51,11 @@ class DomainSpec:
             raise ValueError(f"input_dim must be at least {dims}: the class "
                              f"latents use dims 0-{dims - 1}, got {self.input_dim}")
         if self.scale == 0:
-            raise ValueError("scale must keep the transform invertible")
+            raise ValueError(f"scales entry of domain {self.domain_id} must be non-"
+                             f"zero to keep the transform invertible, got {self.scale}")
         if self.n_samples < 2 * self.num_classes:
-            raise ValueError("need at least 2 samples per class")
+            raise ValueError(f"n_samples must be at least 2 * num_classes = "
+                             f"{2 * self.num_classes}, got {self.n_samples}")
 
 
 def as_labels(labels, num_classes: int | None = None) -> np.ndarray:
@@ -100,8 +102,12 @@ class DomainDataset:
         return np.bincount(self.labels), np.argsort(self.labels, kind="stable")
 
     def rows(self, idx: np.ndarray) -> "DomainDataset":
-        """The rows ``idx`` of this domain, in that order."""
-        return DomainDataset(self.features[idx], self.labels[idx], self.domain_id)
+        """The rows ``idx`` of this domain, in that order. They passed
+        ``__post_init__``, which does not run again; ``strata`` is not kept."""
+        part = object.__new__(DomainDataset)
+        vars(part).update(features=self.features[idx], labels=self.labels[idx],
+                          domain_id=self.domain_id)
+        return part
 
 
 def _class_latent_means(spec: DomainSpec) -> np.ndarray:

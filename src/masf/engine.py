@@ -17,7 +17,8 @@ touch the data stream, so all ablation rows of one seed see identical data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, fields, replace
+import math
+from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
 
@@ -134,7 +135,7 @@ def decayed_lr(eta0: float, t: int, decay_rate: float, decay_every: int) -> floa
 
 
 def _check_finite(value: float, name: str, iteration: int | None = None) -> None:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         at = "" if iteration is None else f" at iteration {iteration}"
         raise NonFiniteLossError(f"{name} is non-finite{at}: {value}")
 
@@ -266,9 +267,8 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
         inner_grad_norm=inner_norm,
         outer_grad_norm=outer_norm,
     )
-    new_state = replace(state, psi=new_psi, theta=new_theta, phi=new_phi,
-                        t=state.t + 1)
-    return new_state, record
+    return EpisodeState(new_psi, new_theta, new_phi, hp, state.data_rng,
+                        state.algo_rng, state.t + 1), record
 
 
 def draw_batches(datasets: dict, batch_size: int,

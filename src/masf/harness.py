@@ -32,11 +32,20 @@ CORE_ROWS = [ALL_ROWS[0], ALL_ROWS[1], ALL_ROWS[2], ALL_ROWS[3], ALL_ROWS[7]]
 
 def evaluate_accuracy(psi: ParamSet, theta: ParamSet,
                       dataset: DomainDataset) -> float:
-    """Fraction of argmax-correct predictions (ties -> lowest class index)."""
+    """Fraction of argmax-correct predictions (ties -> lowest class index);
+    logits that overflow or are not finite are a ``NonFiniteLossError``."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    logits = nets.task_forward(
-        theta, nets.feature_forward(psi, ad.const(dataset.features))).value
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            logits = nets.task_forward(
+                theta, nets.feature_forward(psi, ad.const(dataset.features))).value
+            finite = np.isfinite(logits).all()
+        except FloatingPointError:
+            finite = False
+    if not finite:
+        raise engine.NonFiniteLossError(
+            f"logits on domain {dataset.domain_id} are not finite")
     labels = bench.as_labels(dataset.labels, logits.shape[1])
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 

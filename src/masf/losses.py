@@ -110,14 +110,17 @@ def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
     means, present = class_means(z, cells, len(ids) * num_classes)
     soft = soft_label_matrix(theta, means, tau)
     # a row's symmetrized KL is half of (S_r - S_s).(log S_r - log S_s), so
-    # each pair puts -1/(shared classes) on its cells r, s of each shared class
-    w = np.zeros((soft.shape[0],) * 2)
-    for pair in pairs:
-        r, s = (ids.index(k) * num_classes + np.arange(num_classes) for k in pair)
-        shared = present[r] & present[s]
-        if not shared.any():
-            raise ValueError("no shared class between a domain pair")
-        w[r[shared], s[shared]] -= 1.0 / shared.sum()
+    # each pair puts -1/(shared classes) on its cells r, s of each shared
+    # class; bincount adds in input order, so a repeated pair sums as -= does
+    at = np.array([[ids.index(k) for k in pair] for pair in pairs])  # [pairs, 2]
+    shared = present.reshape(len(ids), -1)[at].all(axis=1)  # [pairs, C]
+    n_shared = shared.sum(axis=1)
+    if not n_shared.all():
+        raise ValueError("no shared class between a domain pair")
+    n = len(present)
+    pair, cls = np.nonzero(shared)
+    r, s = at[pair].T * num_classes + cls  # each shared cell's row and column
+    w = np.bincount(r * n + s, -1.0 / n_shared[pair], n * n).reshape(n, n)
     return _pair_form(soft, ad.log(soft), w, 2 * len(pairs))
 
 

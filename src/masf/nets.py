@@ -123,8 +123,8 @@ def metric_forward(phi: ParamSet, z: Expr) -> Expr:
 
 def sgd_step(params: ParamSet, grads: GradMap, lr: float) -> ParamSet:
     """One gradient step as graph nodes, differentiable w.r.t. the originals."""
-    return params.replace([ad.sub(t, ad.mul(ad.const(lr), grads[t]))
-                           for t in params.tensors])
+    lr = ad.const(lr)
+    return params.replace([ad.sub(t, ad.mul(lr, grads[t])) for t in params.tensors])
 
 
 # ---------------------------------------------------------------------------

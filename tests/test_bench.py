@@ -19,11 +19,14 @@ def small_spec(**kw):
 
 class TestDomainSpec:
     def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
-            small_spec(scale=0.0)
+        with pytest.raises(ValueError, match="^scales entry of domain 2 must "
+                           "be non-zero to keep the transform invertible, "
+                           "got 0.0$"):
+            small_spec(domain_id=2, scale=0.0)
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n_samples must be at least "
+                           r"2 \* num_classes = 6, got 5$"):
             small_spec(n_samples=5)
 
 
@@ -330,6 +333,14 @@ class TestTrainTestSplit:
         tr, _ = bench.train_test_split(ds, 2.0 / 3.0, np.random.default_rng(0))
         counts = np.bincount(tr.labels, minlength=3)
         np.testing.assert_array_equal(counts, [20, 20, 20])
+
+    def test_each_part_sorts_its_own_rows(self):
+        ds = bench.make_domain(small_spec(), 4)
+        for part in bench.train_test_split(ds, 0.7, np.random.default_rng(0)):
+            counts, order = part.strata
+            np.testing.assert_array_equal(counts, np.bincount(part.labels))
+            np.testing.assert_array_equal(
+                order, np.argsort(part.labels, kind="stable"))
 
     def test_bad_fraction(self):
         ds = bench.make_domain(small_spec(), 4)

@@ -2,8 +2,9 @@
 
 A few seed-0 steps of each benchmark configuration (the canonical study,
 target 3, sources 0/1/2, triplet local loss) are trained while two counters
-run: graph nodes built, by op (every ``_make``, ``leaf`` and ``const``), and
-op calls of the value-mode sweeps (every ``_on_values``). The counts are
+run: graph nodes built, by op (every ``_make``, ``leaf`` and ``const``, each
+of which must return a node holding a read-only float64 array), and op calls
+of the value-mode sweeps (every ``_on_values``). The counts are
 exact, so a change that makes the engine do more work per step fails here,
 where timing would only show noise.
 
@@ -15,6 +16,7 @@ current counts with ``PYTHONPATH=src python tests/test_budget.py``.
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from masf import autodiff as ad
@@ -32,7 +34,7 @@ CONFIGS = {  # batch size per source domain, local loss on or off
 # per config: the most graph nodes and value-mode op calls of any step, by op
 BUDGET = {
     "full_triplet": {
-        "graph": {"add": 14, "broadcast": 2, "const": 37, "div": 2, "exp": 3,
+        "graph": {"add": 14, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
                   "gather_rows": 1, "leaf": 10, "log": 3, "matmul": 16,
                   "mul": 16, "neg": 1, "relu": 5, "reshape": 3,
                   "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 10,
@@ -42,7 +44,7 @@ BUDGET = {
                    "sum_to": 12, "transpose": 32},
     },
     "episodic_global": {
-        "graph": {"add": 10, "broadcast": 2, "const": 29, "div": 1, "exp": 3,
+        "graph": {"add": 10, "broadcast": 2, "const": 25, "div": 1, "exp": 3,
                   "gather_rows": 1, "leaf": 6, "log": 3, "matmul": 13,
                   "mul": 14, "neg": 1, "relu": 4, "reshape": 2,
                   "scatter_rows": 1, "sub": 10, "sum": 4, "sum_to": 3,
@@ -52,7 +54,7 @@ BUDGET = {
                    "sum_to": 8, "transpose": 25},
     },
     "wide_triplet": {
-        "graph": {"add": 14, "broadcast": 2, "const": 37, "div": 2, "exp": 3,
+        "graph": {"add": 14, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
                   "gather_rows": 1, "leaf": 10, "log": 3, "matmul": 16,
                   "mul": 16, "neg": 1, "relu": 5, "reshape": 3,
                   "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 10,
@@ -78,7 +80,12 @@ def step_counts(name: str, monkeypatch) -> list[dict[str, Counter]]:
     def counted(kind, fn, op_of):
         def wrapper(*args, **kwargs):
             count[kind][op_of(args)] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if kind == "graph":  # Expr freezes its array without converting it
+                v = out.value
+                assert type(v) is np.ndarray and v.dtype == np.float64, out
+                assert not v.flags.writeable, out
+            return out
         return wrapper
 
     monkeypatch.setattr(ad, "_make", counted("graph", ad._make, lambda a: a[0]))

@@ -81,6 +81,21 @@ class TestEvaluateAccuracy:
         with pytest.raises(ValueError):
             harness.evaluate_accuracy(psi, theta, ds)
 
+    @pytest.mark.parametrize("poison", ["overflow", "inf"])
+    def test_nonfinite_logits_are_run_failure(self, poison):
+        # NaN logits would argmax to class 0 and read as an accuracy; an inf
+        # weight gives inf logits without a floating-point flag
+        psi, theta, _ = nets.init_params(ARCH, 0)
+        if poison == "overflow":
+            w0 = ad.leaf(np.sign(psi["w0"].value) * 1e308)
+            psi = psi.replace([w0, *psi.tensors[1:]])
+        else:
+            theta = theta.replace([theta["w0"], ad.leaf([np.inf, 0.0, 0.0])])
+        ds = bench.DomainDataset(np.ones((3, ARCH.input_dim)), [0, 1, 2], 7)
+        with pytest.raises(engine.NonFiniteLossError,
+                           match="^logits on domain 7 are not finite$"):
+            harness.evaluate_accuracy(psi, theta, ds)
+
 
 class TestSilhouette:
     def test_well_separated_clusters(self):
@@ -642,6 +657,27 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"config error: {tmp_path / 'psi.bin'}: w0 holds a NaN or inf entry\n")
 
+    def test_eval_on_overflowing_checkpoint_is_run_failure(self, tmp_path, capsys):
+        # finite weights, so load_params takes them; the logits overflow
+        psi, theta, _ = nets.init_params(ARCH, 0)
+        w0 = ad.leaf(np.sign(psi["w0"].value) * 1e308)
+        nets.save_params(psi.replace([w0, *psi.tensors[1:]]), tmp_path / "psi.bin")
+        nets.save_params(theta, tmp_path / "theta.bin")
+        data = tmp_path / "data.csv"
+        bench.export_csv(list(small_datasets(1).values()), data)
+        assert cli.main(["eval", "--ckpt", str(tmp_path), "--data", str(data)]) == 2
+        assert capsys.readouterr().err == (
+            "run failure: logits on domain 0 are not finite\n")
+
+    def test_overflowing_target_logits_are_run_failure(self, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        assert cli.main(["train", "--set", "iterations=1",
+                         "--set", "eta=1e308"]) == 2
+        assert capsys.readouterr().err == (
+            "run failure: logits on domain 3 are not finite\n")
+        assert not (tmp_path / "ckpt_1").exists()
+
     def test_overflowing_benchmark_is_config_error(self, tmp_path, monkeypatch,
                                                    capsys):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
@@ -901,6 +937,10 @@ class TestCli:
         ("bench_overrides={base_seed: -1}", "base_seed"),
         ("bench_overrides={base_seed: 1.5}", "base_seed"),
         ("bench_overrides={latent_sigma: .inf}", "latent_sigma"),
+        ("bench_overrides={n_samples: 7}", "n_samples must be at least "
+                                           "2 * num_classes = 10, got 7"),
+        ("bench_overrides={scales: [0, 0, 0, 0]}", "scales entry of domain 0 "
+                                                   "must be non-zero"),
         ("alpha=.nan", "alpha"), ("eta=.inf", "eta"), ("gamma=.nan", "gamma"),
         ("beta1=.nan", "beta1"), ("beta1=.inf", "beta1"),
         ("beta2=.nan", "beta2"), ("tau=.inf", "tau"), ("xi=.nan", "xi"),

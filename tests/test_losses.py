@@ -255,6 +255,24 @@ class TestGlobalAlignment:
             np.testing.assert_allclose(g, w, rtol=1e-10,
                                        atol=1e-13 * np.abs(w).max())
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pair_weights_match_per_pair_loop(self, seed, monkeypatch):
+        # bit for bit, also for a repeated and a reversed pair
+        psi, theta, _ = make_params(seed % 5)
+        batches, pairs = random_alignment_case(np.random.default_rng(700 + seed))
+        pairs += [pairs[0], pairs[0][::-1]]
+        seen, form = [], losses._pair_form
+        monkeypatch.setattr(losses, "_pair_form", lambda a, b, w, scale: (
+            seen.append(w) or form(a, b, w, scale)))
+        try:
+            want = reference_pair_weights(batches, pairs, 3)
+        except ValueError:
+            with pytest.raises(ValueError, match="no shared class"):
+                losses.global_alignment_loss(batches, pairs, psi, theta, 2.0, 3)
+            return
+        losses.global_alignment_loss(batches, pairs, psi, theta, 2.0, 3)
+        assert seen[0].tobytes() == want.tobytes()
+
     def test_single_shared_class_reduces_to_symm_kl(self):
         psi, theta, _ = make_params(2)
         rng = np.random.default_rng(5)
@@ -325,6 +343,22 @@ def reference_global_alignment_loss(batches, pairs, psi, theta, tau,
         weights = shared.astype(np.float64) / shared.sum()
         terms.append(ad.reduce_sum(ad.mul(per_class, ad.const(weights))))
     return ad.mul(ad.const(1.0 / len(terms)), functools.reduce(ad.add, terms))
+
+
+def reference_pair_weights(batches, pairs, num_classes):
+    """The per-pair loop that filled the pair form's weights: -1/(shared
+    classes) on each pair's cells of each shared class."""
+    ids = sorted({k for pair in pairs for k in pair})
+    present = np.concatenate([np.bincount(batches[k][1], minlength=num_classes) > 0
+                              for k in ids])
+    w = np.zeros((len(present),) * 2)
+    for pair in pairs:
+        r, s = (ids.index(k) * num_classes + np.arange(num_classes) for k in pair)
+        shared = present[r] & present[s]
+        if not shared.any():
+            raise ValueError("no shared class between a domain pair")
+        w[r[shared], s[shared]] -= 1.0 / shared.sum()
+    return w
 
 
 def random_alignment_case(rng):
