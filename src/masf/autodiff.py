@@ -77,9 +77,10 @@ def leaf(value) -> Expr:
     return Expr("leaf", (), np.array(value, dtype=np.float64))
 
 
-def const(value) -> Expr:
-    """Non-differentiable node (masks, selectors, hyperparameter scalars)."""
-    return Expr("const", (), np.array(value, dtype=np.float64))
+def const(value, copy: bool = True) -> Expr:
+    """Non-differentiable node (masks, selectors, hyperparameter scalars);
+    with ``copy=False``, a float64 array is frozen as it is, not copied."""
+    return Expr("const", (), np.array(value, dtype=np.float64, copy=copy or None))
 
 
 def as_expr(x) -> Expr:

@@ -290,9 +290,7 @@ def train(state: EpisodeState, datasets: dict, iterations: int,
     ``metrics_sink`` is a callable taking MetricsRecord (or None).
     On a non-finite loss the run aborts after flushing partial metrics.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    for _ in range(iterations):
+    for _ in range(keys.read("iterations", iterations)):
         batches = draw_batches(datasets, state.hp.batch_size, state.data_rng)
         state, record = meta_step(state, batches)
         if metrics_sink is not None:

@@ -7,8 +7,11 @@ pair when there is no split), from one feature forward over the stacked
 rows of all its domains, which the local term may share. The local term is
 metric learning over embeddings: contrastive pairs or triplets with online
 semi-hard mining, which orders each distance-matrix row by distance, then
-negatives first, then by column, so a positive's semi-hard negative is the
-next after it. Labels are whole numbers.
+negatives first, then by column: one sort of packed int64 keys (distance
+bits, column) per row, and an exact lexsort of the rows with a near-tie, a
+-0.0, an inf or a NaN. A class member's slot in its anchor's row then counts
+the negatives no farther than it, and its semi-hard negative is the first
+negative after it. Labels are whole numbers.
 
 Both semantic terms are one pairwise quadratic form (``_pair_form``): of
 the soft rows and their logs, and of the embeddings with themselves.
@@ -16,7 +19,7 @@ the soft rows and their logs, and of the embeddings with themselves.
 Triplet distances come from one Gram matrix G = E E^T of the embeddings:
 d^2(a, b) = G[a, a] + G[b, b] - 2 G[a, b], in NumPy (``_sq_dists``). The
 miner, the silhouette and the triplet hinge's choice of active triplets all
-read that one rule.
+read that one rule; the hinge reads it at its triplets' cells only.
 """
 
 from __future__ import annotations
@@ -78,11 +81,12 @@ def _pair_form(a: Expr, b: Expr, w: np.ndarray, scale: float) -> Expr:
     """sum_ij -w[i, j] / scale * (a_i - a_j).(b_i - b_j) over rows [N, k],
     as sum(a * (L @ b)): L * scale is w + w^T with its column sums (a column
     sum of w^T is a row sum of w) taken off the diagonal, exact in float64
-    for integer ``w``. No graph node is [N, N]."""
-    lap = np.add(w, w.T, dtype=np.float64)
+    for integer ``w``. Only the constant L is [N, N]."""
+    lap = w.astype(np.float64)
+    lap += w.T  # casts one operand, chunk by chunk: the least peak memory
     lap.flat[::len(w) + 1] -= lap.sum(axis=0)
     lap /= scale
-    return ad.reduce_sum(ad.mul(a, ad.matmul(ad.const(lap), b)))
+    return ad.reduce_sum(ad.mul(a, ad.matmul(ad.const(lap, copy=False), b)))
 
 
 def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
@@ -159,18 +163,20 @@ def contrastive_loss_on_pairs(embeddings: Expr, labels: np.ndarray,
     return ad.mean(per_pair)
 
 
-def _sq_dists(values: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances [N, N] between the rows of ``values``,
-    unclamped (numpy).
+def _sq_dists(values: np.ndarray, rows=None, cols=None) -> np.ndarray:
+    """Squared Euclidean distances [N, N] between the rows of ``values``, or
+    at the cells (``rows``, ``cols``) if given, unclamped (numpy).
 
     Gram form: d^2(a, b) = |a|^2 + |b|^2 - 2 a.b from one ``values @
     values.T``, with the squared norms read off its diagonal, so the diagonal
-    and coincident rows are exactly 0. Rounding can push d^2 below 0. d^2
-    carries an absolute error of a few ulps of |a|^2, so a distance well
-    below 1e-8 |a| is not resolved.
+    is exactly 0, and coincident rows are 0 up to the rounding of their dot
+    product. Rounding can push d^2 below 0. d^2 carries an absolute error of
+    a few ulps of |a|^2, so a distance well below 1e-8 |a| is not resolved.
     """
     gram = values @ values.T
     sq = gram.diagonal().copy()  # a strided view would slow the broadcast
+    if rows is not None:  # the same float expression, at those cells only
+        return (sq[rows] + sq[cols]) - 2.0 * gram.take(rows * len(sq) + cols)
     d2 = sq[:, None] + sq
     gram *= 2.0  # in place: a third [N, N] buffer costs more than the math
     d2 -= gram
@@ -205,52 +211,57 @@ def mine_semihard_triplets(embedding_values: np.ndarray,
 
     Every row of the distance matrix is put in one order: by distance (NaNs
     last, equal to each other), then negatives before positives, then by
-    column. The negatives before a positive are then exactly the negatives no
-    farther than it, so the running count c of negatives at its slot picks
-    the row's c-th negative (from 0), the nearest one farther than it. When
-    c is the row's negative count, the pick is the row's first negative at
-    its farthest negative distance; on an untied row, its last negative.
+    column. A row is one sort of int64 keys, the distance's bits above the
+    low b = bit_length(N - 1) and the column in those b; a row where two
+    adjacent keys share their high bits or differ in sign (a -0.0, a sign-bit
+    NaN), or that holds an inf or a NaN, is sorted again by a stable lexsort.
+    The c negatives before a class member's slot are those no farther than
+    it, so its pick is the row's c-th negative (from 0), the first after it.
+    When c is the row's negative count, the pick is the row's first negative
+    at its farthest negative distance; on an untied row, its last negative.
     """
     labels = as_labels(labels)
     _check_local_batch(np.shape(embedding_values), labels)
     n = labels.size
-    neg = labels[:, None] != labels
-    pair = ~neg
-    np.fill_diagonal(pair, False)
-    pair &= neg.any(axis=1)[:, None]
-    flat = np.flatnonzero(pair)  # row-major: by anchor, then by positive
-    anchors, positives = np.divmod(flat, n)
-    if flat.size == 0:
-        return anchors, positives, flat  # all three empty
+    by_class = np.argsort(labels, kind="stable")
+    low = np.searchsorted(labels[by_class], labels)  # a row's class in by_class
+    m = np.searchsorted(labels[by_class], labels, side="right") - low
+    t = np.where(m < n, m - 1, 0)  # a triplet per positive, given a negative
+    if not t.any():
+        return tuple(np.zeros((3, 0), np.int64))
     dist = distance_matrix(embedding_values)
-    # a quicksort orders the rows with distinct distances; the rows where
-    # two are equal, or that hold a NaN, are sorted again on both keys by a
-    # stable lexsort, which keeps equal keys in column order
-    rows = np.arange(0, n * n, n)[:, None]
-    order = dist.argsort(axis=1)
-    order += rows  # flat positions row * N + column
-    sorted_d = dist.take(order)
-    tied = (sorted_d[:, 1:] == sorted_d[:, :-1]).any(axis=1)
-    tied = np.flatnonzero(tied | np.isnan(sorted_d[:, -1]))
-    tied_d, tied_neg = dist[tied], neg[tied]
-    del dist, sorted_d  # fewer live [N, N] buffers
-    order[tied] = np.lexsort((~tied_neg, tied_d)) + rows[tied]
-    is_neg = neg.take(order)
-    count = np.cumsum(is_neg, axis=1, dtype=np.int32)  # negatives up to each slot
-    q = count[:, -1]  # negatives per row
-    by_column = np.empty_like(count)
-    by_column.ravel()[order] = count
-    c = by_column.ravel()[flat]  # negatives no farther than each positive
-    # far: the fallback's rank among the row's negatives (argmax takes the first
-    # maximum, a NaN first); c < q implies c <= far: min(c, far) is either pick
-    far = q - 1
-    far_column = np.where(tied_neg, tied_d, -np.inf).argmax(axis=1)
-    far[tied] = by_column[tied, far_column] - 1
-    k = np.minimum(c, far[anchors])
-    # every row's negatives, nearest first, one row after the other
-    nearest = order.ravel().compress(is_neg.ravel())
-    start = np.cumsum(q) - q
-    return anchors, positives, nearest[start[anchors] + k] - anchors * n
+    b = (n - 1).bit_length()
+    keys = dist.view(np.int64) & -(1 << b)
+    keys |= np.arange(n)
+    # faster as float64, where a non-negative finite key sorts as its bits do
+    keys.view(np.float64).sort(axis=1)
+    # a near-tie: adjacent keys that share their high bits or differ in sign
+    flat, near = keys.ravel(), np.empty_like(keys)
+    np.bitwise_xor(flat[1:], flat[:-1], out=near.ravel()[:-1])
+    tied = near[:, :-1].min(axis=1) < 1 << b  # the last column pairs two rows
+    tied = np.flatnonzero(tied | ~(keys[:, -1].view(np.float64) < np.inf))
+    order = np.bitwise_and(keys, (1 << b) - 1, out=keys)  # nearest first
+    tied_d, tied_neg = dist[tied], labels[tied, None] != labels
+    del dist, near  # fewer live [N, N] buffers
+    order[tied] = np.lexsort((~tied_neg, tied_d))
+    # each row's class members, then its negatives, nearest first, row by row
+    cls = low.astype(np.min_scalar_type(n))  # a narrow class id per row
+    member = cls.take(order) == cls[:, None]
+    hits, negs = np.flatnonzero(member), np.flatnonzero(~member.ravel())
+    rows, cols = hits // n, order.take(hits)
+    last = np.cumsum(n - m) - 1  # each row's last negative in negs
+    far = order.take(negs[last])
+    far[tied] = np.where(tied_neg, tied_d, -np.inf).argmax(axis=1)
+    k = hits - np.arange(hits.size)  # each member's next negative, in negs
+    last = last[rows]
+    pick = np.where(k > last, far[rows], order.take(negs[np.minimum(k, last)]))
+    # by anchor, then by positive; the anchor itself goes to a spare last slot
+    total, rank = t.sum(), np.argsort(by_class) - low  # rank: place in class
+    at = (np.cumsum(t) - t)[rows] + rank[cols] - (cols > rows)
+    at[cols == rows] = total
+    positives, negatives = np.empty((2, total + 1), np.int64)
+    positives[at], negatives[at] = cols, pick
+    return np.repeat(np.arange(n), t), positives[:total], negatives[:total]
 
 
 def triplet_loss_semihard(embeddings: Expr, labels: np.ndarray,
@@ -269,9 +280,9 @@ def triplet_loss_semihard(embeddings: Expr, labels: np.ndarray,
         log.warning("no valid triplet in batch; local loss is 0")
         return ad.const(0.0)
     n, t = embeddings.shape[0], anchors.size
-    d2 = _sq_dists(embeddings.value).ravel()
+    d2 = _sq_dists(embeddings.value, anchors, np.stack((positives, negatives)))
+    active = (d2[0] - d2[1]) + margin > 0.0
     ap, an = anchors * n + positives, anchors * n + negatives
-    active = (d2[ap] - d2[an]) + margin > 0.0
     w = np.bincount(an[active], minlength=n * n)
     w -= np.bincount(ap[active], minlength=n * n)
     quad = _pair_form(embeddings, embeddings, w.reshape(n, n), t)

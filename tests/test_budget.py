@@ -8,11 +8,16 @@ of the value-mode sweeps (every ``_on_values``). The counts are
 exact, so a change that makes the engine do more work per step fails here,
 where timing would only show noise.
 
+The peak memory of one triplet loss, miner and hinge, is bounded the same
+way: the bytes that ``tracemalloc`` sees at its peak, in units of one [N, N]
+float64 buffer, so a change that adds such a buffer fails here.
+
 The bounds are the counts of the current code. A change that lowers a count
 lowers its bound with it; one that must raise a bound says why. Print the
 current counts with ``PYTHONPATH=src python tests/test_budget.py``.
 """
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -20,7 +25,7 @@ import numpy as np
 import pytest
 
 from masf import autodiff as ad
-from masf import bench, engine, harness
+from masf import bench, engine, harness, losses
 
 TARGET = 3
 SEED = 0
@@ -64,6 +69,25 @@ BUDGET = {
                    "sum_to": 12, "transpose": 32},
     },
 }
+
+
+# per batch size N (75 and 150 are the benchmark's): the peak bytes traced
+# during one triplet_loss_semihard call, in units of N^2 * 8
+TRIPLET_PEAK = {75: 4.41, 150: 3.98}
+
+
+def triplet_peak(n: int) -> float:
+    """Peak traced bytes of one triplet loss on N rows of five classes, over
+    N^2 * 8; the call before the traced one warms every cache."""
+    rng = np.random.default_rng(0)
+    e, labels = ad.leaf(rng.normal(size=(n, 8))), np.arange(n) % 5
+    losses.triplet_loss_semihard(e, labels, 1.0)
+    tracemalloc.start()
+    try:
+        losses.triplet_loss_semihard(e, labels, 1.0)
+        return tracemalloc.get_traced_memory()[1] / (n * n * 8)
+    finally:
+        tracemalloc.stop()
 
 
 def step_counts(name: str, monkeypatch) -> list[dict[str, Counter]]:
@@ -124,8 +148,15 @@ def test_step_stays_within_budget(name, monkeypatch):
         assert not over, f"{name} {kind}: (count, bound) by op {over}"
 
 
+@pytest.mark.parametrize("n", sorted(TRIPLET_PEAK))
+def test_triplet_loss_peak_memory(n):
+    peak = triplet_peak(n)
+    assert peak <= TRIPLET_PEAK[n], f"N={n}: peak {peak:.3f} N^2 * 8 bytes"
+
+
 if __name__ == "__main__":
     with pytest.MonkeyPatch.context() as mp:
         for case in sorted(CONFIGS):
             print(f"{case!r}: {max_counts(step_counts(case, mp))},")
             mp.undo()
+    print({n: round(triplet_peak(n), 3) for n in sorted(TRIPLET_PEAK)})

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from masf import autodiff as ad
-from masf import bench, engine, losses, nets
+from masf import bench, engine, keys, losses, nets
 
 ARCH = nets.Architecture(input_dim=8, num_classes=3,
                          feature_widths=(10, 6), metric_widths=(8, 4))
@@ -319,6 +319,14 @@ class TestMetaStep:
     def test_train_rejects_zero_iterations(self):
         with pytest.raises(ValueError):
             engine.train(self._state(), small_datasets(), 0)
+
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_train_names_the_iteration_count_as_the_config_does(self, iterations):
+        message = f"iterations must be >= 1, got {iterations}"
+        with pytest.raises(ValueError, match=message):
+            keys.read("iterations", iterations)
+        with pytest.raises(ValueError, match=message):
+            engine.train(self._state(), small_datasets(), iterations)
 
 
 class TestDegeneracy:

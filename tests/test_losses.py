@@ -816,6 +816,96 @@ class TestRowSortMiner:
                                     np.random.default_rng(0))
 
 
+def assert_mined_exactly(e, labels):
+    """The miner against the sorted reference and against its rule."""
+    got = assert_same_as_sorted_reference(e, labels)
+    assert_semihard_rule(e, labels)
+    return got
+
+
+class TestKeySortRepair:
+    """The rows that the packed-key sort cannot order alone go to the exact
+    lexsort: keys that share their high bits (a distance within 2^b ulps of
+    another), and a -0.0, an inf or a NaN distance."""
+
+    def test_one_ulp_apart_in_reverse_column_order(self):
+        # row 0: positive 2 at x, negative 1 one ulp farther, negative 3 at
+        # 2x. The keys of 1 and 2 share their high bits and sort by column,
+        # so only the exact sort puts 2 before 1 and picks 1, not 3
+        x = 0.7
+        e = np.array([[0.0], [np.nextafter(x, np.inf)], [x], [2 * x]])
+        labels = [0, 1, 0, 1]
+        dist = losses.distance_matrix(e)
+        assert dist[0, 1] == np.nextafter(dist[0, 2], np.inf)
+        a, p, n = assert_mined_exactly(e, labels)
+        assert n[(a == 0) & (p == 2)].tolist() == [1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 150),
+           num_classes=st.integers(2, 7))
+    def test_one_ulp_pairs_in_random_column_order(self, seed, n, num_classes):
+        # each value next to its neighbour one ulp up, columns shuffled; the
+        # origin's row holds every pair
+        rng = np.random.default_rng(seed)
+        x = np.abs(rng.normal(size=(n + 1) // 2))
+        x = np.concatenate([x, np.nextafter(x, np.inf)])[:n]
+        e = rng.permutation(x)[:, None]
+        e[0] = 0.0
+        assert_mined_exactly(e, rng.integers(0, num_classes, size=n))
+
+    def test_inf_distance(self):
+        # 1e200 squares to inf: row 1 is at +inf from every other row, and
+        # at inf - inf = NaN from itself
+        e = np.array([[0.0], [1e200], [1.0], [2.0], [3.0]])
+        labels = [0, 0, 1, 0, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = losses.distance_matrix(e)
+            assert dist[0, 1] == np.inf and np.isnan(dist[1, 1])
+            a, p, n = assert_mined_exactly(e, labels)
+        # nothing is farther than inf: the farthest negative, 4
+        assert n[(a == 0) & (p == 1)].tolist() == [4]
+
+    def test_sign_bit_nan_from_inf_minus_inf(self):
+        # rows 0 and 1 both square to inf: their d^2 is inf + inf - inf, a
+        # NaN whose sign bit is set where the default NaN is negative (x86)
+        e = np.array([[1e200], [1e200], [0.0], [1.0], [2.0], [-1.0]])
+        labels = [0, 1, 0, 1, 1, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = losses.distance_matrix(e)
+            assert np.isnan(dist[0, 1])
+            assert_mined_exactly(e, labels)
+
+    @pytest.mark.parametrize("value", [-0.0, np.copysign(np.nan, -1.0),
+                                       np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_odd_values_in_random_cells(self, value, seed, monkeypatch):
+        # several cells of a row at one value, among negatives and positives
+        rng = np.random.default_rng(1300 + seed)
+        n = int(rng.integers(6, 40))
+        e = rng.normal(size=(n, 3))
+        labels = rng.integers(0, 3, size=n)
+        rows = rng.integers(0, n, size=3 * n)
+        cols = rng.integers(0, n, size=3 * n)
+        distance_matrix = losses.distance_matrix
+
+        def odd(values):
+            dist = distance_matrix(values)
+            dist[rows, cols] = value
+            return dist
+
+        monkeypatch.setattr(losses, "distance_matrix", odd)
+        assert np.signbit(odd(e)[rows, cols]).all() == np.signbit(value)
+        assert_mined_exactly(e, labels)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(257, 300),
+           dim=st.integers(1, 8), num_classes=st.integers(1, 7),
+           kind=st.sampled_from(MINING_KINDS))
+    def test_nine_bit_columns(self, seed, n, dim, num_classes, kind):
+        e, labels = make_mining_batch(seed, n, dim, num_classes, kind)
+        assert_mined_exactly(e, labels)
+
+
 class TestTriplet:
     def test_easy_triplet_zero(self):
         # d(a,p)=0, d(a,n)=2, margin 1 -> max(0, 0 - 4 + 1) = 0
@@ -1034,6 +1124,49 @@ class TestTripletQuadraticForm:
                 ops.append(node.op)
                 stack.extend(node.inputs)
         assert sorted(ops) == ["add", "matmul", "mul", "sum"]
+
+
+class TestHingeCells:
+    """The hinge reads d^2 at its triplets' cells only, by the same float
+    expression as the [N, N] matrix."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cells_equal_the_matrix_bit_for_bit(self, seed):
+        rng = np.random.default_rng(1400 + seed)
+        n = int(rng.integers(2, 151))
+        e = rng.normal(size=(n, int(rng.integers(1, 9))))
+        e[rng.integers(0, n, size=n // 3)] = e[rng.integers(0, n, size=n // 3)]
+        e[rng.integers(0, n)] = 0.0
+        d2 = losses._sq_dists(e)
+        rows = rng.integers(0, n, size=300)
+        cols = rng.integers(0, n, size=(2, 300))  # the hinge's [2, T] form
+        got = losses._sq_dists(e, rows, cols)
+        assert got.shape == cols.shape
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      d2.ravel()[rows * n + cols].view(np.int64))
+        assert not got[rows == cols].any()  # the diagonal is exactly 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_active_triplets_follow_the_matrix_rule(self, seed, monkeypatch):
+        rng = np.random.default_rng(1500 + seed)
+        n, dim = int(rng.integers(6, 151)), int(rng.integers(1, 9))
+        e_val = rng.normal(size=(n, dim))
+        e_val[1] = e_val[0]  # coincident rows
+        labels = rng.integers(0, int(rng.integers(2, 6)), size=n)
+        margin = -float(np.median(triplet_hinges(e_val, labels, 0.0)))
+        weights = []
+        form = losses._pair_form
+        monkeypatch.setattr(losses, "_pair_form", lambda a, b, w, scale:
+                            weights.append(w) or form(a, b, w, scale))
+        losses.triplet_loss_semihard(ad.leaf(e_val), labels, margin)
+        a, p, neg = losses.mine_semihard_triplets(e_val, labels)
+        d2 = losses._sq_dists(e_val).ravel()
+        ap, an = a * n + p, a * n + neg
+        active = (d2[ap] - d2[an]) + margin > 0.0
+        assert 0 < np.count_nonzero(active) < active.size
+        w = np.bincount(an[active], minlength=n * n)
+        w -= np.bincount(ap[active], minlength=n * n)
+        np.testing.assert_array_equal(weights[0], w.reshape(n, n))
 
 
 def direct_pair_sum(a, b, w, scale):
