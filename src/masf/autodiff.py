@@ -19,7 +19,10 @@ op by name, either as a node or by applying the op's forward function to
 arrays, so both modes do the same floating-point operations and give
 bit-identical values. A rule whose adjoint already has the shape that a
 ``sum_to`` or ``broadcast`` would give it returns the adjoint, so neither
-mode builds an identity op. ``global_norm`` works on values too;
+mode builds an identity op. One ``matmul`` node holds a whole layer
+(``x @ w + b``), and a matmul that a VJP rule builds reads an operand
+transposed in place (attributes ``ta``, ``tb``), so a matmul adjoint is one
+matmul. ``global_norm`` works on values too;
 ``clip_by_norm`` builds the norm as a graph only when it scales graph-mode
 gradients.
 
@@ -95,6 +98,8 @@ def _sum_to_value(val: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``val`` back to ``shape``, undoing numpy broadcasting."""
     if val.shape == shape:
         return val
+    if val.shape[1:] == shape:  # a bias adjoint: one row sum
+        return val.sum(axis=0)
     extra = val.ndim - len(shape)
     if extra:
         val = val.sum(axis=tuple(range(extra)))
@@ -106,7 +111,7 @@ def _sum_to_value(val: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _fwd_div(attrs, a, b):
     d = b + EPS
-    if (d == 0.0).any():
+    if not d.all():
         raise DomainError("division by zero not repaired by epsilon guard")
     return a / d
 
@@ -124,6 +129,13 @@ def _fwd_sqrt(attrs, a):
     return np.sqrt(a)
 
 
+def _fwd_matmul(attrs, a, b, bias=None):
+    out = (a.T if attrs.get("ta") else a) @ (b.T if attrs.get("tb") else b)
+    if bias is not None:  # into the fresh product, in place
+        out += bias
+    return out
+
+
 def _fwd_scatter_rows(attrs, a):
     out = np.zeros(attrs["shape"])
     np.add.at(out, attrs["index"], a)
@@ -136,7 +148,7 @@ _FORWARD: dict[str, Callable] = {
     "mul": lambda attrs, a, b: a * b,
     "div": _fwd_div,
     "neg": lambda attrs, a: -a,
-    "matmul": lambda attrs, a, b: a @ b,
+    "matmul": _fwd_matmul,
     "transpose": lambda attrs, a: a.T,
     "relu": lambda attrs, a: np.maximum(a, 0.0),
     "exp": lambda attrs, a: np.exp(a),
@@ -158,8 +170,10 @@ def _make(op: str, inputs: tuple[Expr, ...], attrs: dict | None = None) -> Expr:
     # one or two operands, spelled out as in _on_values: this runs per node
     if len(inputs) == 1:
         value = _FORWARD[op](attrs, inputs[0].value)
-    else:
+    elif len(inputs) == 2:
         value = _FORWARD[op](attrs, inputs[0].value, inputs[1].value)
+    else:  # a matmul with a bias
+        value = _FORWARD[op](attrs, *(x.value for x in inputs))
     # an op on 0-d arrays returns a NumPy scalar; float64 operands give float64
     return Expr(op, inputs, np.asarray(value), attrs)
 
@@ -215,10 +229,13 @@ def square(a: Expr) -> Expr:
     return _make("square", (a,))
 
 
-def matmul(a: Expr, b: Expr) -> Expr:
+def matmul(a: Expr, b: Expr, bias: Expr | None = None) -> Expr:
+    """``a @ b``, plus ``bias`` on every row: a whole layer in one node."""
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _make("matmul", (a, b))
+    if bias is not None and bias.shape != b.shape[1:]:
+        raise ValueError(f"matmul: bias shape {bias.shape} is not {b.shape[1:]}")
+    return _make("matmul", (a, b) if bias is None else (a, b, bias))
 
 
 def transpose(a: Expr) -> Expr:
@@ -336,6 +353,18 @@ def _vjp_sum(O, node, g, a):
     return _broadcast(O, g, a.shape)
 
 
+# a matmul adjoint is one matmul reading the other operand transposed, and is
+# transposed back only for an operand that the node itself read transposed
+def _vjp_matmul_a(O, node, g, a, b, *bias):
+    ga = O("matmul", g, b, tb=not node.attrs.get("tb"))
+    return O("transpose", ga) if node.attrs.get("ta") else ga
+
+
+def _vjp_matmul_b(O, node, g, a, b, *bias):
+    gb = O("matmul", a, g, ta=not node.attrs.get("ta"))
+    return O("transpose", gb) if node.attrs.get("tb") else gb
+
+
 _VJP: dict[str, tuple[Callable, ...]] = {
     "add": (lambda O, node, g, a, b: _sum_to(O, g, a.shape),
             lambda O, node, g, a, b: _sum_to(O, g, b.shape)),
@@ -348,8 +377,8 @@ _VJP: dict[str, tuple[Callable, ...]] = {
             lambda O, node, g, a, b: _sum_to(O, O("neg", O(
                 "mul", g, O("div", node, b))), b.shape)),
     "neg": (lambda O, node, g, a: O("neg", g),),
-    "matmul": (lambda O, node, g, a, b: O("matmul", g, O("transpose", b)),
-               lambda O, node, g, a, b: O("matmul", O("transpose", a), g)),
+    "matmul": (_vjp_matmul_a, _vjp_matmul_b,
+               lambda O, node, g, a, b, bias: _sum_to(O, g, bias.shape)),
     "transpose": (lambda O, node, g, a: O("transpose", g),),
     "relu": (lambda O, node, g, a: O(
         "mul", g, (a.value > 0).astype(np.float64)),),
@@ -375,8 +404,8 @@ def _on_graph(op: str, *operands, **attrs) -> Expr:
 
 def _on_values(op: str, a, b=None, **attrs) -> np.ndarray:
     """Value mode: the op's forward function on arrays; a node operand stands
-    for its value. Every op has one or two operands, spelled out here because
-    this runs once per op of every value-mode sweep."""
+    for its value. Every op a rule builds has one or two operands, spelled out
+    here because this runs once per op of every value-mode sweep."""
     a = a.value if isinstance(a, Expr) else a
     if b is None:
         return _FORWARD[op](attrs, a)

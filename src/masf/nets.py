@@ -98,7 +98,7 @@ def _mlp(params: ParamSet, role: str, h: Expr, relu_last: bool) -> Expr:
         raise ValueError(f"expected {role.replace('_', '-')} parameters")
     layers = list(zip(params.tensors[::2], params.tensors[1::2]))
     for i, (w, b) in enumerate(layers, 1):
-        h = ad.add(ad.matmul(h, w), b)
+        h = ad.matmul(h, w, b)
         if relu_last or i < len(layers):
             h = ad.relu(h)
     return h

@@ -78,6 +78,10 @@ INPUT_CHECKS = {
                       ad.DomainError, "sqrt of negative"),
     "transpose-1d": (lambda: ad.transpose(ad.leaf([1.0, 2.0])),
                      ValueError, "2-D tensor"),
+    "matmul-bias-shape": (lambda: ad.matmul(ad.leaf(np.ones((2, 3))),
+                                            ad.leaf(np.ones((3, 5))),
+                                            ad.leaf(np.ones(4))),
+                          ValueError, r"bias shape \(4,\) is not \(5,\)"),
     "index-2d": (lambda: ad.select_rows(ad.leaf(np.ones((3, 2))),
                                         np.zeros((2, 2), dtype=int)),
                  ValueError, "vector of indices"),
@@ -162,6 +166,18 @@ OPS = {
     "relu": lambda x: ad.reduce_sum(ad.square(ad.relu(x))),
     "matmul": lambda x: ad.reduce_sum(
         ad.square(ad.matmul(ad.reshape(x, (1, 5)), ad.const(np.ones((5, 2)))))),
+    "matmul_bias": lambda x: ad.reduce_sum(ad.square(ad.matmul(
+        ad.reshape(x, (1, 5)), ad.const(np.arange(10.0).reshape(5, 2) / 10),
+        ad.select_rows(x, np.array([0, 4]))))),
+    "matmul_ta": lambda x: ad.reduce_sum(ad.square(ad._on_graph(
+        "matmul", ad.reshape(x, (5, 1)), np.arange(10.0).reshape(5, 2) / 10,
+        ta=True))),
+    "matmul_tb": lambda x: ad.reduce_sum(ad.square(ad._on_graph(
+        "matmul", np.arange(10.0).reshape(2, 5) / 10, ad.reshape(x, (1, 5)),
+        tb=True))),
+    "matmul_ta_tb": lambda x: ad.reduce_sum(ad.exp(ad._on_graph(
+        "matmul", ad.reshape(x, (5, 1)), ad.reshape(ad.square(x), (1, 5)),
+        ta=True, tb=True))),
     "softmax": lambda x: ad.reduce_sum(
         ad.square(ad.softmax(ad.reshape(x, (1, 5))))),
     "lse": lambda x: ad.log_sum_exp(x),
@@ -313,6 +329,72 @@ class TestNoIdentityOps:
         assert calls and all(shape != to for _, shape, to in calls)
 
 
+class TestMatmulAdjoints:
+    """A first-order matmul adjoint is one matmul that reads the other
+    operand transposed in place, so no sweep of a network's loss builds a
+    ``transpose`` op; only an operand that was itself read transposed gets
+    its adjoint transposed back."""
+
+    def _loss(self, rng):
+        arch = nets.Architecture(input_dim=4, num_classes=3,
+                                 feature_widths=(5, 3), metric_widths=(2,))
+        psi, theta, _ = nets.init_params(arch, 0)
+        x = ad.const(rng.normal(size=(6, 4)))
+        logits = nets.task_forward(theta, nets.feature_forward(psi, x))
+        return ad.reduce_sum(ad.square(logits)), psi.tensors + theta.tensors
+
+    @pytest.mark.parametrize("mode", ["graph", "value"])
+    def test_first_order_sweep_builds_no_transpose(self, monkeypatch, mode):
+        loss, params = self._loss(np.random.default_rng(0))
+        calls = []
+        monkeypatch.setitem(ad._FORWARD, "transpose",
+                            lambda attrs, a: calls.append(a) or a.T)
+        if mode == "value":
+            with ad.values_only():
+                ad.grad(loss, params)
+        else:
+            assert "matmul" in {g.op for _, g in ad.grad(loss, params)}
+        assert not calls
+
+    def test_transposed_operand_adjoint_is_transposed_back(self):
+        rng = np.random.default_rng(1)
+        a, b = ad.leaf(rng.normal(size=(3, 2))), ad.leaf(rng.normal(size=(4, 3)))
+        loss = ad.reduce_sum(ad.square(ad._on_graph("matmul", a, b, ta=True,
+                                                    tb=True)))
+        gm = ad.grad(loss, [a, b])
+        assert [gm[a].op, gm[b].op] == ["transpose", "transpose"]
+        y = 2.0 * (a.value.T @ b.value.T)
+        np.testing.assert_array_equal(gm[a].value, (y @ b.value).T)
+        np.testing.assert_array_equal(gm[b].value, (a.value @ y).T)
+
+
+class TestFusedLayer:
+    """One matmul node with a bias against the two-node chain it replaces,
+    ``add(matmul(h, w), b)``: the same value bit for bit, and the same first-
+    and second-order gradients up to the order in which adjoints are summed."""
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_two_node_chain(self, data):
+        n, k, m = data.draw(st.tuples(*[st.integers(1, 4)] * 3), label="n, k, m")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        h, w, b = (ad.leaf(rng.normal(size=s)) for s in ((n, k), (k, m), (m,)))
+        weights = ad.const(rng.normal(size=(n, m)))
+        fused, chain = ad.matmul(h, w, b), ad.add(ad.matmul(h, w), b)
+        assert fused.value.tobytes() == chain.value.tobytes()
+        first = []
+        for y in (fused, chain):
+            loss = ad.log_sum_exp(ad.mul(ad.square(y), weights))
+            first.append(ad.grad(loss, [h, w, b]))
+        for (_, g), (_, c) in zip(*first):
+            np.testing.assert_allclose(g.value, c.value, rtol=1e-13)
+        second = [ad.grad(scalarize(gm, np.random.default_rng(seed)), [h, w, b])
+                  for gm in first]
+        for (_, g), (_, c) in zip(*second):
+            np.testing.assert_allclose(g.value, c.value, rtol=1e-13)
+
+
 class TestSelectRows:
     def test_value_is_row_take(self):
         a = np.arange(12.0).reshape(4, 3)
@@ -406,6 +488,21 @@ def matmul_case(draw, rng):
     return ad.matmul, [normal(rng, (n, k)), normal(rng, (k, m))]
 
 
+def matmul_form_case(ta, tb, bias):
+    """A matmul with a bias, or reading an operand transposed as the matmuls
+    that VJP rules build do."""
+    def case(draw, rng):
+        n, k, m = draw(st.tuples(*[st.integers(1, 3)] * 3), label="n, k, m")
+        arrays = [normal(rng, (k, n) if ta else (n, k)),
+                  normal(rng, (m, k) if tb else (k, m))]
+        if bias:
+            arrays.append(normal(rng, (m,)))
+        if not (ta or tb):
+            return ad.matmul, arrays
+        return (lambda *xs: ad._on_graph("matmul", *xs, ta=ta, tb=tb)), arrays
+    return case
+
+
 def const_matmul_case(draw, rng):
     """A constant left operand, as in the triplet loss's L @ E."""
     n, k, m = draw(st.tuples(*[st.integers(1, 3)] * 3), label="n, k, m")
@@ -455,6 +552,10 @@ OP_CASES = {
     "neg": unary(ad.neg),
     "matmul": matmul_case,
     "matmul-const-left": const_matmul_case,
+    "matmul-bias": matmul_form_case(False, False, True),
+    "matmul-ta": matmul_form_case(True, False, False),
+    "matmul-tb": matmul_form_case(False, True, False),
+    "matmul-ta-tb-bias": matmul_form_case(True, True, True),
     "mul-same-node": unary(lambda a: ad.mul(a, a)),
     "transpose": unary(ad.transpose, shapes=MATRIX),
     "relu": unary(ad.relu, values=off_kink),

@@ -39,34 +39,33 @@ CONFIGS = {  # batch size per source domain, local loss on or off
 # per config: the most graph nodes and value-mode op calls of any step, by op
 BUDGET = {
     "full_triplet": {
-        "graph": {"add": 14, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
+        "graph": {"add": 6, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
                   "gather_rows": 1, "leaf": 10, "log": 3, "matmul": 16,
                   "mul": 16, "neg": 1, "relu": 5, "reshape": 3,
                   "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 10,
-                  "sum": 6, "sum_to": 3, "transpose": 5},
+                  "sum": 6, "sum_to": 3},
         "values": {"add": 25, "broadcast": 11, "div": 10, "matmul": 28,
                    "mul": 38, "neg": 11, "reshape": 8, "scatter_rows": 1,
-                   "sum_to": 12, "transpose": 32},
+                   "sum_to": 12, "transpose": 4},
     },
     "episodic_global": {
-        "graph": {"add": 10, "broadcast": 2, "const": 25, "div": 1, "exp": 3,
+        "graph": {"add": 4, "broadcast": 2, "const": 25, "div": 1, "exp": 3,
                   "gather_rows": 1, "leaf": 6, "log": 3, "matmul": 13,
                   "mul": 14, "neg": 1, "relu": 4, "reshape": 2,
-                  "scatter_rows": 1, "sub": 10, "sum": 4, "sum_to": 3,
-                  "transpose": 5},
+                  "scatter_rows": 1, "sub": 10, "sum": 4, "sum_to": 3},
         "values": {"add": 20, "broadcast": 7, "div": 4, "matmul": 21,
                    "mul": 23, "neg": 9, "reshape": 4, "scatter_rows": 1,
-                   "sum_to": 8, "transpose": 25},
+                   "sum_to": 8, "transpose": 4},
     },
     "wide_triplet": {
-        "graph": {"add": 14, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
+        "graph": {"add": 6, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
                   "gather_rows": 1, "leaf": 10, "log": 3, "matmul": 16,
                   "mul": 16, "neg": 1, "relu": 5, "reshape": 3,
                   "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 10,
-                  "sum": 6, "sum_to": 3, "transpose": 5},
+                  "sum": 6, "sum_to": 3},
         "values": {"add": 25, "broadcast": 11, "div": 10, "matmul": 28,
                    "mul": 38, "neg": 11, "reshape": 8, "scatter_rows": 1,
-                   "sum_to": 12, "transpose": 32},
+                   "sum_to": 12, "transpose": 4},
     },
 }
 
