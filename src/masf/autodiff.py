@@ -20,9 +20,9 @@ arrays, so both modes do the same floating-point operations and give
 bit-identical values. A rule whose adjoint already has the shape that a
 ``sum_to`` or ``broadcast`` would give it returns the adjoint, so neither
 mode builds an identity op. One ``matmul`` node holds a whole layer
-(``x @ w + b``), and a matmul that a VJP rule builds reads an operand
-transposed in place (attributes ``ta``, ``tb``), so a matmul adjoint is one
-matmul. ``global_norm`` works on values too;
+(``x @ w + b``). Transposition has one mechanism: a matmul reads either
+operand transposed in place (attributes ``ta``, ``tb``, which VJP rules set),
+so each matmul adjoint is one matmul. ``global_norm`` works on values too;
 ``clip_by_norm`` builds the norm as a graph only when it scales graph-mode
 gradients.
 
@@ -149,7 +149,6 @@ _FORWARD: dict[str, Callable] = {
     "div": _fwd_div,
     "neg": lambda attrs, a: -a,
     "matmul": _fwd_matmul,
-    "transpose": lambda attrs, a: a.T,
     "relu": lambda attrs, a: np.maximum(a, 0.0),
     "exp": lambda attrs, a: np.exp(a),
     "log": _fwd_log,
@@ -236,12 +235,6 @@ def matmul(a: Expr, b: Expr, bias: Expr | None = None) -> Expr:
     if bias is not None and bias.shape != b.shape[1:]:
         raise ValueError(f"matmul: bias shape {bias.shape} is not {b.shape[1:]}")
     return _make("matmul", (a, b) if bias is None else (a, b, bias))
-
-
-def transpose(a: Expr) -> Expr:
-    if a.value.ndim != 2:
-        raise ValueError("transpose expects a 2-D tensor")
-    return _make("transpose", (a,))
 
 
 def reduce_sum(a: Expr, axis: int | None = None) -> Expr:
@@ -353,16 +346,17 @@ def _vjp_sum(O, node, g, a):
     return _broadcast(O, g, a.shape)
 
 
-# a matmul adjoint is one matmul reading the other operand transposed, and is
-# transposed back only for an operand that the node itself read transposed
+# node = A'B' (A' = a.T if ta, B' = b.T if tb); each adjoint is one matmul that
+# reads its transpositions in place: a's is g B'^T (B' g^T if ta), b's A'^T g
+# (g^T A' if tb)
 def _vjp_matmul_a(O, node, g, a, b, *bias):
-    ga = O("matmul", g, b, tb=not node.attrs.get("tb"))
-    return O("transpose", ga) if node.attrs.get("ta") else ga
+    ta, tb = node.attrs.get("ta", False), node.attrs.get("tb", False)
+    return O("matmul", b, g, ta=tb, tb=True) if ta else O("matmul", g, b, tb=not tb)
 
 
 def _vjp_matmul_b(O, node, g, a, b, *bias):
-    gb = O("matmul", a, g, ta=not node.attrs.get("ta"))
-    return O("transpose", gb) if node.attrs.get("tb") else gb
+    ta, tb = node.attrs.get("ta", False), node.attrs.get("tb", False)
+    return O("matmul", g, a, ta=True, tb=ta) if tb else O("matmul", a, g, ta=not ta)
 
 
 _VJP: dict[str, tuple[Callable, ...]] = {
@@ -379,7 +373,6 @@ _VJP: dict[str, tuple[Callable, ...]] = {
     "neg": (lambda O, node, g, a: O("neg", g),),
     "matmul": (_vjp_matmul_a, _vjp_matmul_b,
                lambda O, node, g, a, b, bias: _sum_to(O, g, bias.shape)),
-    "transpose": (lambda O, node, g, a: O("transpose", g),),
     "relu": (lambda O, node, g, a: O(
         "mul", g, (a.value > 0).astype(np.float64)),),
     "exp": (lambda O, node, g, a: O("mul", g, node),),

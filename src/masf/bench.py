@@ -290,15 +290,19 @@ def canonical_domain_specs(overrides: dict | None = None) -> list[DomainSpec]:
 
 def canonical_datasets(overrides: dict | None = None) -> dict[int, DomainDataset]:
     """The canonical domains, with ``overrides`` (keys of CANONICAL) applied;
-    a domain whose features overflow is a ValueError naming the domain."""
+    a domain whose features overflow is a ValueError naming the domain and
+    every key that scales its features."""
     seed = (overrides or {}).get("base_seed", CANONICAL["base_seed"])
     datasets = {}
     for s in canonical_domain_specs(overrides):
-        ds = datasets[s.domain_id] = make_domain(s, seed)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            ds = datasets[s.domain_id] = make_domain(s, seed)
         if not np.isfinite(ds.features).all():
             raise ValueError(
                 f"benchmark domain {s.domain_id} has non-finite features; its "
                 f"rotations_deg, scales and shifts entries are {s.rotation_deg}, "
-                f"{s.scale} and {s.shift}")
+                f"{s.scale} and {s.shift}, and noise_sigma, latent_sigma, "
+                f"variant_radius and invariant_radius are {s.noise_sigma}, "
+                f"{s.latent_sigma}, {s.variant_radius} and {s.invariant_radius}")
     return datasets
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -106,7 +105,7 @@ def _datasets(config: ExperimentConfig, flags: tuple, targets) -> tuple[dict, li
 def cmd_bench_gen(args) -> int:
     overrides = load_spec_file(args.spec) if args.spec else {}
     datasets = list(bench.canonical_datasets(overrides).values())
-    out = Path(os.environ.get("MASF_OUT_DIR") or args.out)
+    out = ExperimentConfig(out_dir=args.out).resolved_out_dir()
     bench.export_csv(datasets, out / "benchmark.csv")
     print(f"wrote {out / 'benchmark.csv'} "
           f"({sum(len(d) for d in datasets)} samples, {len(datasets)} domains)")
@@ -138,10 +137,9 @@ def cmd_eval(args) -> int:
     psi_path, theta_path = Path(args.ckpt) / "psi.bin", Path(args.ckpt) / "theta.bin"
     psi = nets.load_params(psi_path, nets.FEATURE_EXTRACTOR)
     theta = nets.load_params(theta_path, nets.TASK_NET)
-    feature_dim = psi.tensors[-1].shape[0]  # the last layer's bias
-    if theta["w0"].shape[0] != feature_dim:
+    if theta["w0"].shape[0] != psi.out_width:
         raise ValueError(f"{theta_path} takes {theta['w0'].shape[0]} features, "
-                         f"but {psi_path} gives {feature_dim}")
+                         f"but {psi_path} gives {psi.out_width}")
     width = datasets[0].features.shape[1]  # all domains share the header
     if width != psi["w0"].shape[0]:
         raise ValueError(f"{args.data} has {width} features per row, but "

@@ -199,7 +199,6 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
     hp = state.hp
     ids = sorted(batches)
     d_tr, d_te = split_domains(ids, hp.n_meta_test, state.algo_rng)
-    num_classes = state.theta.tensors[-1].shape[0]  # the output layer's bias
 
     task_batches = [batches[k] for k in (d_tr if hp.episodic else ids)]
     l_task = _mean_task_loss(state.psi, state.theta, task_batches)
@@ -226,7 +225,7 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
         pairs = (itertools.product(d_tr, d_te) if hp.episodic
                  else itertools.combinations(ids, 2))
         l_global = losses.global_alignment_loss(batches, pairs, psi2, theta2,
-                                                hp.tau, num_classes, z=z)
+                                                hp.tau, theta2.out_width, z=z)
         _check_finite(float(l_global.value), "global alignment loss", state.t)
 
     l_local = None

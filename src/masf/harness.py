@@ -108,11 +108,10 @@ def margin_statistic(psi: ParamSet, phi: ParamSet, domain_a: DomainDataset,
 def target_alignment(psi: ParamSet, theta: ParamSet, source: DomainDataset,
                      target: DomainDataset, tau: float) -> float:
     """Soft-confusion alignment loss between a source and the target domain."""
-    num_classes = theta.tensors[-1].shape[0]  # the output layer's bias
     batches = {"source": (source.features, source.labels),
                "target": (target.features, target.labels)}
     loss = losses.global_alignment_loss(batches, [("source", "target")],
-                                        psi, theta, tau, num_classes)
+                                        psi, theta, tau, theta.out_width)
     return float(loss.value)
 
 

@@ -61,14 +61,15 @@ _WRONG = object()  # a reader's answer to a value of another kind
 
 
 def _float(v, finite=False):
-    """``v`` as a float, a finite one if ``finite``. A string is read when it
-    spells a finite float, as YAML 1.1 reads ``1e-5`` as a string."""
+    """``v`` as a float, a finite one if ``finite``, and -0.0 as 0.0 (numpy
+    rejects a scale of -0.0). A string is read when it spells a finite
+    float, as YAML 1.1 reads ``1e-5`` as a string."""
     try:
         f = float(v) if isinstance(v, str | Real) and not isinstance(v, bool) else None
     except (ValueError, OverflowError):  # 10**400 is an int and no float
         return _WRONG
     ok = f is not None and (math.isfinite(f) or not (finite or isinstance(v, str)))
-    return f if ok else _WRONG
+    return f + 0.0 if ok else _WRONG  # -0.0 + 0.0 is 0.0
 
 
 def _int(v, least=-math.inf):

@@ -63,6 +63,11 @@ class ParamSet:
     def __getitem__(self, name: str) -> Expr:
         return dict(self.entries)[name]
 
+    @property
+    def out_width(self) -> int:
+        """The width of the network's output: its last layer's bias length."""
+        return self.tensors[-1].shape[0]
+
     def replace(self, new_tensors: list[Expr]) -> "ParamSet":
         """New ParamSet of the same role; shapes must match."""
         if len(new_tensors) != len(self.tensors):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -76,8 +77,6 @@ INPUT_CHECKS = {
                        ad.DomainError, "division by zero"),
     "sqrt-negative": (lambda: ad.sqrt(ad.leaf([1.0, -1.0])),
                       ad.DomainError, "sqrt of negative"),
-    "transpose-1d": (lambda: ad.transpose(ad.leaf([1.0, 2.0])),
-                     ValueError, "2-D tensor"),
     "matmul-bias-shape": (lambda: ad.matmul(ad.leaf(np.ones((2, 3))),
                                             ad.leaf(np.ones((3, 5))),
                                             ad.leaf(np.ones(4))),
@@ -189,8 +188,6 @@ OPS = {
     "broadcast_sub": lambda x: ad.reduce_sum(ad.square(ad.sub(
         ad.broadcast_to(ad.reshape(x, (5, 1)), (5, 3)),
         ad.const(np.arange(3.0))))),
-    "transpose_neg": lambda x: ad.reduce_sum(ad.exp(ad.reduce_sum(
-        ad.neg(ad.transpose(ad.reshape(ad.square(x), (5, 1)))), axis=1))),
     "sum_to": lambda x: ad.reduce_sum(ad.square(ad.sum_to(
         ad.mul(ad.reshape(x, (5, 1)), ad.const(np.arange(1.0, 4.0))), (1, 3)))),
 }
@@ -330,42 +327,45 @@ class TestNoIdentityOps:
 
 
 class TestMatmulAdjoints:
-    """A first-order matmul adjoint is one matmul that reads the other
-    operand transposed in place, so no sweep of a network's loss builds a
-    ``transpose`` op; only an operand that was itself read transposed gets
-    its adjoint transposed back."""
-
-    def _loss(self, rng):
-        arch = nets.Architecture(input_dim=4, num_classes=3,
-                                 feature_widths=(5, 3), metric_widths=(2,))
-        psi, theta, _ = nets.init_params(arch, 0)
-        x = ad.const(rng.normal(size=(6, 4)))
-        logits = nets.task_forward(theta, nets.feature_forward(psi, x))
-        return ad.reduce_sum(ad.square(logits)), psi.tensors + theta.tensors
+    """Each adjoint of a matmul node A'B' (A' = a.T if ``ta``, B' = b.T if
+    ``tb``) is one matmul that reads its transpositions in place, in both
+    sweep modes. It equals the transposed-product formula, g B'^T for a and
+    A'^T g for b, each transposed back for an operand read transposed: bit
+    for bit when one operand is read transposed, to rounding when both are."""
 
     @pytest.mark.parametrize("mode", ["graph", "value"])
-    def test_first_order_sweep_builds_no_transpose(self, monkeypatch, mode):
-        loss, params = self._loss(np.random.default_rng(0))
-        calls = []
-        monkeypatch.setitem(ad._FORWARD, "transpose",
-                            lambda attrs, a: calls.append(a) or a.T)
-        if mode == "value":
-            with ad.values_only():
-                ad.grad(loss, params)
-        else:
-            assert "matmul" in {g.op for _, g in ad.grad(loss, params)}
-        assert not calls
-
-    def test_transposed_operand_adjoint_is_transposed_back(self):
+    def test_each_adjoint_is_one_matmul(self, monkeypatch, mode):
+        built = []
+        for op, forward in list(ad._FORWARD.items()):
+            def recorded(attrs, *xs, op=op, forward=forward):
+                built.append(op)
+                return forward(attrs, *xs)
+            monkeypatch.setitem(ad._FORWARD, op, recorded)
         rng = np.random.default_rng(1)
-        a, b = ad.leaf(rng.normal(size=(3, 2))), ad.leaf(rng.normal(size=(4, 3)))
-        loss = ad.reduce_sum(ad.square(ad._on_graph("matmul", a, b, ta=True,
-                                                    tb=True)))
-        gm = ad.grad(loss, [a, b])
-        assert [gm[a].op, gm[b].op] == ["transpose", "transpose"]
-        y = 2.0 * (a.value.T @ b.value.T)
-        np.testing.assert_array_equal(gm[a].value, (y @ b.value).T)
-        np.testing.assert_array_equal(gm[b].value, (a.value @ y).T)
+        for ta, tb, _ in itertools.product([False, True], [False, True], range(5)):
+            n, k, m = rng.integers(1, 9, 3)
+            a = ad.leaf(rng.normal(size=(k, n) if ta else (n, k)))
+            b = ad.leaf(rng.normal(size=(m, k) if tb else (k, m)))
+            y = ad._on_graph("matmul", a, b, ta=ta, tb=tb)
+            g = rng.normal(size=y.shape)
+            loss = ad.reduce_sum(ad.mul(y, ad.const(g)))
+            built.clear()
+            if mode == "value":
+                with ad.values_only():
+                    gm = ad.grad(loss, [a, b])
+            else:
+                gm = ad.grad(loss, [a, b])
+            # the sum's broadcast and the mul give y's adjoint, g itself
+            assert built == ["broadcast", "mul", "matmul", "matmul"]
+            a_p = a.value.T if ta else a.value
+            b_p = b.value.T if tb else b.value
+            want_a, want_b = g @ b_p.T, a_p.T @ g
+            want_a, want_b = want_a.T if ta else want_a, want_b.T if tb else want_b
+            for got, want in ((gm[a].value, want_a), (gm[b].value, want_b)):
+                if ta and tb:
+                    np.testing.assert_allclose(got, want, rtol=1e-14)
+                else:
+                    assert np.array_equal(got, want), (ta, tb, got - want)
 
 
 class TestFusedLayer:
@@ -557,7 +557,6 @@ OP_CASES = {
     "matmul-tb": matmul_form_case(False, True, False),
     "matmul-ta-tb-bias": matmul_form_case(True, True, True),
     "mul-same-node": unary(lambda a: ad.mul(a, a)),
-    "transpose": unary(ad.transpose, shapes=MATRIX),
     "relu": unary(ad.relu, values=off_kink),
     "exp": unary(ad.exp),
     "log": unary(ad.log, values=positive),

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -421,10 +422,21 @@ class TestCanonical:
                 bench.canonical_domain_specs(overrides)
 
     def test_nonfinite_features_rejected_naming_domain_and_keys(self):
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+        # no RuntimeWarning either: pytest turns one into an error
+        with pytest.raises(
                 ValueError, match="^benchmark domain 3 has non-finite features; "
                 "its rotations_deg, scales and shifts entries are 90.0, 1e[+]308 "):
             bench.canonical_datasets({"scales": [1, 1, 1, 1e308]})
+
+    @pytest.mark.parametrize("key, values", [
+        ("noise_sigma", "1e+308, 0.55, 2.0 and 1.2"),
+        ("latent_sigma", "0.25, 1e+308, 2.0 and 1.2")])
+    def test_overflowing_sigma_rejected_naming_it(self, key, values):
+        with pytest.raises(ValueError, match=re.escape(
+                "; its rotations_deg, scales and shifts entries are 0.0, 1.0 and "
+                "0.0, and noise_sigma, latent_sigma, variant_radius and "
+                f"invariant_radius are {values}") + "$"):
+            bench.canonical_datasets({key: 1e308})
 
     def test_spec_file_matches_builtin(self, tmp_path):
         path = tmp_path / "spec.yaml"

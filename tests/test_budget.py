@@ -6,7 +6,8 @@ run: graph nodes built, by op (every ``_make``, ``leaf`` and ``const``, each
 of which must return a node holding a read-only float64 array), and op calls
 of the value-mode sweeps (every ``_on_values``). The counts are
 exact, so a change that makes the engine do more work per step fails here,
-where timing would only show noise.
+where timing would only show noise. The full_triplet step also builds every
+op of ``autodiff._FORWARD``, so an op that only tests build fails here.
 
 The peak memory of one triplet loss, miner and hinge, is bounded the same
 way: the bytes that ``tracemalloc`` sees at its peak, in units of one [N, N]
@@ -46,7 +47,7 @@ BUDGET = {
                   "sum": 6, "sum_to": 3},
         "values": {"add": 25, "broadcast": 11, "div": 10, "matmul": 28,
                    "mul": 38, "neg": 11, "reshape": 8, "scatter_rows": 1,
-                   "sum_to": 12, "transpose": 4},
+                   "sum_to": 12},
     },
     "episodic_global": {
         "graph": {"add": 4, "broadcast": 2, "const": 25, "div": 1, "exp": 3,
@@ -55,7 +56,7 @@ BUDGET = {
                   "scatter_rows": 1, "sub": 10, "sum": 4, "sum_to": 3},
         "values": {"add": 20, "broadcast": 7, "div": 4, "matmul": 21,
                    "mul": 23, "neg": 9, "reshape": 4, "scatter_rows": 1,
-                   "sum_to": 8, "transpose": 4},
+                   "sum_to": 8},
     },
     "wide_triplet": {
         "graph": {"add": 6, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
@@ -65,7 +66,7 @@ BUDGET = {
                   "sum": 6, "sum_to": 3},
         "values": {"add": 25, "broadcast": 11, "div": 10, "matmul": 28,
                    "mul": 38, "neg": 11, "reshape": 8, "scatter_rows": 1,
-                   "sum_to": 12, "transpose": 4},
+                   "sum_to": 12},
     },
 }
 
@@ -145,6 +146,13 @@ def test_step_stays_within_budget(name, monkeypatch):
         over = {op: (n, bounds.get(op, 0)) for op, n in got[kind].items()
                 if n > bounds.get(op, 0)}
         assert not over, f"{name} {kind}: (count, bound) by op {over}"
+
+
+def test_full_triplet_step_builds_every_op(monkeypatch):
+    """An op that only tests build has no place in the engine."""
+    got = max_counts(step_counts("full_triplet", monkeypatch))
+    unbuilt = set(ad._FORWARD) - set(got["graph"]) - set(got["values"])
+    assert not unbuilt, f"ops no full_triplet step builds: {sorted(unbuilt)}"
 
 
 @pytest.mark.parametrize("n", sorted(TRIPLET_PEAK))

@@ -681,14 +681,20 @@ class TestCli:
     def test_overflowing_benchmark_is_config_error(self, tmp_path, monkeypatch,
                                                    capsys):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = cli.main(["train", "--set", "iterations=2", "--set",
-                             "bench_overrides={scales: [1, 1, 1, 1e308]}"])
+        code = cli.main(["train", "--set", "iterations=2", "--set",
+                         "bench_overrides={scales: [1, 1, 1, 1e308]}"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: benchmark domain 3 has non-finite "
                               "features") and "1e+308" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key", ["noise_sigma", "latent_sigma"])
+    def test_negative_zero_sigma_trains(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
+        assert cli.main(["train", "--set", "iterations=2", "--set",
+                         f"bench_overrides={{{key}: -0.0}}"]) == 0
+        assert "accuracy" in capsys.readouterr().out
 
     def test_overflowing_grad_norm_is_run_failure(self, tmp_path, monkeypatch,
                                                   capsys):

@@ -1,6 +1,7 @@
 """The rule table of keys.py: it covers every settable key, it reads every
 default, and one wrong-kind value of each key is a config error."""
 
+import math
 import re
 from dataclasses import fields
 
@@ -42,6 +43,13 @@ def test_defaults_read_as_themselves():
 def test_read_gives_the_kind(key, value, got):
     read = keys.read(key, value)
     assert read == got and type(read) is type(got)
+
+
+@pytest.mark.parametrize("key", ["noise_sigma", "latent_sigma", "xi"])
+@pytest.mark.parametrize("value", [-0.0, "-0.0"], ids=["float", "str"])
+def test_negative_zero_reads_as_zero(key, value):
+    # numpy rejects a scale of -0.0 with a message that names no key
+    assert math.copysign(1.0, keys.read(key, value)) == 1.0
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -530,7 +530,7 @@ def reference_gram_triplet_loss_semihard(embeddings, labels, margin):
     if anchors.size == 0:
         return ad.const(0.0)
     n = embeddings.shape[0]
-    gram = ad.matmul(embeddings, ad.transpose(embeddings))
+    gram = ad._on_graph("matmul", embeddings, embeddings, tb=True)
     sq = ad.gather_rows(gram, np.arange(n))
     d2 = ad.sub(ad.add(ad.reshape(sq, (n, 1)), sq), ad.mul(ad.const(2.0), gram))
     d2 = ad.reshape(d2, (n * n,))

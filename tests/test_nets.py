@@ -173,6 +173,10 @@ class TestParamSet:
         assert isinstance(built.tensors, tuple)
         assert psi.tensors + built.tensors == psi.tensors + theta.tensors
 
+    def test_out_width_is_last_layer_width(self):
+        psi, theta, phi = nets.init_params(ARCH, 0)
+        assert (psi.out_width, theta.out_width, phi.out_width) == (5, 3, 4)
+
 
 class TestInputChecks:
     def test_unknown_name(self):
