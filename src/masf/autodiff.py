@@ -22,7 +22,10 @@ bit-identical values. A rule whose adjoint already has the shape that a
 mode builds an identity op. One ``matmul`` node holds a whole layer
 (``x @ w + b``). Transposition has one mechanism: a matmul reads either
 operand transposed in place (attributes ``ta``, ``tb``, which VJP rules set),
-so each matmul adjoint is one matmul. ``global_norm`` works on values too;
+so each matmul adjoint is one matmul. A sum over an axis keeps that axis,
+so its result broadcasts against its input and its adjoint is one
+``broadcast``; there is no reshape op, and no op takes a shape built from
+the batch size. ``global_norm`` works on values too;
 ``clip_by_norm`` builds the norm as a graph only when it scales graph-mode
 gradients.
 
@@ -56,7 +59,7 @@ class DomainError(ArithmeticError):
 class Expr:
     """One graph node; it freezes the float64 array it is handed, unconverted."""
 
-    __slots__ = ("id", "op", "inputs", "attrs", "value")
+    __slots__ = ("id", "op", "inputs", "attrs", "value", "shape")
 
     def __init__(self, op: str, inputs: tuple["Expr", ...], value: np.ndarray,
                  attrs: dict | None = None):
@@ -66,10 +69,7 @@ class Expr:
         self.attrs = attrs or {}
         value.setflags(write=False)
         self.value = value
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
+        self.shape = value.shape
 
     def __repr__(self):
         return f"Expr(id={self.id}, op={self.op!r}, shape={self.shape})"
@@ -154,11 +154,11 @@ _FORWARD: dict[str, Callable] = {
     "log": _fwd_log,
     "sqrt": _fwd_sqrt,
     "square": lambda attrs, a: a * a,
-    "sum": lambda attrs, a: np.asarray(a.sum(axis=attrs["axis"])),
+    "sum": lambda attrs, a: np.asarray(
+        a.sum(axis=attrs["axis"], keepdims=attrs["axis"] is not None)),
     "sum_to": lambda attrs, a: _sum_to_value(a, attrs["shape"]),
     # a filled array costs less to make than np.broadcast_to's read-only view
     "broadcast": lambda attrs, a: np.full(attrs["shape"], a),
-    "reshape": lambda attrs, a: a.reshape(attrs["shape"]),
     "gather_rows": lambda attrs, a: a[attrs["index"]],
     "scatter_rows": _fwd_scatter_rows,
 }
@@ -238,6 +238,7 @@ def matmul(a: Expr, b: Expr, bias: Expr | None = None) -> Expr:
 
 
 def reduce_sum(a: Expr, axis: int | None = None) -> Expr:
+    """The sum of every entry, or over ``axis``, which stays with length 1."""
     return _make("sum", (a,), {"axis": axis})
 
 
@@ -251,14 +252,11 @@ def broadcast_to(a: Expr, shape: Sequence[int]) -> Expr:
     return _make("broadcast", (a,), {"shape": tuple(shape)})
 
 
-def reshape(a: Expr, shape: Sequence[int]) -> Expr:
-    return _make("reshape", (a,), {"shape": tuple(shape)})
-
-
 # One indexing primitive and its adjoint. ``index`` is a tuple of integer
-# arrays as in ``a[index]``: (idx,) takes whole rows, (arange(N), idx) takes
-# one entry per row. The scatter is np.add.at into zeros, so repeated indices
-# accumulate in input order. Each op's VJP is the other one.
+# arrays as in ``a[index]``: (idx,) takes whole rows, (arange(N)[:, None],
+# idx[:, None]) takes one entry per row, as a column. The scatter is
+# np.add.at into zeros, so repeated indices accumulate in input order. Each
+# op's VJP is the other one.
 
 def _gather(a: Expr, index: tuple) -> Expr:
     return _make("gather_rows", (a,), {"index": index})
@@ -274,11 +272,11 @@ def _indices(idx, bound: int, op: str) -> np.ndarray:
 
 
 def gather_rows(a: Expr, idx: np.ndarray) -> Expr:
-    """Pick a[i, idx[i]] for every row i."""
+    """Pick a[i, idx[i]] for every row i, as an [N, 1] column."""
     if a.value.ndim != 2 or np.ndim(idx) != 1 or len(idx) != a.shape[0]:
         raise ValueError("gather_rows expects a [N, C] tensor and N indices")
     idx = _indices(idx, a.shape[1], "gather_rows")
-    return _gather(a, (np.arange(a.shape[0]), idx))
+    return _gather(a, (np.arange(a.shape[0])[:, None], idx[:, None]))
 
 
 def select_rows(a: Expr, idx: np.ndarray) -> Expr:
@@ -295,19 +293,19 @@ def mean(a: Expr) -> Expr:
 
 
 def log_sum_exp(a: Expr, axis: int | None = None) -> Expr:
-    """Stable log-sum-exp; the subtracted max is a constant, which leaves
-    both the value and the derivatives exact."""
-    m_val = a.value.max(axis=axis, keepdims=True)
+    """Stable log-sum-exp, keeping ``axis`` as ``reduce_sum`` does; the
+    subtracted max is a constant, which leaves both the value and the
+    derivatives exact."""
+    m_val = a.value.max(axis=axis, keepdims=axis is not None)
     s = reduce_sum(exp(sub(a, const(m_val))), axis=axis)
-    return add(log(s), const(np.squeeze(m_val, axis=axis)))
+    return add(log(s), const(m_val))
 
 
 def log_softmax(a: Expr) -> Expr:
     """Row-wise log-softmax of a [N, C] tensor."""
     if a.value.ndim != 2:
         raise ValueError("log_softmax expects a [N, C] tensor")
-    lse = log_sum_exp(a, axis=1)
-    return sub(a, reshape(lse, (a.shape[0], 1)))
+    return sub(a, log_sum_exp(a, axis=-1))
 
 
 def softmax(a: Expr) -> Expr:
@@ -335,15 +333,6 @@ def _sum_to(O, g, shape):
 def _broadcast(O, g, shape):
     """``g`` broadcast to ``shape``: ``g`` itself if it has that shape."""
     return g if g.shape == shape else O("broadcast", g, shape=shape)
-
-
-def _vjp_sum(O, node, g, a):
-    axis = node.attrs["axis"]
-    if axis is not None:
-        keep = list(a.shape)
-        keep[axis] = 1
-        g = O("reshape", g, shape=tuple(keep))
-    return _broadcast(O, g, a.shape)
 
 
 # node = A'B' (A' = a.T if ta, B' = b.T if tb); each adjoint is one matmul that
@@ -379,10 +368,9 @@ _VJP: dict[str, tuple[Callable, ...]] = {
     "log": (lambda O, node, g, a: O("div", g, a),),
     "sqrt": (lambda O, node, g, a: O("div", O("mul", g, 0.5), node),),
     "square": (lambda O, node, g, a: O("mul", g, O("mul", 2.0, a)),),
-    "sum": (_vjp_sum,),
+    "sum": (lambda O, node, g, a: _broadcast(O, g, a.shape),),
     "sum_to": (lambda O, node, g, a: _broadcast(O, g, a.shape),),
     "broadcast": (lambda O, node, g, a: _sum_to(O, g, a.shape),),
-    "reshape": (lambda O, node, g, a: O("reshape", g, shape=a.shape),),
     "gather_rows": (lambda O, node, g, a: O(
         "scatter_rows", g, index=node.attrs["index"], shape=a.shape),),
     "scatter_rows": (lambda O, node, g, a: O(

@@ -40,7 +40,7 @@ log = logging.getLogger(__name__)
 def task_loss(logits: Expr, labels: np.ndarray) -> Expr:
     """Mean cross-entropy of softmax(logits) against integer labels."""
     labels = as_labels(labels, logits.shape[1])
-    lse = ad.log_sum_exp(logits, axis=1)
+    lse = ad.log_sum_exp(logits, axis=-1)
     picked = ad.gather_rows(logits, labels)
     return ad.mean(ad.sub(lse, picked))
 
@@ -129,7 +129,7 @@ def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
 
 
 def _row_sq_dists(a: Expr, b: Expr) -> Expr:
-    return ad.reduce_sum(ad.square(ad.sub(a, b)), axis=1)
+    return ad.reduce_sum(ad.square(ad.sub(a, b)), axis=-1)
 
 
 def contrastive_loss(embeddings: Expr, labels: np.ndarray, margin: float,
@@ -156,7 +156,7 @@ def contrastive_loss_on_pairs(embeddings: Expr, labels: np.ndarray,
     b = ad.select_rows(embeddings, second)
     d2 = _row_sq_dists(a, b)
     d = ad.sqrt(d2)
-    same = (labels[first] == labels[second]).astype(np.float64)
+    same = (labels[first] == labels[second]).astype(np.float64)[:, None]
     hinge = ad.square(ad.relu(ad.sub(ad.const(margin), d)))
     per_pair = ad.add(ad.mul(ad.const(same), d2),
                       ad.mul(ad.const(1.0 - same), hinge))

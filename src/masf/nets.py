@@ -122,8 +122,7 @@ def task_forward(theta: ParamSet, z: Expr) -> Expr:
 def metric_forward(phi: ParamSet, z: Expr) -> Expr:
     """MLP with a linear final layer, rows L2-normalized."""
     e = _mlp(phi, METRIC_NET, z, relu_last=False)
-    norms = ad.sqrt(ad.reduce_sum(ad.square(e), axis=1))
-    return ad.div(e, ad.reshape(norms, (e.shape[0], 1)))
+    return ad.div(e, ad.sqrt(ad.reduce_sum(ad.square(e), axis=-1)))
 
 
 def sgd_step(params: ParamSet, grads: GradMap, lr: float) -> ParamSet:

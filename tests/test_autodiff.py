@@ -1,6 +1,5 @@
 import functools
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -31,6 +30,13 @@ class TestEvaluate:
     def test_log_sum_exp(self):
         got = float(ad.log_sum_exp(ad.leaf([0.0, 0.0])).value)
         assert got == pytest.approx(np.log(2.0), abs=1e-9)
+
+    def test_axis_sum_keeps_its_axis(self):
+        x = ad.leaf(np.ones((2, 3, 4)))
+        assert ad.reduce_sum(x, axis=-1).shape == (2, 3, 1)
+        assert ad.reduce_sum(x, axis=0).shape == (1, 3, 4)
+        assert ad.log_sum_exp(x, axis=-1).shape == (2, 3, 1)
+        assert ad.reduce_sum(x).shape == ()
 
     def test_deterministic_bitwise(self):
         x = np.arange(12.0).reshape(3, 4)
@@ -156,6 +162,16 @@ class TestGrad:
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def row(x):
+    """The [5] leaf as a [1, 5] row."""
+    return ad.broadcast_to(x, (1, 5))
+
+
+def col(x):
+    """The [5] leaf as a [5, 1] column: its row, read transposed, times a 1."""
+    return ad._on_graph("matmul", row(x), np.ones((1, 1)), ta=True)
+
+
 OPS = {
     "exp": lambda x: ad.reduce_sum(ad.exp(x)),
     "log": lambda x: ad.reduce_sum(ad.log(ad.add(ad.square(x), ad.const(0.5)))),
@@ -164,32 +180,27 @@ OPS = {
                                           ad.add(ad.square(x), ad.const(1.0)))),
     "relu": lambda x: ad.reduce_sum(ad.square(ad.relu(x))),
     "matmul": lambda x: ad.reduce_sum(
-        ad.square(ad.matmul(ad.reshape(x, (1, 5)), ad.const(np.ones((5, 2)))))),
+        ad.square(ad.matmul(row(x), ad.const(np.ones((5, 2)))))),
     "matmul_bias": lambda x: ad.reduce_sum(ad.square(ad.matmul(
-        ad.reshape(x, (1, 5)), ad.const(np.arange(10.0).reshape(5, 2) / 10),
+        row(x), ad.const(np.arange(10.0).reshape(5, 2) / 10),
         ad.select_rows(x, np.array([0, 4]))))),
     "matmul_ta": lambda x: ad.reduce_sum(ad.square(ad._on_graph(
-        "matmul", ad.reshape(x, (5, 1)), np.arange(10.0).reshape(5, 2) / 10,
-        ta=True))),
+        "matmul", col(x), np.arange(10.0).reshape(5, 2) / 10, ta=True))),
     "matmul_tb": lambda x: ad.reduce_sum(ad.square(ad._on_graph(
-        "matmul", np.arange(10.0).reshape(2, 5) / 10, ad.reshape(x, (1, 5)),
-        tb=True))),
+        "matmul", np.arange(10.0).reshape(2, 5) / 10, row(x), tb=True))),
     "matmul_ta_tb": lambda x: ad.reduce_sum(ad.exp(ad._on_graph(
-        "matmul", ad.reshape(x, (5, 1)), ad.reshape(ad.square(x), (1, 5)),
-        ta=True, tb=True))),
-    "softmax": lambda x: ad.reduce_sum(
-        ad.square(ad.softmax(ad.reshape(x, (1, 5))))),
+        "matmul", col(x), row(ad.square(x)), ta=True, tb=True))),
+    "softmax": lambda x: ad.reduce_sum(ad.square(ad.softmax(row(x)))),
     "lse": lambda x: ad.log_sum_exp(x),
     "mean": lambda x: ad.square(ad.mean(x)),
     "gather": lambda x: ad.reduce_sum(ad.gather_rows(
-        ad.reshape(ad.square(x), (1, 5)), np.array([3]))),
+        row(ad.square(x)), np.array([3]))),
     "select_rows": lambda x: ad.reduce_sum(ad.square(ad.select_rows(
-        ad.reshape(x, (5, 1)), np.array([3, 0, 3, 4, 3])))),
+        col(x), np.array([3, 0, 3, 4, 3])))),
     "broadcast_sub": lambda x: ad.reduce_sum(ad.square(ad.sub(
-        ad.broadcast_to(ad.reshape(x, (5, 1)), (5, 3)),
-        ad.const(np.arange(3.0))))),
+        ad.broadcast_to(col(x), (5, 3)), ad.const(np.arange(3.0))))),
     "sum_to": lambda x: ad.reduce_sum(ad.square(ad.sum_to(
-        ad.mul(ad.reshape(x, (5, 1)), ad.const(np.arange(1.0, 4.0))), (1, 3)))),
+        ad.mul(col(x), ad.const(np.arange(1.0, 4.0))), (1, 3)))),
 }
 
 
@@ -244,8 +255,9 @@ class TestValueMode:
 
         def loss(w, b, x, labels):
             logits = ad.add(ad.matmul(ad.relu(ad.const(x)), w), b)
-            return ad.mean(ad.sub(ad.log_sum_exp(logits, axis=1),
-                                  ad.gather_rows(logits, labels)))
+            picked = ad.gather_rows(logits, labels)
+            assert picked.shape == (len(labels), 1)
+            return ad.mean(ad.sub(ad.log_sum_exp(logits, axis=1), picked))
 
         inner = loss(w, b, rng.normal(size=(6, 4)), rng.integers(0, 3, 6))
         gm = ad.grad(inner, [w, b])
@@ -305,7 +317,7 @@ class TestNoIdentityOps:
         c = ad.leaf(rng.normal(size=(6, 1)))
         h = ad.add(ad.matmul(ad.const(rng.normal(size=(6, 4))), w), b)
         h = ad.div(ad.mul(h, h), ad.add(ad.exp(c), ad.const(1.0)))
-        h = ad.sub(h, ad.reshape(ad.reduce_sum(c, axis=1), (6, 1)))
+        h = ad.sub(h, ad.reduce_sum(c, axis=1))
         loss = ad.add(ad.reduce_sum(ad.mul(h, ad.broadcast_to(b, (6, 3)))),
                       ad.reduce_sum(ad.square(ad.sum_to(h, (1, 3)))))
         return loss, [w, b, c]
@@ -521,10 +533,12 @@ def broadcast_case(draw, rng):
     return (lambda a: ad.broadcast_to(a, shape)), [normal(rng, reduced(draw, shape))]
 
 
-def reshape_case(draw, rng):
-    shape = draw(ANY_SHAPE, label="shape")
-    new = draw(st.sampled_from([shape[::-1], (math.prod(shape),)]), label="to")
-    return (lambda a: ad.reshape(a, new)), [normal(rng, shape)]
+def sum_axis_case(draw, rng):
+    """A sum over one axis, counted from either end, of a tensor with one to
+    three axes (an [L, N, C] stack among them); the axis is kept."""
+    shape = draw(array_shapes(min_dims=1, max_dims=3, max_side=3), label="shape")
+    axis = draw(st.integers(-len(shape), len(shape) - 1), label="axis")
+    return (lambda a: ad.reduce_sum(a, axis=axis)), [normal(rng, shape)]
 
 
 def gather_rows_case(draw, rng):
@@ -538,7 +552,8 @@ def scatter_rows_case(draw, rng):
     ``select_rows``, which are the only builders of this op."""
     n, c = draw(MATRIX, label="shape")
     if draw(st.booleans(), label="entry kind"):
-        index, shape, a = (np.arange(n), rng.integers(0, c, n)), (n, c), (n,)
+        idx = rng.integers(0, c, n)
+        index, shape, a = (np.arange(n)[:, None], idx[:, None]), (n, c), (n, 1)
     else:
         index, shape, a = (rng.integers(0, c, n),), (c, 2), (n, 2)
     return (lambda x: ad._on_graph("scatter_rows", x, index=index, shape=shape),
@@ -565,9 +580,9 @@ OP_CASES = {
     "sum-all": unary(ad.reduce_sum, shapes=MATRIX),
     "sum-axis0": unary(lambda a: ad.reduce_sum(a, axis=0), shapes=MATRIX),
     "sum-axis1": unary(lambda a: ad.reduce_sum(a, axis=1), shapes=MATRIX),
+    "sum-axis": sum_axis_case,
     "sum_to": sum_to_case,
     "broadcast": broadcast_case,
-    "reshape": reshape_case,
     "gather_rows": gather_rows_case,
     "scatter_rows": scatter_rows_case,
 }
@@ -643,8 +658,7 @@ class TestDependencyPath:
     def test_recompute_without_overrides_is_root_value(self):
         rng = np.random.default_rng(1)
         x = ad.leaf(rng.normal(size=(3, 4)))
-        root = ad.log_sum_exp(ad.reshape(
-            ad.matmul(x, ad.const(rng.normal(size=(4, 2)))), (6,)))
+        root = ad.log_sum_exp(ad.matmul(x, ad.const(rng.normal(size=(4, 2)))))
         assert ad.recompute(root, {}).tobytes() == root.value.tobytes()
 
     def test_recompute_override_off_the_path_is_root_value(self):
@@ -825,5 +839,5 @@ class TestFiniteDiffCheck:
         h = ad.relu(ad.add(ad.matmul(x, w1), b1))
         logits = ad.add(ad.matmul(h, w2), b2)
         loss = ad.neg(ad.gather_rows(ad.log_softmax(logits), np.array([1])))
-        loss = ad.reshape(loss, ())
+        loss = ad.reduce_sum(loss)
         assert ad.finite_diff_check(loss, [w1, b1, w2, b2]) < 1e-5

@@ -42,31 +42,26 @@ BUDGET = {
     "full_triplet": {
         "graph": {"add": 6, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
                   "gather_rows": 1, "leaf": 10, "log": 3, "matmul": 16,
-                  "mul": 16, "neg": 1, "relu": 5, "reshape": 3,
-                  "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 10,
-                  "sum": 6, "sum_to": 3},
+                  "mul": 16, "neg": 1, "relu": 5, "scatter_rows": 1,
+                  "sqrt": 1, "square": 1, "sub": 10, "sum": 6, "sum_to": 3},
         "values": {"add": 25, "broadcast": 11, "div": 10, "matmul": 28,
-                   "mul": 38, "neg": 11, "reshape": 8, "scatter_rows": 1,
-                   "sum_to": 12},
+                   "mul": 38, "neg": 11, "scatter_rows": 1, "sum_to": 12},
     },
     "episodic_global": {
         "graph": {"add": 4, "broadcast": 2, "const": 25, "div": 1, "exp": 3,
                   "gather_rows": 1, "leaf": 6, "log": 3, "matmul": 13,
-                  "mul": 14, "neg": 1, "relu": 4, "reshape": 2,
-                  "scatter_rows": 1, "sub": 10, "sum": 4, "sum_to": 3},
+                  "mul": 14, "neg": 1, "relu": 4, "scatter_rows": 1,
+                  "sub": 10, "sum": 4, "sum_to": 3},
         "values": {"add": 20, "broadcast": 7, "div": 4, "matmul": 21,
-                   "mul": 23, "neg": 9, "reshape": 4, "scatter_rows": 1,
-                   "sum_to": 8},
+                   "mul": 23, "neg": 9, "scatter_rows": 1, "sum_to": 8},
     },
     "wide_triplet": {
         "graph": {"add": 6, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
                   "gather_rows": 1, "leaf": 10, "log": 3, "matmul": 16,
-                  "mul": 16, "neg": 1, "relu": 5, "reshape": 3,
-                  "scatter_rows": 1, "sqrt": 1, "square": 1, "sub": 10,
-                  "sum": 6, "sum_to": 3},
+                  "mul": 16, "neg": 1, "relu": 5, "scatter_rows": 1,
+                  "sqrt": 1, "square": 1, "sub": 10, "sum": 6, "sum_to": 3},
         "values": {"add": 25, "broadcast": 11, "div": 10, "matmul": 28,
-                   "mul": 38, "neg": 11, "reshape": 8, "scatter_rows": 1,
-                   "sum_to": 12},
+                   "mul": 38, "neg": 11, "scatter_rows": 1, "sum_to": 12},
     },
 }
 

@@ -286,7 +286,7 @@ class TestGlobalAlignment:
             means, _ = losses.class_means(z, batch[1], 3)
             row = losses.soft_label_matrix(
                 theta, ad.select_rows(means, [0]), 2.0)
-            return ad.reshape(row, (3,))
+            return ad.sum_to(row, (3,))  # [1, 3] to [3]
 
         direct = losses.symm_kl(soft_row(ba), soft_row(bb))
         assert float(loss.value) == pytest.approx(float(direct.value), abs=1e-9)
@@ -341,7 +341,7 @@ def reference_global_alignment_loss(batches, pairs, psi, theta, tau,
         per_class = ad.mul(ad.const(0.5),
                            ad.reduce_sum(ad.mul(diff, logdiff), axis=1))
         weights = shared.astype(np.float64) / shared.sum()
-        terms.append(ad.reduce_sum(ad.mul(per_class, ad.const(weights))))
+        terms.append(ad.reduce_sum(ad.mul(per_class, ad.const(weights[:, None]))))
     return ad.mul(ad.const(1.0 / len(terms)), functools.reduce(ad.add, terms))
 
 
@@ -531,11 +531,13 @@ def reference_gram_triplet_loss_semihard(embeddings, labels, margin):
         return ad.const(0.0)
     n = embeddings.shape[0]
     gram = ad._on_graph("matmul", embeddings, embeddings, tb=True)
-    sq = ad.gather_rows(gram, np.arange(n))
-    d2 = ad.sub(ad.add(ad.reshape(sq, (n, 1)), sq), ad.mul(ad.const(2.0), gram))
-    d2 = ad.reshape(d2, (n * n,))
-    hinge = ad.relu(ad.add(ad.sub(ad.select_rows(d2, anchors * n + positives),
-                                  ad.select_rows(d2, anchors * n + negatives)),
+    diagonal = ad.mul(gram, ad.const(np.eye(n)))  # one nonzero per row and column
+    d2 = ad.sub(ad.add(ad.reduce_sum(diagonal, axis=-1),  # a column
+                       ad.reduce_sum(diagonal, axis=0)),  # a row
+                ad.mul(ad.const(2.0), gram))
+    rows = ad.select_rows(d2, anchors)
+    hinge = ad.relu(ad.add(ad.sub(ad.gather_rows(rows, positives),
+                                  ad.gather_rows(rows, negatives)),
                            ad.const(margin)))
     return ad.mean(hinge)
 

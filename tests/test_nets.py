@@ -122,7 +122,7 @@ class TestForward:
         (nets.feature_forward, 0, ["matmul", "relu"] * 2),
         (nets.task_forward, 1, ["matmul"]),
         (nets.metric_forward, 2, ["matmul", "relu", "matmul", "square", "sum",
-                                  "sqrt", "reshape", "div"])])
+                                  "sqrt", "div"])])
     def test_graph_ops_in_order(self, forward, index, ops):
         params = nets.init_params(ARCH, 0)[index]
         x = ad.const(np.ones((2, 6 if index == 0 else ARCH.feature_dim)))
