@@ -134,10 +134,14 @@ def decayed_lr(eta0: float, t: int, decay_rate: float, decay_every: int) -> floa
     return eta0 * (1.0 - decay_rate) ** (t // decay_every)
 
 
-def _check_finite(value: float, name: str, iteration: int | None = None) -> None:
+def _finite(node: Expr, name: str, iteration: int | None = None) -> float:
+    """The value of a scalar node as a float; a NonFiniteLossError naming
+    it if that float is NaN or infinite."""
+    value = float(node.value)
     if not math.isfinite(value):
         at = "" if iteration is None else f" at iteration {iteration}"
         raise NonFiniteLossError(f"{name} is non-finite{at}: {value}")
+    return value
 
 
 def _stack(batches) -> tuple[np.ndarray, np.ndarray]:
@@ -153,14 +157,14 @@ def _mean_task_loss(psi: ParamSet, theta: ParamSet, batches) -> Expr:
     return losses.task_loss(logits, labels)
 
 
-def _apply_inner(psi: ParamSet, theta: ParamSet, loss: Expr, alpha: float,
-                 clip_threshold: float) -> tuple[ParamSet, ParamSet, float]:
-    params = psi.tensors + theta.tensors
+def _clipped_grads(loss: Expr, params, clip_threshold: float, name: str,
+                   iteration: int | None = None) -> tuple[GradMap, float]:
+    """The gradient of ``loss``, clipped to ``clip_threshold`` by its global
+    norm, and that norm, checked finite before it scales anything."""
     grads = ad.grad(loss, params)
     norm = ad.global_norm(grads)
-    grads = ad.clip_by_norm(grads, clip_threshold, norm)
-    return (nets.sgd_step(psi, grads, alpha), nets.sgd_step(theta, grads, alpha),
-            float(norm.value))
+    checked = _finite(norm, f"{name} gradient norm", iteration)
+    return ad.clip_by_norm(grads, clip_threshold, norm), checked
 
 
 def inner_update(psi: ParamSet, theta: ParamSet, meta_train_batches,
@@ -171,9 +175,9 @@ def inner_update(psi: ParamSet, theta: ParamSet, meta_train_batches,
     originals, which is what enables second-order meta-gradients.
     """
     loss = _mean_task_loss(psi, theta, meta_train_batches)
-    _check_finite(float(loss.value), "inner task loss")
-    psi2, theta2, _ = _apply_inner(psi, theta, loss, alpha, clip_threshold)
-    return psi2, theta2
+    _finite(loss, "inner task loss")
+    grads, _ = _clipped_grads(loss, psi.tensors + theta.tensors, clip_threshold, "inner")
+    return nets.sgd_step(psi, grads, alpha), nets.sgd_step(theta, grads, alpha)
 
 
 def _local_loss(z: Expr, labels: np.ndarray, phi: ParamSet, hp: Hyperparams,
@@ -202,15 +206,15 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
 
     task_batches = [batches[k] for k in (d_tr if hp.episodic else ids)]
     l_task = _mean_task_loss(state.psi, state.theta, task_batches)
-    _check_finite(float(l_task.value), "task loss", state.t)
+    task = _finite(l_task, "task loss", state.t)
 
     inner_norm = 0.0
+    psi2, theta2 = state.psi, state.theta
     if hp.episodic:
-        psi2, theta2, inner_norm = _apply_inner(
-            state.psi, state.theta, l_task, hp.alpha, hp.clip_threshold)
-        _check_finite(inner_norm, "inner gradient norm", state.t)
-    else:
-        psi2, theta2 = state.psi, state.theta
+        grads, inner_norm = _clipped_grads(l_task, psi2.tensors + theta2.tensors,
+                                           hp.clip_threshold, "inner", state.t)
+        psi2 = nets.sgd_step(psi2, grads, hp.alpha)
+        theta2 = nets.sgd_step(theta2, grads, hp.alpha)
 
     use_global = hp.use_global and hp.beta1 > 0
     use_local = hp.use_local and hp.beta2 > 0
@@ -219,49 +223,40 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
         x, labels = _stack([batches[k] for k in ids])
         z = nets.feature_forward(psi2, ad.as_expr(x))
 
-    l_global = None
+    outer_obj, glob, local = l_task, 0.0, 0.0
     if use_global:
         # without the split, align over all unordered domain pairs
         pairs = (itertools.product(d_tr, d_te) if hp.episodic
                  else itertools.combinations(ids, 2))
         l_global = losses.global_alignment_loss(batches, pairs, psi2, theta2,
                                                 hp.tau, theta2.out_width, z=z)
-        _check_finite(float(l_global.value), "global alignment loss", state.t)
-
-    l_local = None
+        glob = _finite(l_global, "global alignment loss", state.t)
+        outer_obj = ad.add(outer_obj, ad.mul(ad.const(hp.beta1), l_global))
     if use_local:
         l_local = _local_loss(z, labels, state.phi, hp, state.algo_rng)
-        _check_finite(float(l_local.value), "local clustering loss", state.t)
-
-    outer_obj = l_task
-    if l_global is not None:
-        outer_obj = ad.add(outer_obj, ad.mul(ad.const(hp.beta1), l_global))
-    if l_local is not None:
+        local = _finite(l_local, "local clustering loss", state.t)
         outer_obj = ad.add(outer_obj, ad.mul(ad.const(hp.beta2), l_local))
-    _check_finite(float(outer_obj.value), "meta objective", state.t)
+    _finite(outer_obj, "meta objective", state.t)
 
-    params = state.psi.tensors + state.theta.tensors
     with ad.values_only():
-        grads = ad.grad(outer_obj, params)
-    norm = ad.global_norm(grads)
-    outer_norm = float(norm.value)
-    _check_finite(outer_norm, "outer gradient norm", state.t)
-    grads = ad.clip_by_norm(grads, hp.clip_threshold, norm)
+        grads, outer_norm = _clipped_grads(
+            outer_obj, state.psi.tensors + state.theta.tensors,
+            hp.clip_threshold, "outer", state.t)
     eta_t = decayed_lr(hp.eta, state.t, hp.decay_rate, hp.decay_every)
     new_psi = _descend(state.psi, grads, eta_t)
     new_theta = _descend(state.theta, grads, eta_t)
 
     new_phi = state.phi
-    if l_local is not None:
+    if use_local:
         with ad.values_only():
             phi_grads = ad.grad(l_local, state.phi.tensors)
         new_phi = _descend(state.phi, phi_grads, hp.gamma)
 
     record = MetricsRecord(
         iteration=state.t,
-        task_loss=float(l_task.value),
-        global_loss=float(l_global.value) if l_global is not None else 0.0,
-        local_loss=float(l_local.value) if l_local is not None else 0.0,
+        task_loss=task,
+        global_loss=glob,
+        local_loss=local,
         outer_lr=eta_t,
         inner_grad_norm=inner_norm,
         outer_grad_norm=outer_norm,

@@ -6,7 +6,7 @@ a key to the data or to another key stays with the code that knows both."""
 import math
 from numbers import Integral, Real
 
-# key: (kind, bound); a float is finite too, and a tuple bound lists choices.
+# key: (kind, bound); a tuple bound lists choices.
 # bench.DomainSpec bounds num_classes, input_dim and n_samples, and
 # bench.train_test_split bounds train_fraction, when a run is set up.
 CONFIG = {
@@ -60,15 +60,15 @@ _BOUNDS = {
 _WRONG = object()  # a reader's answer to a value of another kind
 
 
-def _float(v, finite=False):
-    """``v`` as a float, a finite one if ``finite``, and -0.0 as 0.0 (numpy
-    rejects a scale of -0.0). A string is read when it spells a finite
-    float, as YAML 1.1 reads ``1e-5`` as a string."""
+def _float(v):
+    """``v`` as a finite float, and -0.0 as 0.0 (numpy rejects a scale of
+    -0.0). A string is read when it spells one, as YAML 1.1 reads ``1e-5``
+    as a string."""
     try:
         f = float(v) if isinstance(v, str | Real) and not isinstance(v, bool) else None
     except (ValueError, OverflowError):  # 10**400 is an int and no float
         return _WRONG
-    ok = f is not None and (math.isfinite(f) or not (finite or isinstance(v, str)))
+    ok = f is not None and math.isfinite(f)
     return f + 0.0 if ok else _WRONG  # -0.0 + 0.0 is 0.0
 
 
@@ -102,11 +102,10 @@ _KINDS = {  # kind: (what a value of it is, its reader)
     "bool": ("true or false", _is(bool)),
     "int": ("an int", _int),
     "whole": ("a whole number", _whole),
-    "float": ("a number", _float),
+    "float": ("a finite number", _float),
     "str": ("a string", _is(str)),
     "mapping": ("a mapping", _is(dict)),
-    "floats": ("a non-empty list of finite numbers",
-               _listed(lambda x: _float(x, finite=True))),
+    "floats": ("a non-empty list of finite numbers", _listed(_float)),
     "widths": ("a non-empty list of positive ints",
                _listed(lambda x: _int(x, 1), into=tuple)),
     "seeds": ("a non-empty list of distinct non-negative ints", _seeds),
@@ -126,8 +125,6 @@ def read(key: str, value):
     expects, reader = _KINDS[kind]
     if (got := reader(value)) is _WRONG:
         raise ValueError(f"{group} key {key!r} expects {expects}, got {value!r}")
-    if kind == "float" and not math.isfinite(got):
-        raise ValueError(f"{key} must be a finite number, got {got}")
     if isinstance(bound, tuple) and got not in bound:
         raise ValueError(f"unknown {key} {got!r}")
     if isinstance(bound, str) and not _BOUNDS[bound](got):

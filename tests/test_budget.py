@@ -1,4 +1,4 @@
-"""Cost budget of one meta step, counted per op.
+"""Cost budget of one meta step, counted per op and per Python call.
 
 A few seed-0 steps of each benchmark configuration (the canonical study,
 target 3, sources 0/1/2, triplet local loss) are trained while two counters
@@ -9,6 +9,11 @@ exact, so a change that makes the engine do more work per step fails here,
 where timing would only show noise. The full_triplet step also builds every
 op of ``autodiff._FORWARD``, so an op that only tests build fails here.
 
+A second pass of the same steps counts Python calls (``sys.setprofile``
+``call`` events) per code object, and bounds each step's total and the calls
+of each code object of ``autodiff``, ``engine``, ``losses`` and ``nets``, so
+added bookkeeping fails here too. Neither pass changes a computed value.
+
 The peak memory of one triplet loss, miner and hinge, is bounded the same
 way: the bytes that ``tracemalloc`` sees at its peak, in units of one [N, N]
 float64 buffer, so a change that adds such a buffer fails here.
@@ -18,6 +23,8 @@ lowers its bound with it; one that must raise a bound says why. Print the
 current counts with ``PYTHONPATH=src python tests/test_budget.py``.
 """
 
+import gc
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -66,6 +73,153 @@ BUDGET = {
 }
 
 
+CALL_MODULES = ("masf.autodiff", "masf.engine", "masf.losses", "masf.nets")
+# per config: the most Python calls of any step, in total and by code object
+# of CALL_MODULES (see max_calls)
+CALLS = {
+    "full_triplet": {
+        "autodiff.<lambda>": 267, "autodiff.Expr.__init__": 120,
+        "autodiff.GradMap.__getitem__": 16, "autodiff.GradMap.__init__": 3,
+        "autodiff.GradMap.__init__.<locals>.<dictcomp>": 3,
+        "autodiff.GradMap.__iter__": 2, "autodiff._broadcast": 13,
+        "autodiff._elementwise": 28, "autodiff._fwd_div": 12,
+        "autodiff._fwd_log": 3, "autodiff._fwd_matmul": 44,
+        "autodiff._fwd_scatter_rows": 2, "autodiff._fwd_sqrt": 1,
+        "autodiff._gather": 1, "autodiff._indices": 1, "autodiff._make": 77,
+        "autodiff._make.<locals>.<genexpr>": 32, "autodiff._on_graph": 18,
+        "autodiff._on_values": 136, "autodiff._path": 3,
+        "autodiff._sum_to": 69, "autodiff._sum_to_value": 15,
+        "autodiff._sum_to_value.<locals>.<genexpr>": 8,
+        "autodiff._vjp_matmul_a": 13, "autodiff._vjp_matmul_b": 20,
+        "autodiff.add": 5, "autodiff.as_expr": 47, "autodiff.clip_by_norm": 2,
+        "autodiff.const": 33, "autodiff.div": 1, "autodiff.exp": 3,
+        "autodiff.gather_rows": 1, "autodiff.global_norm": 2,
+        "autodiff.global_norm.<locals>.<listcomp>": 2, "autodiff.grad": 3,
+        "autodiff.grad.<locals>.<listcomp>": 3,
+        "autodiff.grad.<locals>.<setcomp>": 3, "autodiff.leaf": 10,
+        "autodiff.log": 3, "autodiff.log_softmax": 1,
+        "autodiff.log_sum_exp": 2, "autodiff.matmul": 11, "autodiff.mean": 1,
+        "autodiff.mul": 12, "autodiff.reduce_sum": 6, "autodiff.relu": 5,
+        "autodiff.softmax": 1, "autodiff.sqrt": 1, "autodiff.square": 1,
+        "autodiff.sub": 10, "autodiff.values_only": 4,
+        "engine.__create_fn__.<locals>.__init__": 2,
+        "engine._clipped_grads": 2, "engine._descend": 3,
+        "engine._descend.<locals>.<listcomp>": 3, "engine._finite": 6,
+        "engine._local_loss": 1, "engine._mean_task_loss": 1,
+        "engine._stack": 2, "engine._stack.<locals>.<listcomp>": 4,
+        "engine.check_n_meta_test": 1, "engine.decayed_lr": 1,
+        "engine.draw_batches": 1, "engine.meta_step": 1,
+        "engine.meta_step.<locals>.<listcomp>": 2, "engine.split_domains": 1,
+        "engine.split_domains.<locals>.<listcomp>": 2,
+        "losses._check_local_batch": 1, "losses._pair_form": 2,
+        "losses._sq_dists": 2, "losses.class_means": 1,
+        "losses.distance_matrix": 1, "losses.global_alignment_loss": 1,
+        "losses.global_alignment_loss.<locals>.<listcomp>": 3,
+        "losses.global_alignment_loss.<locals>.<listcomp>.<listcomp>": 2,
+        "losses.global_alignment_loss.<locals>.<setcomp>": 1,
+        "losses.mine_semihard_triplets": 1, "losses.soft_label_matrix": 1,
+        "losses.task_loss": 1, "losses.triplet_loss_semihard": 1,
+        "nets.ParamSet.__post_init__": 5, "nets.ParamSet.out_width": 1,
+        "nets.ParamSet.replace": 5, "nets.__create_fn__.<locals>.__init__": 5,
+        "nets._mlp": 5, "nets.feature_forward": 2, "nets.metric_forward": 1,
+        "nets.sgd_step": 2, "nets.sgd_step.<locals>.<listcomp>": 2,
+        "nets.task_forward": 2, "total": 1455
+    },
+    "episodic_global": {
+        "autodiff.<lambda>": 204, "autodiff.Expr.__init__": 95,
+        "autodiff.GradMap.__getitem__": 12, "autodiff.GradMap.__init__": 2,
+        "autodiff.GradMap.__init__.<locals>.<dictcomp>": 2,
+        "autodiff.GradMap.__iter__": 2, "autodiff._broadcast": 9,
+        "autodiff._elementwise": 23, "autodiff._fwd_div": 5,
+        "autodiff._fwd_log": 3, "autodiff._fwd_matmul": 34,
+        "autodiff._fwd_scatter_rows": 2, "autodiff._gather": 1,
+        "autodiff._indices": 1, "autodiff._make": 64,
+        "autodiff._make.<locals>.<genexpr>": 24, "autodiff._on_graph": 18,
+        "autodiff._on_values": 93, "autodiff._path": 2, "autodiff._sum_to": 54,
+        "autodiff._sum_to_value": 11,
+        "autodiff._sum_to_value.<locals>.<genexpr>": 4,
+        "autodiff._vjp_matmul_a": 10, "autodiff._vjp_matmul_b": 16,
+        "autodiff.add": 3, "autodiff.as_expr": 43, "autodiff.clip_by_norm": 2,
+        "autodiff.const": 25, "autodiff.exp": 3, "autodiff.gather_rows": 1,
+        "autodiff.global_norm": 2,
+        "autodiff.global_norm.<locals>.<listcomp>": 2, "autodiff.grad": 2,
+        "autodiff.grad.<locals>.<listcomp>": 2,
+        "autodiff.grad.<locals>.<setcomp>": 2, "autodiff.leaf": 6,
+        "autodiff.log": 3, "autodiff.log_softmax": 1,
+        "autodiff.log_sum_exp": 2, "autodiff.matmul": 8, "autodiff.mean": 1,
+        "autodiff.mul": 10, "autodiff.reduce_sum": 4, "autodiff.relu": 4,
+        "autodiff.softmax": 1, "autodiff.sub": 10, "autodiff.values_only": 2,
+        "engine.__create_fn__.<locals>.__init__": 2,
+        "engine._clipped_grads": 2, "engine._descend": 2,
+        "engine._descend.<locals>.<listcomp>": 2, "engine._finite": 5,
+        "engine._mean_task_loss": 1, "engine._stack": 2,
+        "engine._stack.<locals>.<listcomp>": 4, "engine.check_n_meta_test": 1,
+        "engine.decayed_lr": 1, "engine.draw_batches": 1,
+        "engine.meta_step": 1, "engine.meta_step.<locals>.<listcomp>": 2,
+        "engine.split_domains": 1,
+        "engine.split_domains.<locals>.<listcomp>": 2, "losses._pair_form": 1,
+        "losses.class_means": 1, "losses.global_alignment_loss": 1,
+        "losses.global_alignment_loss.<locals>.<listcomp>": 3,
+        "losses.global_alignment_loss.<locals>.<listcomp>.<listcomp>": 2,
+        "losses.global_alignment_loss.<locals>.<setcomp>": 1,
+        "losses.soft_label_matrix": 1, "losses.task_loss": 1,
+        "nets.ParamSet.__post_init__": 4, "nets.ParamSet.out_width": 1,
+        "nets.ParamSet.replace": 4, "nets.__create_fn__.<locals>.__init__": 4,
+        "nets._mlp": 4, "nets.feature_forward": 2, "nets.sgd_step": 2,
+        "nets.sgd_step.<locals>.<listcomp>": 2, "nets.task_forward": 2,
+        "total": 1097
+    },
+    "wide_triplet": {
+        "autodiff.<lambda>": 267, "autodiff.Expr.__init__": 120,
+        "autodiff.GradMap.__getitem__": 16, "autodiff.GradMap.__init__": 3,
+        "autodiff.GradMap.__init__.<locals>.<dictcomp>": 3,
+        "autodiff.GradMap.__iter__": 2, "autodiff._broadcast": 13,
+        "autodiff._elementwise": 28, "autodiff._fwd_div": 12,
+        "autodiff._fwd_log": 3, "autodiff._fwd_matmul": 44,
+        "autodiff._fwd_scatter_rows": 2, "autodiff._fwd_sqrt": 1,
+        "autodiff._gather": 1, "autodiff._indices": 1, "autodiff._make": 77,
+        "autodiff._make.<locals>.<genexpr>": 32, "autodiff._on_graph": 18,
+        "autodiff._on_values": 136, "autodiff._path": 3,
+        "autodiff._sum_to": 69, "autodiff._sum_to_value": 15,
+        "autodiff._sum_to_value.<locals>.<genexpr>": 8,
+        "autodiff._vjp_matmul_a": 13, "autodiff._vjp_matmul_b": 20,
+        "autodiff.add": 5, "autodiff.as_expr": 47, "autodiff.clip_by_norm": 2,
+        "autodiff.const": 33, "autodiff.div": 1, "autodiff.exp": 3,
+        "autodiff.gather_rows": 1, "autodiff.global_norm": 2,
+        "autodiff.global_norm.<locals>.<listcomp>": 2, "autodiff.grad": 3,
+        "autodiff.grad.<locals>.<listcomp>": 3,
+        "autodiff.grad.<locals>.<setcomp>": 3, "autodiff.leaf": 10,
+        "autodiff.log": 3, "autodiff.log_softmax": 1,
+        "autodiff.log_sum_exp": 2, "autodiff.matmul": 11, "autodiff.mean": 1,
+        "autodiff.mul": 12, "autodiff.reduce_sum": 6, "autodiff.relu": 5,
+        "autodiff.softmax": 1, "autodiff.sqrt": 1, "autodiff.square": 1,
+        "autodiff.sub": 10, "autodiff.values_only": 4,
+        "engine.__create_fn__.<locals>.__init__": 2,
+        "engine._clipped_grads": 2, "engine._descend": 3,
+        "engine._descend.<locals>.<listcomp>": 3, "engine._finite": 6,
+        "engine._local_loss": 1, "engine._mean_task_loss": 1,
+        "engine._stack": 2, "engine._stack.<locals>.<listcomp>": 4,
+        "engine.check_n_meta_test": 1, "engine.decayed_lr": 1,
+        "engine.draw_batches": 1, "engine.meta_step": 1,
+        "engine.meta_step.<locals>.<listcomp>": 2, "engine.split_domains": 1,
+        "engine.split_domains.<locals>.<listcomp>": 2,
+        "losses._check_local_batch": 1, "losses._pair_form": 2,
+        "losses._sq_dists": 2, "losses.class_means": 1,
+        "losses.distance_matrix": 1, "losses.global_alignment_loss": 1,
+        "losses.global_alignment_loss.<locals>.<listcomp>": 3,
+        "losses.global_alignment_loss.<locals>.<listcomp>.<listcomp>": 2,
+        "losses.global_alignment_loss.<locals>.<setcomp>": 1,
+        "losses.mine_semihard_triplets": 1, "losses.soft_label_matrix": 1,
+        "losses.task_loss": 1, "losses.triplet_loss_semihard": 1,
+        "nets.ParamSet.__post_init__": 5, "nets.ParamSet.out_width": 1,
+        "nets.ParamSet.replace": 5, "nets.__create_fn__.<locals>.__init__": 5,
+        "nets._mlp": 5, "nets.feature_forward": 2, "nets.metric_forward": 1,
+        "nets.sgd_step": 2, "nets.sgd_step.<locals>.<listcomp>": 2,
+        "nets.task_forward": 2, "total": 1455
+    },
+}
+
+
 # per batch size N (75 and 150 are the benchmark's): the peak bytes traced
 # during one triplet_loss_semihard call, in units of N^2 * 8
 TRIPLET_PEAK = {75: 4.41, 150: 3.98}
@@ -85,15 +239,19 @@ def triplet_peak(n: int) -> float:
         tracemalloc.stop()
 
 
-def step_counts(name: str, monkeypatch) -> list[dict[str, Counter]]:
-    """Graph nodes and value-mode op calls by op, one entry per step."""
+def initial_state(name: str) -> tuple[engine.EpisodeState, dict]:
+    """The seed-0 state of config ``name`` and its source datasets."""
     cfg = harness.canonical_experiment_config()
     datasets = bench.canonical_datasets()
     sources = {k: d for k, d in datasets.items() if k != TARGET}
     hp = replace(cfg.hp, episodic=True, use_global=True,
                  local_loss_kind=engine.TRIPLET, **CONFIGS[name])
-    state = engine.make_state(harness.architecture(cfg, datasets), hp, SEED)
+    return engine.make_state(harness.architecture(cfg, datasets), hp, SEED), sources
 
+
+def step_counts(name: str, monkeypatch) -> list[dict[str, Counter]]:
+    """Graph nodes and value-mode op calls by op, one entry per step."""
+    state, sources = initial_state(name)
     count = {"graph": Counter(), "values": Counter()}
 
     def counted(kind, fn, op_of):
@@ -134,6 +292,49 @@ def max_counts(steps: list[dict[str, Counter]]) -> dict[str, dict[str, int]]:
     return out
 
 
+def step_calls(name: str) -> list[Counter]:
+    """Python calls by (module, code object), one entry per step: a batch
+    draw and a meta step, as ``engine.train`` takes them."""
+    state, sources = initial_state(name)
+    steps = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            steps[-1][frame.f_globals.get("__name__"), frame.f_code] += 1
+
+    # a collection would call gc.callbacks, which other tests may have set
+    before, collecting = sys.getprofile(), gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(STEPS):
+            steps.append(Counter())
+            sys.setprofile(profile)
+            batches = engine.draw_batches(sources, state.hp.batch_size, state.data_rng)
+            state, _ = engine.meta_step(state, batches)
+            sys.setprofile(before)
+    finally:
+        sys.setprofile(before)
+        if collecting:
+            gc.enable()
+    return steps
+
+
+def max_calls(steps: list[Counter]) -> dict[str, int]:
+    """The most calls of any step, in total and by code object of
+    CALL_MODULES. A code object is labelled ``module.qualname``
+    (``autodiff.grad``), not by its first line, so that moving a function
+    keeps its label; the lambdas of a module share a label, and so do its
+    dataclass-generated ``__init__``s."""
+    out = Counter()
+    for step in steps:
+        labelled = Counter(total=sum(step.values()))
+        for (module, code), n in step.items():
+            if module in CALL_MODULES:
+                labelled[f"{module.removeprefix('masf.')}.{code.co_qualname}"] += n
+        out |= labelled
+    return dict(sorted(out.items()))
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_step_stays_within_budget(name, monkeypatch):
     got = max_counts(step_counts(name, monkeypatch))
@@ -150,6 +351,13 @@ def test_full_triplet_step_builds_every_op(monkeypatch):
     assert not unbuilt, f"ops no full_triplet step builds: {sorted(unbuilt)}"
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_step_calls_stay_within_budget(name):
+    got, bounds = max_calls(step_calls(name)), CALLS[name]
+    over = {k: (n, bounds.get(k, 0)) for k, n in got.items() if n > bounds.get(k, 0)}
+    assert not over, f"{name} calls: (count, bound) by code object {over}"
+
+
 @pytest.mark.parametrize("n", sorted(TRIPLET_PEAK))
 def test_triplet_loss_peak_memory(n):
     peak = triplet_peak(n)
@@ -161,4 +369,6 @@ if __name__ == "__main__":
         for case in sorted(CONFIGS):
             print(f"{case!r}: {max_counts(step_counts(case, mp))},")
             mp.undo()
+    for case in sorted(CONFIGS):
+        print(f"{case!r}: {max_calls(step_calls(case))},")
     print({n: round(triplet_peak(n), 3) for n in sorted(TRIPLET_PEAK)})

@@ -88,7 +88,7 @@ class TestHyperparams:
     def test_non_finite_float_rejected_by_make_state(self, key, value):
         # beta2=nan would skip the local loss: nan > 0 is False
         hp = small_hp(**{key: value})
-        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+        with pytest.raises(ValueError, match=f"config key '{key}' expects a finite number"):
             engine.make_state(ARCH, hp, 0)
 
 
@@ -161,6 +161,18 @@ class TestInnerUpdate:
         with pytest.warns(RuntimeWarning, match="invalid value"), \
                 pytest.raises(engine.NonFiniteLossError):
             engine.inner_update(psi, theta, bad, 0.1, 2.0)
+
+    def test_nonfinite_grad_norm_raises(self):
+        # a huge output layer keeps the task loss finite, but psi's inner
+        # gradient, scaled by it, squares past the largest float
+        psi, theta, batches = self._setup(3)
+        tensors = list(theta.tensors)
+        tensors[-2] = ad.leaf(tensors[-2].value * 1e160)
+        theta = theta.replace(tensors)
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+                engine.NonFiniteLossError,
+                match="^inner gradient norm is non-finite: inf$"):
+            engine.inner_update(psi, theta, batches, 0.1, 2.0)
 
 
 class TestMetaStep:

@@ -53,10 +53,10 @@ def test_negative_zero_reads_as_zero(key, value):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("alpha", "nan", "config key 'alpha' expects a number, got 'nan'"),
-    ("alpha", float("inf"), "alpha must be a finite number, got inf"),
-    ("alpha", True, "config key 'alpha' expects a number, got True"),
-    ("eta", 10**400, f"config key 'eta' expects a number, got {10**400}"),
+    ("alpha", "nan", "config key 'alpha' expects a finite number, got 'nan'"),
+    ("alpha", float("inf"), "config key 'alpha' expects a finite number, got inf"),
+    ("alpha", True, "config key 'alpha' expects a finite number, got True"),
+    ("eta", 10**400, f"config key 'eta' expects a finite number, got {10**400}"),
     ("iterations", 0, "iterations must be >= 1, got 0"),
     ("iterations", 2.5, "config key 'iterations' expects a whole number, got 2.5"),
     ("local_loss_kind", "cosine", "unknown local_loss_kind 'cosine'"),
