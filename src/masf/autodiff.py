@@ -166,13 +166,13 @@ _FORWARD: dict[str, Callable] = {
 
 def _make(op: str, inputs: tuple[Expr, ...], attrs: dict | None = None) -> Expr:
     attrs = attrs or {}
-    # one or two operands, spelled out as in _on_values: this runs per node
+    # one to three operands, spelled out as in _on_values: this runs per node
     if len(inputs) == 1:
         value = _FORWARD[op](attrs, inputs[0].value)
     elif len(inputs) == 2:
         value = _FORWARD[op](attrs, inputs[0].value, inputs[1].value)
     else:  # a matmul with a bias
-        value = _FORWARD[op](attrs, *(x.value for x in inputs))
+        value = _FORWARD[op](attrs, inputs[0].value, inputs[1].value, inputs[2].value)
     # an op on 0-d arrays returns a NumPy scalar; float64 operands give float64
     return Expr(op, inputs, np.asarray(value), attrs)
 

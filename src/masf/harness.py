@@ -118,7 +118,9 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
     class. Samples in singleton clusters score 0, as does the 0/0 case.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    classes, cls = np.unique(np.asarray(labels), return_inverse=True)
+    labels = np.asarray(labels)
+    losses._check_local_batch(embeddings.shape, labels)  # the local losses' rule
+    classes, cls = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise ValueError("silhouette score needs at least 2 classes")
     one_hot = (cls[:, None] == np.arange(classes.size)).astype(np.float64)

@@ -11,7 +11,8 @@ negatives first, then by column: one sort of packed int64 keys (distance
 bits, column) per row, and an exact lexsort of the rows with a near-tie, a
 -0.0, an inf or a NaN. A class member's slot in its anchor's row then counts
 the negatives no farther than it, and its semi-hard negative is the first
-negative after it. Labels are whole numbers.
+negative after it; the triplets come in the row sort's order (by anchor,
+then nearest positive first). Labels are whole numbers.
 
 Both semantic terms are one pairwise quadratic form (``_pair_form``): of
 the soft rows and their logs, and of the embeddings with themselves.
@@ -206,8 +207,9 @@ def mine_semihard_triplets(embedding_values: np.ndarray,
     farther from the anchor than the positive; if none qualifies, the
     farthest negative is used. Ties break toward the lowest sample index; a
     NaN distance counts as farther than any number, and a positive at a NaN
-    distance always takes the fallback. Triplets come ordered by anchor, then
-    by positive.
+    distance always takes the fallback. Triplets come grouped by anchor, in
+    row order, and within an anchor in the row sort's order: its positives
+    nearest first, ties by column (NaN distances last).
 
     Every row of the distance matrix is put in one order: by distance (NaNs
     last, equal to each other), then negatives before positives, then by
@@ -223,11 +225,10 @@ def mine_semihard_triplets(embedding_values: np.ndarray,
     labels = as_labels(labels)
     _check_local_batch(np.shape(embedding_values), labels)
     n = labels.size
-    by_class = np.argsort(labels, kind="stable")
-    low = np.searchsorted(labels[by_class], labels)  # a row's class in by_class
-    m = np.searchsorted(labels[by_class], labels, side="right") - low
-    t = np.where(m < n, m - 1, 0)  # a triplet per positive, given a negative
-    if not t.any():
+    by_class = np.sort(labels)
+    low = np.searchsorted(by_class, labels)  # a row's class in by_class
+    m = np.searchsorted(by_class, labels, side="right") - low
+    if not ((m > 1) & (m < n)).any():  # no positive with a negative
         return tuple(np.zeros((3, 0), np.int64))
     dist = distance_matrix(embedding_values)
     b = (n - 1).bit_length()
@@ -255,13 +256,8 @@ def mine_semihard_triplets(embedding_values: np.ndarray,
     k = hits - np.arange(hits.size)  # each member's next negative, in negs
     last = last[rows]
     pick = np.where(k > last, far[rows], order.take(negs[np.minimum(k, last)]))
-    # by anchor, then by positive; the anchor itself goes to a spare last slot
-    total, rank = t.sum(), np.argsort(by_class) - low  # rank: place in class
-    at = (np.cumsum(t) - t)[rows] + rank[cols] - (cols > rows)
-    at[cols == rows] = total
-    positives, negatives = np.empty((2, total + 1), np.int64)
-    positives[at], negatives[at] = cols, pick
-    return np.repeat(np.arange(n), t), positives[:total], negatives[:total]
+    keep = cols != rows  # the anchor is no positive of its own
+    return rows[keep], cols[keep], pick[keep]
 
 
 def triplet_loss_semihard(embeddings: Expr, labels: np.ndarray,

@@ -86,7 +86,7 @@ CALLS = {
         "autodiff._fwd_log": 3, "autodiff._fwd_matmul": 44,
         "autodiff._fwd_scatter_rows": 2, "autodiff._fwd_sqrt": 1,
         "autodiff._gather": 1, "autodiff._indices": 1, "autodiff._make": 77,
-        "autodiff._make.<locals>.<genexpr>": 32, "autodiff._on_graph": 18,
+        "autodiff._on_graph": 18,
         "autodiff._on_values": 136, "autodiff._path": 3,
         "autodiff._sum_to": 69, "autodiff._sum_to_value": 15,
         "autodiff._sum_to_value.<locals>.<genexpr>": 8,
@@ -123,7 +123,7 @@ CALLS = {
         "nets.ParamSet.replace": 5, "nets.__create_fn__.<locals>.__init__": 5,
         "nets._mlp": 5, "nets.feature_forward": 2, "nets.metric_forward": 1,
         "nets.sgd_step": 2, "nets.sgd_step.<locals>.<listcomp>": 2,
-        "nets.task_forward": 2, "total": 1455
+        "nets.task_forward": 2, "total": 1411
     },
     "episodic_global": {
         "autodiff.<lambda>": 204, "autodiff.Expr.__init__": 95,
@@ -134,7 +134,7 @@ CALLS = {
         "autodiff._fwd_log": 3, "autodiff._fwd_matmul": 34,
         "autodiff._fwd_scatter_rows": 2, "autodiff._gather": 1,
         "autodiff._indices": 1, "autodiff._make": 64,
-        "autodiff._make.<locals>.<genexpr>": 24, "autodiff._on_graph": 18,
+        "autodiff._on_graph": 18,
         "autodiff._on_values": 93, "autodiff._path": 2, "autodiff._sum_to": 54,
         "autodiff._sum_to_value": 11,
         "autodiff._sum_to_value.<locals>.<genexpr>": 4,
@@ -167,7 +167,7 @@ CALLS = {
         "nets.ParamSet.replace": 4, "nets.__create_fn__.<locals>.__init__": 4,
         "nets._mlp": 4, "nets.feature_forward": 2, "nets.sgd_step": 2,
         "nets.sgd_step.<locals>.<listcomp>": 2, "nets.task_forward": 2,
-        "total": 1097
+        "total": 1073
     },
     "wide_triplet": {
         "autodiff.<lambda>": 267, "autodiff.Expr.__init__": 120,
@@ -178,7 +178,7 @@ CALLS = {
         "autodiff._fwd_log": 3, "autodiff._fwd_matmul": 44,
         "autodiff._fwd_scatter_rows": 2, "autodiff._fwd_sqrt": 1,
         "autodiff._gather": 1, "autodiff._indices": 1, "autodiff._make": 77,
-        "autodiff._make.<locals>.<genexpr>": 32, "autodiff._on_graph": 18,
+        "autodiff._on_graph": 18,
         "autodiff._on_values": 136, "autodiff._path": 3,
         "autodiff._sum_to": 69, "autodiff._sum_to_value": 15,
         "autodiff._sum_to_value.<locals>.<genexpr>": 8,
@@ -215,14 +215,14 @@ CALLS = {
         "nets.ParamSet.replace": 5, "nets.__create_fn__.<locals>.__init__": 5,
         "nets._mlp": 5, "nets.feature_forward": 2, "nets.metric_forward": 1,
         "nets.sgd_step": 2, "nets.sgd_step.<locals>.<listcomp>": 2,
-        "nets.task_forward": 2, "total": 1455
+        "nets.task_forward": 2, "total": 1411
     },
 }
 
 
 # per batch size N (75 and 150 are the benchmark's): the peak bytes traced
 # during one triplet_loss_semihard call, in units of N^2 * 8
-TRIPLET_PEAK = {75: 4.41, 150: 3.98}
+TRIPLET_PEAK = {75: 4.40, 150: 3.78}
 
 
 def triplet_peak(n: int) -> float:

@@ -139,6 +139,14 @@ class TestSilhouette:
         with pytest.raises(ValueError):
             harness.silhouette_score(np.zeros((3, 2)), [0, 0, 0])
 
+    @pytest.mark.parametrize("e, labels, message", [
+        (np.zeros((4, 2)), [0, 0, 1, 1, 1], "5 labels for 4 embedding rows"),
+        (np.zeros(4), [0, 0, 1, 1], r"embeddings must be 2-D \[N, d\]"),
+    ], ids=["label_count_mismatch", "embeddings_1d"])
+    def test_malformed_input_rejected(self, e, labels, message):
+        with pytest.raises(ValueError, match=message):
+            harness.silhouette_score(e, labels)
+
     def test_bounded(self):
         rng = np.random.default_rng(1)
         for seed in range(5):

@@ -542,8 +542,16 @@ def reference_gram_triplet_loss_semihard(embeddings, labels, margin):
     return ad.mean(hinge)
 
 
+def by_anchor_then_positive(triplets):
+    """The miner's triplets sorted by anchor, then by positive. The hinge
+    reads them as a set, so the checks compare them in this one order."""
+    a, p, n = triplets
+    order = np.lexsort((p, a))
+    return a[order], p[order], n[order]
+
+
 def assert_same_triplets(e, labels):
-    got = losses.mine_semihard_triplets(e, labels)
+    got = by_anchor_then_positive(losses.mine_semihard_triplets(e, labels))
     want = reference_mine_semihard_triplets(e, labels)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.int64
@@ -586,6 +594,23 @@ class TestMiner:
         e = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0], [0.0, -10.0]])
         _, _, n = assert_same_triplets(e, [0, 0, 1, 1])
         np.testing.assert_array_equal(n, [2, 2, 0, 0])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_grouped_by_anchor_nearest_positive_first(self, seed):
+        # odd seeds put the rows on an integer grid, where distances tie
+        rng = np.random.default_rng(1200 + seed)
+        n = int(rng.integers(20, 151))
+        e = rng.normal(size=(n, 2)) * 2.0
+        if seed % 2:
+            e = np.round(e)
+        labels = rng.integers(0, 4, size=n)
+        a, p, _ = losses.mine_semihard_triplets(e, labels)
+        d = losses.distance_matrix(e)[a, p]
+        assert (np.diff(a) >= 0).all()
+        same = a[1:] == a[:-1]
+        nearer = d[1:] > d[:-1]
+        tied = (d[1:] == d[:-1]) & (p[1:] > p[:-1])
+        assert (nearer | tied)[same].all()
 
 
 def reference_sorted_mine_semihard_triplets(embedding_values, labels):
@@ -671,7 +696,7 @@ MINING_KINDS = ["float", "grid", "duplicated", "identical", "partly_tied",
 
 
 def assert_same_as_sorted_reference(e, labels):
-    got = losses.mine_semihard_triplets(e, labels)
+    got = by_anchor_then_positive(losses.mine_semihard_triplets(e, labels))
     want = reference_sorted_mine_semihard_triplets(e, labels)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.int64
@@ -686,7 +711,7 @@ def assert_semihard_rule(e, labels):
     p, lowest index first; if there is none, the farthest negative, lowest
     index first. A NaN distance is farther than any number."""
     labels = np.asarray(labels)
-    a, p, n = losses.mine_semihard_triplets(e, labels)
+    a, p, n = by_anchor_then_positive(losses.mine_semihard_triplets(e, labels))
     neg = labels[:, None] != labels
     pair = ~neg & ~np.eye(labels.size, dtype=bool) & neg.any(axis=1)[:, None]
     want_a, want_p = np.nonzero(pair)
@@ -976,6 +1001,28 @@ class TestTriplet:
         values, got_labels = calls[0]
         assert values is e.value
         np.testing.assert_array_equal(got_labels, labels)
+
+    @pytest.mark.parametrize("n", [75, 150])
+    def test_value_and_gradient_ignore_triplet_order(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        e_val = rng.normal(size=(n, 4))
+        labels = rng.integers(0, 3, size=n)
+
+        def loss_and_grad():
+            e = ad.leaf(e_val)
+            loss = losses.triplet_loss_semihard(e, labels, 1.0)
+            return loss.value.tobytes(), ad.grad(loss, [e])[e].value.tobytes()
+
+        want = loss_and_grad()
+        mine = losses.mine_semihard_triplets
+
+        def shuffled(*args):
+            triplets = mine(*args)
+            perm = rng.permutation(triplets[0].size)
+            return tuple(x[perm] for x in triplets)
+
+        monkeypatch.setattr(losses, "mine_semihard_triplets", shuffled)
+        assert loss_and_grad() == want
 
     @staticmethod
     def _assert_matches_reference(embed, params, labels, margin):
