@@ -17,15 +17,16 @@ the same path), and the reverse sweep runs only their VJP rules, in two modes:
 Each VJP rule is written once against one dispatch function that builds an
 op by name, either as a node or by applying the op's forward function to
 arrays, so both modes do the same floating-point operations and give
-bit-identical values. A rule whose adjoint already has the shape that a
-``sum_to`` or ``broadcast`` would give it returns the adjoint, so neither
-mode builds an identity op. One ``matmul`` node holds a whole layer
+bit-identical values. One ``matmul`` node holds a whole layer
 (``x @ w + b``). Transposition has one mechanism: a matmul reads either
 operand transposed in place (attributes ``ta``, ``tb``, which VJP rules set),
-so each matmul adjoint is one matmul. A sum over an axis keeps that axis,
-so its result broadcasts against its input and its adjoint is one
-``broadcast``; there is no reshape op, and no op takes a shape built from
-the batch size. ``global_norm`` works on values too;
+so each matmul adjoint is one matmul. Reduction has one op, ``sum``, whose
+node names the axes it sums. An axis sum keeps its axis, so its result
+broadcasts against its input and its adjoint is one ``broadcast``; there is
+no reshape op, and no reduction takes a shape. One helper, ``_sum_to``,
+undoes broadcasting with at most two sums; like ``_broadcast``, it returns
+an adjoint that already has the wanted shape, so neither mode builds an
+identity op. ``global_norm`` works on values too;
 ``clip_by_norm`` builds the norm as a graph only when it scales graph-mode
 gradients.
 
@@ -94,21 +95,6 @@ def as_expr(x) -> Expr:
 # forward semantics
 
 
-def _sum_to_value(val: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce ``val`` back to ``shape``, undoing numpy broadcasting."""
-    if val.shape == shape:
-        return val
-    if val.shape[1:] == shape:  # a bias adjoint: one row sum
-        return val.sum(axis=0)
-    extra = val.ndim - len(shape)
-    if extra:
-        val = val.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and val.shape[i] != 1)
-    if axes:
-        val = val.sum(axis=axes, keepdims=True)
-    return val.reshape(shape)
-
-
 def _fwd_div(attrs, a, b):
     d = b + EPS
     if not d.all():
@@ -154,9 +140,7 @@ _FORWARD: dict[str, Callable] = {
     "log": _fwd_log,
     "sqrt": _fwd_sqrt,
     "square": lambda attrs, a: a * a,
-    "sum": lambda attrs, a: np.asarray(
-        a.sum(axis=attrs["axis"], keepdims=attrs["axis"] is not None)),
-    "sum_to": lambda attrs, a: _sum_to_value(a, attrs["shape"]),
+    "sum": lambda attrs, a: a.sum(axis=attrs["axis"], keepdims=attrs["keepdims"]),
     # a filled array costs less to make than np.broadcast_to's read-only view
     "broadcast": lambda attrs, a: np.full(attrs["shape"], a),
     "gather_rows": lambda attrs, a: a[attrs["index"]],
@@ -173,7 +157,7 @@ def _make(op: str, inputs: tuple[Expr, ...], attrs: dict | None = None) -> Expr:
         value = _FORWARD[op](attrs, inputs[0].value, inputs[1].value)
     else:  # a matmul with a bias
         value = _FORWARD[op](attrs, inputs[0].value, inputs[1].value, inputs[2].value)
-    # an op on 0-d arrays returns a NumPy scalar; float64 operands give float64
+    # a whole sum, or an op on 0-d arrays, gives a float64 NumPy scalar
     return Expr(op, inputs, np.asarray(value), attrs)
 
 
@@ -239,13 +223,15 @@ def matmul(a: Expr, b: Expr, bias: Expr | None = None) -> Expr:
 
 def reduce_sum(a: Expr, axis: int | None = None) -> Expr:
     """The sum of every entry, or over ``axis``, which stays with length 1."""
-    return _make("sum", (a,), {"axis": axis})
+    return _make("sum", (a,), {"axis": axis, "keepdims": axis is not None})
 
 
 def sum_to(a: Expr, shape: Sequence[int]) -> Expr:
+    """``a`` summed to ``shape``, a shape that broadcasts to ``a.shape``."""
     shape = tuple(shape)
-    np.broadcast_shapes(a.shape, shape)  # raises on incompatibility
-    return _make("sum_to", (a,), {"shape": shape})
+    if np.broadcast_shapes(shape, a.shape) != a.shape:
+        raise ValueError(f"sum_to: {shape} is not a reduction of {a.shape}")
+    return _sum_to(_on_graph, a, shape)
 
 
 def broadcast_to(a: Expr, shape: Sequence[int]) -> Expr:
@@ -321,13 +307,25 @@ def softmax(a: Expr) -> Expr:
 # naming it by its _FORWARD key; operands may be nodes, adjoints or arrays,
 # and O decides whether the result is a node (graph mode) or an array (value
 # mode). Shapes come from the forward graph, which the constructors checked.
-# An adjoint that already has the shape a sum_to or broadcast would give it
-# is returned as it is, so neither mode builds an identity op. The sweep
-# runs only the rules of inputs that lead to a parameter.
+# _sum_to undoes a broadcast and _broadcast applies one; neither builds an
+# op for an adjoint that already has the wanted shape. The sweep runs only
+# the rules of inputs that lead to a parameter.
 
 def _sum_to(O, g, shape):
-    """``g`` reduced to ``shape``: ``g`` itself if it has that shape."""
-    return g if g.shape == shape else O("sum_to", g, shape=shape)
+    """``g`` summed to ``shape``: over the axes in front of ``shape`` (a
+    bias adjoint ends there), then keeping each axis where ``shape`` has
+    length 1; ``g`` itself if it has that shape."""
+    if g.shape == shape:
+        return g
+    lead = len(g.shape) - len(shape)
+    if lead:
+        g = O("sum", g, axis=tuple(range(lead)), keepdims=False)
+        if g.shape == shape:
+            return g
+    # zipped outside: a generator that read g would make every call slower
+    pairs = enumerate(zip(shape, g.shape))
+    axes = tuple(i for i, (d, n) in pairs if d == 1 and n != 1)
+    return O("sum", g, axis=axes, keepdims=True)
 
 
 def _broadcast(O, g, shape):
@@ -369,7 +367,6 @@ _VJP: dict[str, tuple[Callable, ...]] = {
     "sqrt": (lambda O, node, g, a: O("div", O("mul", g, 0.5), node),),
     "square": (lambda O, node, g, a: O("mul", g, O("mul", 2.0, a)),),
     "sum": (lambda O, node, g, a: _broadcast(O, g, a.shape),),
-    "sum_to": (lambda O, node, g, a: _broadcast(O, g, a.shape),),
     "broadcast": (lambda O, node, g, a: _sum_to(O, g, a.shape),),
     "gather_rows": (lambda O, node, g, a: O(
         "scatter_rows", g, index=node.attrs["index"], shape=a.shape),),
@@ -486,7 +483,8 @@ def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
 
 def global_norm(grads: GradMap) -> Expr:
     """A ``const`` holding the value of the norm graph in ``clip_by_norm``."""
-    sums = [_FORWARD["sum"]({"axis": None}, g.value * g.value) for _, g in grads]
+    sums = [_FORWARD["sum"]({"axis": None, "keepdims": False}, g.value * g.value)
+            for _, g in grads]
     return const(np.sqrt(functools.reduce(np.add, sums)))
 
 

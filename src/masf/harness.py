@@ -212,6 +212,9 @@ def prepare_run(config: ExperimentConfig, flags: tuple,
     """``(state, train, holdout)``: one (row, target) run's initial state and
     each source's split. Data preparation depends only on (run_seed, target),
     never on the ablation flags, so all rows of one cell see identical data."""
+    if target not in datasets:
+        raise ValueError(f"target {target} is not a domain; the domain "
+                         f"ids are {sorted(datasets)}")
     hp = replace(config.hp, episodic=flags[0], use_global=flags[1],
                  use_local=flags[2])
     sources = sorted(k for k in datasets if k != target)

@@ -97,6 +97,10 @@ INPUT_CHECKS = {
                        ValueError, "tensor with rows"),
     "log-softmax-1d": (lambda: ad.log_softmax(ad.leaf([1.0, 2.0])),
                        ValueError, r"\[N, C\] tensor"),
+    "sum-to-wider": (lambda: ad.sum_to(ad.leaf(np.ones((3, 1))), (1, 4)),
+                     ValueError, r"sum_to: \(1, 4\) is not a reduction of \(3, 1\)"),
+    "sum-to-more-axes": (lambda: ad.sum_to(ad.leaf(np.ones(3)), (2, 3)),
+                         ValueError, r"sum_to: \(2, 3\) is not a reduction of \(3,\)"),
     "grad-non-leaf": (_grad_of_non_leaf, ValueError, "leaf nodes"),
     "clip-zero": (_clip_at(0.0), ValueError, "must be positive"),
     "clip-negative": (_clip_at(-1.0), ValueError, "must be positive"),
@@ -297,17 +301,42 @@ class TestValueMode:
         assert ad.grad(ad.square(x), [x])[x].op != "const"
 
 
+def test_every_op_has_a_forward_and_a_vjp():
+    assert sorted(ad._FORWARD) == sorted(ad._VJP)
+
+
+@pytest.mark.parametrize("n", [75, 150])
+@pytest.mark.parametrize("mode", ["graph", "value"])
+def test_sum_to_is_one_numpy_sum(n, mode):
+    """Each reduction a step makes, a bias adjoint, a column and a whole sum,
+    has the bytes of one NumPy sum over the same axes."""
+    rng = np.random.default_rng(n)
+    bias, rows = rng.normal(size=(n, 8)), rng.normal(size=(n, 5))
+    cases = [(bias, (8,), bias.sum(axis=0)),
+             (rows, (n, 1), rows.sum(axis=-1, keepdims=True)),
+             (rows, (), rows.sum())]
+    for g, shape, want in cases:
+        if mode == "graph":
+            got = ad._sum_to(ad._on_graph, ad.const(g), shape).value
+        else:
+            got = np.asarray(ad._sum_to(ad._on_values, g, shape))
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes(), shape
+
+
 class TestNoIdentityOps:
-    """A rule whose adjoint already has the shape a ``sum_to`` or
-    ``broadcast`` would give it returns the adjoint as it is, in both sweep
-    modes, and builds the op only where the shape changes."""
+    """A rule whose adjoint already has the shape that undoing or applying a
+    broadcast would give it returns the adjoint as it is, in both sweep
+    modes, and builds a ``sum`` or ``broadcast`` only where the shape
+    changes."""
 
     def _record(self, monkeypatch):
-        calls = []
-        for op in ("sum_to", "broadcast"):
+        calls = []  # (op, input shape, output shape)
+        for op in ("sum", "broadcast"):
             def recorded(attrs, a, op=op, forward=ad._FORWARD[op]):
-                calls.append((op, np.shape(a), attrs["shape"]))
-                return forward(attrs, a)
+                out = forward(attrs, a)
+                calls.append((op, np.shape(a), np.shape(out)))
+                return out
             monkeypatch.setitem(ad._FORWARD, op, recorded)
         return calls
 
@@ -335,7 +364,8 @@ class TestNoIdentityOps:
                 ad.grad(outer, params)
         else:
             ad.grad(outer, params)
-        assert calls and all(shape != to for _, shape, to in calls)
+        assert {op for op, _, _ in calls} == {"sum", "broadcast"}
+        assert all(shape != to for _, shape, to in calls), calls
 
 
 class TestMatmulAdjoints:

@@ -50,25 +50,25 @@ BUDGET = {
         "graph": {"add": 6, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
                   "gather_rows": 1, "leaf": 10, "log": 3, "matmul": 16,
                   "mul": 16, "neg": 1, "relu": 5, "scatter_rows": 1,
-                  "sqrt": 1, "square": 1, "sub": 10, "sum": 6, "sum_to": 3},
+                  "sqrt": 1, "square": 1, "sub": 10, "sum": 9},
         "values": {"add": 25, "broadcast": 11, "div": 10, "matmul": 28,
-                   "mul": 38, "neg": 11, "scatter_rows": 1, "sum_to": 12},
+                   "mul": 38, "neg": 11, "scatter_rows": 1, "sum": 12},
     },
     "episodic_global": {
         "graph": {"add": 4, "broadcast": 2, "const": 25, "div": 1, "exp": 3,
                   "gather_rows": 1, "leaf": 6, "log": 3, "matmul": 13,
                   "mul": 14, "neg": 1, "relu": 4, "scatter_rows": 1,
-                  "sub": 10, "sum": 4, "sum_to": 3},
+                  "sub": 10, "sum": 7},
         "values": {"add": 20, "broadcast": 7, "div": 4, "matmul": 21,
-                   "mul": 23, "neg": 9, "scatter_rows": 1, "sum_to": 8},
+                   "mul": 23, "neg": 9, "scatter_rows": 1, "sum": 8},
     },
     "wide_triplet": {
         "graph": {"add": 6, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
                   "gather_rows": 1, "leaf": 10, "log": 3, "matmul": 16,
                   "mul": 16, "neg": 1, "relu": 5, "scatter_rows": 1,
-                  "sqrt": 1, "square": 1, "sub": 10, "sum": 6, "sum_to": 3},
+                  "sqrt": 1, "square": 1, "sub": 10, "sum": 9},
         "values": {"add": 25, "broadcast": 11, "div": 10, "matmul": 28,
-                   "mul": 38, "neg": 11, "scatter_rows": 1, "sum_to": 12},
+                   "mul": 38, "neg": 11, "scatter_rows": 1, "sum": 12},
     },
 }
 
@@ -88,8 +88,7 @@ CALLS = {
         "autodiff._gather": 1, "autodiff._indices": 1, "autodiff._make": 77,
         "autodiff._on_graph": 18,
         "autodiff._on_values": 136, "autodiff._path": 3,
-        "autodiff._sum_to": 69, "autodiff._sum_to_value": 15,
-        "autodiff._sum_to_value.<locals>.<genexpr>": 8,
+        "autodiff._sum_to": 69, "autodiff._sum_to.<locals>.<genexpr>": 8,
         "autodiff._vjp_matmul_a": 13, "autodiff._vjp_matmul_b": 20,
         "autodiff.add": 5, "autodiff.as_expr": 47, "autodiff.clip_by_norm": 2,
         "autodiff.const": 33, "autodiff.div": 1, "autodiff.exp": 3,
@@ -123,7 +122,7 @@ CALLS = {
         "nets.ParamSet.replace": 5, "nets.__create_fn__.<locals>.__init__": 5,
         "nets._mlp": 5, "nets.feature_forward": 2, "nets.metric_forward": 1,
         "nets.sgd_step": 2, "nets.sgd_step.<locals>.<listcomp>": 2,
-        "nets.task_forward": 2, "total": 1411
+        "nets.task_forward": 2, "total": 1396
     },
     "episodic_global": {
         "autodiff.<lambda>": 204, "autodiff.Expr.__init__": 95,
@@ -136,8 +135,7 @@ CALLS = {
         "autodiff._indices": 1, "autodiff._make": 64,
         "autodiff._on_graph": 18,
         "autodiff._on_values": 93, "autodiff._path": 2, "autodiff._sum_to": 54,
-        "autodiff._sum_to_value": 11,
-        "autodiff._sum_to_value.<locals>.<genexpr>": 4,
+        "autodiff._sum_to.<locals>.<genexpr>": 4,
         "autodiff._vjp_matmul_a": 10, "autodiff._vjp_matmul_b": 16,
         "autodiff.add": 3, "autodiff.as_expr": 43, "autodiff.clip_by_norm": 2,
         "autodiff.const": 25, "autodiff.exp": 3, "autodiff.gather_rows": 1,
@@ -167,7 +165,7 @@ CALLS = {
         "nets.ParamSet.replace": 4, "nets.__create_fn__.<locals>.__init__": 4,
         "nets._mlp": 4, "nets.feature_forward": 2, "nets.sgd_step": 2,
         "nets.sgd_step.<locals>.<listcomp>": 2, "nets.task_forward": 2,
-        "total": 1073
+        "total": 1062
     },
     "wide_triplet": {
         "autodiff.<lambda>": 267, "autodiff.Expr.__init__": 120,
@@ -180,8 +178,7 @@ CALLS = {
         "autodiff._gather": 1, "autodiff._indices": 1, "autodiff._make": 77,
         "autodiff._on_graph": 18,
         "autodiff._on_values": 136, "autodiff._path": 3,
-        "autodiff._sum_to": 69, "autodiff._sum_to_value": 15,
-        "autodiff._sum_to_value.<locals>.<genexpr>": 8,
+        "autodiff._sum_to": 69, "autodiff._sum_to.<locals>.<genexpr>": 8,
         "autodiff._vjp_matmul_a": 13, "autodiff._vjp_matmul_b": 20,
         "autodiff.add": 5, "autodiff.as_expr": 47, "autodiff.clip_by_norm": 2,
         "autodiff.const": 33, "autodiff.div": 1, "autodiff.exp": 3,
@@ -215,28 +212,37 @@ CALLS = {
         "nets.ParamSet.replace": 5, "nets.__create_fn__.<locals>.__init__": 5,
         "nets._mlp": 5, "nets.feature_forward": 2, "nets.metric_forward": 1,
         "nets.sgd_step": 2, "nets.sgd_step.<locals>.<listcomp>": 2,
-        "nets.task_forward": 2, "total": 1411
+        "nets.task_forward": 2, "total": 1396
     },
 }
 
 
 # per batch size N (75 and 150 are the benchmark's): the peak bytes traced
 # during one triplet_loss_semihard call, in units of N^2 * 8
-TRIPLET_PEAK = {75: 4.40, 150: 3.78}
+TRIPLET_PEAK = {75: 4.392, 150: 3.777}
 
 
 def triplet_peak(n: int) -> float:
     """Peak traced bytes of one triplet loss on N rows of five classes, over
-    N^2 * 8; the call before the traced one warms every cache."""
+    N^2 * 8. The interpreter's free lists serve objects without a traced
+    allocation, so the reading would depend on what ran before in the
+    process: a full collection empties them, the call before the traced one
+    refills them as the loss does and warms every cache, and no collection
+    runs in between."""
     rng = np.random.default_rng(0)
     e, labels = ad.leaf(rng.normal(size=(n, 8))), np.arange(n) % 5
-    losses.triplet_loss_semihard(e, labels, 1.0)
-    tracemalloc.start()
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     try:
+        losses.triplet_loss_semihard(e, labels, 1.0)
+        tracemalloc.start()
         losses.triplet_loss_semihard(e, labels, 1.0)
         return tracemalloc.get_traced_memory()[1] / (n * n * 8)
     finally:
         tracemalloc.stop()
+        if collecting:
+            gc.enable()
 
 
 def initial_state(name: str) -> tuple[engine.EpisodeState, dict]:
@@ -371,4 +377,4 @@ if __name__ == "__main__":
             mp.undo()
     for case in sorted(CONFIGS):
         print(f"{case!r}: {max_calls(step_calls(case))},")
-    print({n: round(triplet_peak(n), 3) for n in sorted(TRIPLET_PEAK)})
+    print({n: round(triplet_peak(n), 4) for n in sorted(TRIPLET_PEAK)})

@@ -389,6 +389,18 @@ class TestPrepareRun:
                                small_datasets(), path)
         assert not path.exists()
 
+    def test_unknown_target_fails_before_any_step(self, tmp_path, monkeypatch):
+        def no_step(state, batches):
+            raise AssertionError("a meta step ran")
+
+        monkeypatch.setattr(engine, "meta_step", no_step)
+        path = tmp_path / "metrics.csv"
+        with pytest.raises(ValueError, match=r"^target 7 is not a domain; the "
+                                             r"domain ids are \[0, 1, 2\]$"):
+            harness.run_single(tiny_config(), harness.ALL_ROWS[7], 7, 0,
+                               small_datasets(), path)
+        assert not path.exists()
+
 
 class TestRunExperiment:
     def test_report_shape_and_determinism(self, tmp_path):
