@@ -24,9 +24,9 @@ so each matmul adjoint is one matmul. Reduction has one op, ``sum``, whose
 node names the axes it sums. An axis sum keeps its axis, so its result
 broadcasts against its input and its adjoint is one ``broadcast``; there is
 no reshape op, and no reduction takes a shape. One helper, ``_sum_to``,
-undoes broadcasting with at most two sums; like ``_broadcast``, it returns
-an adjoint that already has the wanted shape, so neither mode builds an
-identity op. ``global_norm`` works on values too;
+undoes broadcasting with at most two sums; like ``_broadcast``, only VJP
+rules call it, and it returns an adjoint that already has the wanted shape,
+so neither mode builds an identity op. ``global_norm`` works on values too;
 ``clip_by_norm`` builds the norm as a graph only when it scales graph-mode
 gradients.
 
@@ -226,18 +226,6 @@ def reduce_sum(a: Expr, axis: int | None = None) -> Expr:
     return _make("sum", (a,), {"axis": axis, "keepdims": axis is not None})
 
 
-def sum_to(a: Expr, shape: Sequence[int]) -> Expr:
-    """``a`` summed to ``shape``, a shape that broadcasts to ``a.shape``."""
-    shape = tuple(shape)
-    if np.broadcast_shapes(shape, a.shape) != a.shape:
-        raise ValueError(f"sum_to: {shape} is not a reduction of {a.shape}")
-    return _sum_to(_on_graph, a, shape)
-
-
-def broadcast_to(a: Expr, shape: Sequence[int]) -> Expr:
-    return _make("broadcast", (a,), {"shape": tuple(shape)})
-
-
 # One indexing primitive and its adjoint. ``index`` is a tuple of integer
 # arrays as in ``a[index]``: (idx,) takes whole rows, (arange(N)[:, None],
 # idx[:, None]) takes one entry per row, as a column. The scatter is
@@ -307,9 +295,9 @@ def softmax(a: Expr) -> Expr:
 # naming it by its _FORWARD key; operands may be nodes, adjoints or arrays,
 # and O decides whether the result is a node (graph mode) or an array (value
 # mode). Shapes come from the forward graph, which the constructors checked.
-# _sum_to undoes a broadcast and _broadcast applies one; neither builds an
-# op for an adjoint that already has the wanted shape. The sweep runs only
-# the rules of inputs that lead to a parameter.
+# _sum_to undoes a broadcast and _broadcast applies one, for rules alone;
+# neither builds an op for an adjoint that already has the wanted shape.
+# The sweep runs only the rules of inputs that lead to a parameter.
 
 def _sum_to(O, g, shape):
     """``g`` summed to ``shape``: over the axes in front of ``shape`` (a

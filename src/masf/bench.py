@@ -275,7 +275,7 @@ def canonical_domain_specs(overrides: dict | None = None) -> list[DomainSpec]:
     overrides = overrides or {}
     unknown = set(overrides) - set(CANONICAL)
     if unknown:
-        raise ValueError(f"unknown benchmark keys: {sorted(unknown)}")
+        raise ValueError(f"unknown benchmark keys: {sorted(unknown, key=repr)}")
     cfg = {**CANONICAL, **{k: keys.read(k, v) for k, v in overrides.items()}}
     n, _ = cfg.pop("num_domains"), cfg.pop("base_seed")
     for key in _PER_DOMAIN:

@@ -42,13 +42,22 @@ UNREAD = {"train": ("rows", "seeds", "targets"),
           "ablate": ("episodic", "use_global", "use_local")}
 
 
+def _read_yaml(text: str, where: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:  # YAML's own message spans several lines
+        mark = getattr(exc, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ValueError(f"{where} is not valid YAML: {problem}{at}") from None
+
+
 def load_spec_file(path: str | Path, what: str = "benchmark spec") -> dict:
     """The YAML mapping in file ``path`` ({} if empty), by default a benchmark
     spec: keys of bench.CANONICAL, the overrides bench.canonical_datasets
     takes. Anything else is a ValueError naming the file and ``what`` it
     holds."""
-    with open(path) as f:
-        cfg = yaml.safe_load(f)
+    cfg = _read_yaml(Path(path).read_text(), f"{path}: {what}")
     if not isinstance(cfg, dict | None):
         raise ValueError(f"{path}: {what} must be a YAML mapping")
     return cfg or {}
@@ -61,11 +70,11 @@ def _load_config(path: str | None, overrides: list[str],
         key, _, value = item.partition("=")
         if not _:
             raise ValueError(f"override {item!r} is not KEY=VALUE")
-        raw[key] = yaml.safe_load(value)
+        raw[key] = _read_yaml(value, f"override {item!r}")
 
     unknown = set(raw) - set(keys.CONFIG)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown, key=repr)}")
     unread = set(raw) & set(UNREAD[command])
     if unread:
         raise ValueError(f"config keys {sorted(unread)} are not read by {command}")

@@ -9,9 +9,11 @@ parameters, of the source batches stacked in sorted domain-id order. The
 metric net gets its own update from the local loss only. Nothing
 differentiates those two gradients again, so their sweeps run in value mode.
 
-Two RNG streams are kept per run: one for data (batch sampling) and one for
-algorithmic choices (domain split, pair shuffling). Ablation flags never
-touch the data stream, so all ablation rows of one seed see identical data.
+A run draws from three generators: ``data_rng`` (batches), ``algo_rng``
+(domain split, pair shuffling) and ``harness.prepare_run``'s split generator,
+whose ``SeedSequence(run_seed, spawn_key=(1,))`` is ``algo_rng``'s, so the two
+read the same bits (ROADMAP item 8). Ablation flags never touch the data
+stream, so all ablation rows of one seed see identical data.
 """
 
 from __future__ import annotations

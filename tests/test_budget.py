@@ -7,7 +7,9 @@ of which must return a node holding a read-only float64 array), and op calls
 of the value-mode sweeps (every ``_on_values``). The counts are
 exact, so a change that makes the engine do more work per step fails here,
 where timing would only show noise. The full_triplet step also builds every
-op of ``autodiff._FORWARD``, so an op that only tests build fails here.
+op of ``autodiff._FORWARD``, so an op that only tests build fails here, and
+wide_triplet, at twice its batch, counts the same, so work that grows with
+the batch size fails here too.
 
 A second pass of the same steps counts Python calls (``sys.setprofile``
 ``call`` events) per code object, and bounds each step's total and the calls
@@ -44,7 +46,8 @@ CONFIGS = {  # batch size per source domain, local loss on or off
     "wide_triplet": dict(batch_size=50, use_local=True),
 }
 
-# per config: the most graph nodes and value-mode op calls of any step, by op
+# per config: the most graph nodes and value-mode op calls of any step, by
+# op; wide_triplet shares full_triplet's table, as its counts must be equal
 BUDGET = {
     "full_triplet": {
         "graph": {"add": 6, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
@@ -62,20 +65,13 @@ BUDGET = {
         "values": {"add": 20, "broadcast": 7, "div": 4, "matmul": 21,
                    "mul": 23, "neg": 9, "scatter_rows": 1, "sum": 8},
     },
-    "wide_triplet": {
-        "graph": {"add": 6, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
-                  "gather_rows": 1, "leaf": 10, "log": 3, "matmul": 16,
-                  "mul": 16, "neg": 1, "relu": 5, "scatter_rows": 1,
-                  "sqrt": 1, "square": 1, "sub": 10, "sum": 9},
-        "values": {"add": 25, "broadcast": 11, "div": 10, "matmul": 28,
-                   "mul": 38, "neg": 11, "scatter_rows": 1, "sum": 12},
-    },
 }
+BUDGET["wide_triplet"] = BUDGET["full_triplet"]
 
 
 CALL_MODULES = ("masf.autodiff", "masf.engine", "masf.losses", "masf.nets")
 # per config: the most Python calls of any step, in total and by code object
-# of CALL_MODULES (see max_calls)
+# of CALL_MODULES (see max_calls); wide_triplet shares full_triplet's table
 CALLS = {
     "full_triplet": {
         "autodiff.<lambda>": 267, "autodiff.Expr.__init__": 120,
@@ -167,54 +163,8 @@ CALLS = {
         "nets.sgd_step.<locals>.<listcomp>": 2, "nets.task_forward": 2,
         "total": 1062
     },
-    "wide_triplet": {
-        "autodiff.<lambda>": 267, "autodiff.Expr.__init__": 120,
-        "autodiff.GradMap.__getitem__": 16, "autodiff.GradMap.__init__": 3,
-        "autodiff.GradMap.__init__.<locals>.<dictcomp>": 3,
-        "autodiff.GradMap.__iter__": 2, "autodiff._broadcast": 13,
-        "autodiff._elementwise": 28, "autodiff._fwd_div": 12,
-        "autodiff._fwd_log": 3, "autodiff._fwd_matmul": 44,
-        "autodiff._fwd_scatter_rows": 2, "autodiff._fwd_sqrt": 1,
-        "autodiff._gather": 1, "autodiff._indices": 1, "autodiff._make": 77,
-        "autodiff._on_graph": 18,
-        "autodiff._on_values": 136, "autodiff._path": 3,
-        "autodiff._sum_to": 69, "autodiff._sum_to.<locals>.<genexpr>": 8,
-        "autodiff._vjp_matmul_a": 13, "autodiff._vjp_matmul_b": 20,
-        "autodiff.add": 5, "autodiff.as_expr": 47, "autodiff.clip_by_norm": 2,
-        "autodiff.const": 33, "autodiff.div": 1, "autodiff.exp": 3,
-        "autodiff.gather_rows": 1, "autodiff.global_norm": 2,
-        "autodiff.global_norm.<locals>.<listcomp>": 2, "autodiff.grad": 3,
-        "autodiff.grad.<locals>.<listcomp>": 3,
-        "autodiff.grad.<locals>.<setcomp>": 3, "autodiff.leaf": 10,
-        "autodiff.log": 3, "autodiff.log_softmax": 1,
-        "autodiff.log_sum_exp": 2, "autodiff.matmul": 11, "autodiff.mean": 1,
-        "autodiff.mul": 12, "autodiff.reduce_sum": 6, "autodiff.relu": 5,
-        "autodiff.softmax": 1, "autodiff.sqrt": 1, "autodiff.square": 1,
-        "autodiff.sub": 10, "autodiff.values_only": 4,
-        "engine.__create_fn__.<locals>.__init__": 2,
-        "engine._clipped_grads": 2, "engine._descend": 3,
-        "engine._descend.<locals>.<listcomp>": 3, "engine._finite": 6,
-        "engine._local_loss": 1, "engine._mean_task_loss": 1,
-        "engine._stack": 2, "engine._stack.<locals>.<listcomp>": 4,
-        "engine.check_n_meta_test": 1, "engine.decayed_lr": 1,
-        "engine.draw_batches": 1, "engine.meta_step": 1,
-        "engine.meta_step.<locals>.<listcomp>": 2, "engine.split_domains": 1,
-        "engine.split_domains.<locals>.<listcomp>": 2,
-        "losses._check_local_batch": 1, "losses._pair_form": 2,
-        "losses._sq_dists": 2, "losses.class_means": 1,
-        "losses.distance_matrix": 1, "losses.global_alignment_loss": 1,
-        "losses.global_alignment_loss.<locals>.<listcomp>": 3,
-        "losses.global_alignment_loss.<locals>.<listcomp>.<listcomp>": 2,
-        "losses.global_alignment_loss.<locals>.<setcomp>": 1,
-        "losses.mine_semihard_triplets": 1, "losses.soft_label_matrix": 1,
-        "losses.task_loss": 1, "losses.triplet_loss_semihard": 1,
-        "nets.ParamSet.__post_init__": 5, "nets.ParamSet.out_width": 1,
-        "nets.ParamSet.replace": 5, "nets.__create_fn__.<locals>.__init__": 5,
-        "nets._mlp": 5, "nets.feature_forward": 2, "nets.metric_forward": 1,
-        "nets.sgd_step": 2, "nets.sgd_step.<locals>.<listcomp>": 2,
-        "nets.task_forward": 2, "total": 1396
-    },
 }
+CALLS["wide_triplet"] = CALLS["full_triplet"]
 
 
 # per batch size N (75 and 150 are the benchmark's): the peak bytes traced
@@ -364,17 +314,38 @@ def test_step_calls_stay_within_budget(name):
     assert not over, f"{name} calls: (count, bound) by code object {over}"
 
 
+def test_counts_do_not_grow_with_batch_size(monkeypatch):
+    """wide_triplet doubles full_triplet's batch, and its step makes the same
+    graph nodes, value-mode ops and Python calls."""
+    def measured(name):
+        counts = max_counts(step_counts(name, monkeypatch))
+        monkeypatch.undo()  # the calls are counted without the node counters
+        return counts, max_calls(step_calls(name))
+
+    assert measured("wide_triplet") == measured("full_triplet")
+
+
 @pytest.mark.parametrize("n", sorted(TRIPLET_PEAK))
 def test_triplet_loss_peak_memory(n):
     peak = triplet_peak(n)
     assert peak <= TRIPLET_PEAK[n], f"N={n}: peak {peak:.3f} N^2 * 8 bytes"
 
 
+def print_distinct(tables: dict[str, dict]) -> None:
+    """Each distinct table once, after the configs that measure it."""
+    names = {}
+    for name, table in tables.items():
+        names.setdefault(repr(table), []).append(name)
+    for table, same in names.items():
+        print(f"{' = '.join(map(repr, same))}: {table},")
+
+
 if __name__ == "__main__":
+    counts = {}
     with pytest.MonkeyPatch.context() as mp:
         for case in sorted(CONFIGS):
-            print(f"{case!r}: {max_counts(step_counts(case, mp))},")
+            counts[case] = max_counts(step_counts(case, mp))
             mp.undo()
-    for case in sorted(CONFIGS):
-        print(f"{case!r}: {max_calls(step_calls(case))},")
+    print_distinct(counts)
+    print_distinct({case: max_calls(step_calls(case)) for case in sorted(CONFIGS)})
     print({n: round(triplet_peak(n), 4) for n in sorted(TRIPLET_PEAK)})

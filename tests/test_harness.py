@@ -513,6 +513,15 @@ class TestSvg:
     def test_constant_series_no_division_error(self, tmp_path):
         harness.write_svg_lines(tmp_path / "c.svg", {"a": [2.0, 2.0, 2.0]})
 
+    def test_series_of_one_point_is_skipped(self, tmp_path):
+        path = tmp_path / "s.svg"
+        harness.write_svg_lines(path, {"one": [1.0], "three": [1.0, 2.0, 3.0]},
+                                title="t")
+        root = ElementTree.parse(path).getroot()
+        svg = "{http://www.w3.org/2000/svg}"
+        assert len(list(root.iter(f"{svg}polyline"))) == 1
+        assert [t.text for t in root.iter(f"{svg}text")] == ["t", "three"]
+
 
 class TestCli:
     def test_bench_gen_and_eval_roundtrip(self, tmp_path, monkeypatch, capsys):
@@ -538,7 +547,9 @@ class TestCli:
         ("scales: [1.0, x, 1.0, 1.0]", "scales"),
         ("scales: [.inf, 1.0, 1.0, 1.0]", "scales"),
         ("noise_sigma: .nan", "noise_sigma"),
-        ("base_seed: -1", "base_seed"), ("base_seed: 1.5", "base_seed")])
+        ("base_seed: -1", "base_seed"), ("base_seed: 1.5", "base_seed"),
+        ("1: 2\nfoo: 3", "unknown benchmark keys: ['foo', 1]"),
+        ("scales: [", "spec.yaml: benchmark spec is not valid YAML")])
     def test_bench_gen_bad_spec_is_config_error(self, tmp_path, monkeypatch,
                                                 capsys, spec, key):
         (tmp_path / "spec.yaml").write_text(spec + "\n")
@@ -896,6 +907,17 @@ class TestCli:
             f"config error: {path}: config must be a YAML mapping\n")
         assert not (tmp_path / "out").exists()
 
+    def test_malformed_config_file_is_config_error(self, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "out"))
+        path = tmp_path / "cfg.yaml"
+        path.write_text("alpha: [\n")
+        assert cli.main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {path}: config is not valid YAML: expected the "
+            "node content, but found '<stream end>' at line 2, column 1\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("n_te", [0, 3])
     def test_n_meta_test_rule_is_the_engine_s(self, tmp_path, monkeypatch,
                                               capsys, n_te):
@@ -916,9 +938,17 @@ class TestCli:
         assert "config error: config key 'eta'" in capsys.readouterr().err
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
-        for item in ["bogus=1", "clip_outer=false"]:
-            assert cli.main(["ablate", "--set", item]) == 1
-            assert "config error: unknown config keys" in capsys.readouterr().err
+        # keys of mixed types are all named
+        path = tmp_path / "cfg.yaml"
+        path.write_text("1: 2\nbogus: 3\n")
+        for args, message in [
+                (["--set", "bogus=1"], "unknown config keys: ['bogus']"),
+                (["--set", "clip_outer=false"], "unknown config keys: ['clip_outer']"),
+                (["--config", str(path)], "unknown config keys: ['bogus', 1]"),
+                (["--set", "bench_overrides={1: 2, foo: 3}"],
+                 "unknown benchmark keys: ['foo', 1]")]:
+            assert cli.main(["ablate", *args]) == 1
+            assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("item, key", [
@@ -974,6 +1004,7 @@ class TestCli:
         ("alpha=-1", "alpha"), ("eta=0", "eta"), ("gamma=0", "gamma"),
         ("beta1=-1", "beta1"), ("beta2=-0.5", "beta2"),
         ("local_loss_kind=Triplet", "local_loss_kind"),
+        ("alpha=[", "override 'alpha=[' is not valid YAML"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, monkeypatch, capsys,
                                        command, item, key):

@@ -286,7 +286,7 @@ class TestGlobalAlignment:
             means, _ = losses.class_means(z, batch[1], 3)
             row = losses.soft_label_matrix(
                 theta, ad.select_rows(means, [0]), 2.0)
-            return ad.sum_to(row, (3,))  # [1, 3] to [3]
+            return ad._sum_to(ad._on_graph, row, (3,))  # [1, 3] to [3]
 
         direct = losses.symm_kl(soft_row(ba), soft_row(bb))
         assert float(loss.value) == pytest.approx(float(direct.value), abs=1e-9)
