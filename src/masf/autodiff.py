@@ -266,20 +266,19 @@ def mean(a: Expr) -> Expr:
     return mul(reduce_sum(a), const(1.0 / a.value.size))
 
 
-def log_sum_exp(a: Expr, axis: int | None = None) -> Expr:
-    """Stable log-sum-exp, keeping ``axis`` as ``reduce_sum`` does; the
-    subtracted max is a constant, which leaves both the value and the
-    derivatives exact."""
-    m_val = a.value.max(axis=axis, keepdims=axis is not None)
-    s = reduce_sum(exp(sub(a, const(m_val))), axis=axis)
-    return add(log(s), const(m_val))
+def log_sum_exp(a: Expr) -> Expr:
+    """Stable log-sum-exp over the last axis, which stays with length 1 as in
+    ``reduce_sum``; the subtracted max is one constant, read by the ``sub``
+    and the ``add``, which leaves both the value and the derivatives exact."""
+    m = const(a.value.max(axis=-1, keepdims=True))
+    return add(log(reduce_sum(exp(sub(a, m)), axis=-1)), m)
 
 
 def log_softmax(a: Expr) -> Expr:
     """Row-wise log-softmax of a [N, C] tensor."""
     if a.value.ndim != 2:
         raise ValueError("log_softmax expects a [N, C] tensor")
-    return sub(a, log_sum_exp(a, axis=-1))
+    return sub(a, log_sum_exp(a))
 
 
 def softmax(a: Expr) -> Expr:
@@ -471,23 +470,21 @@ def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
 
 def global_norm(grads: GradMap) -> Expr:
     """A ``const`` holding the value of the norm graph in ``clip_by_norm``."""
-    sums = [_FORWARD["sum"]({"axis": None, "keepdims": False}, g.value * g.value)
-            for _, g in grads]
+    with np.errstate(over="ignore"):  # an inf norm is the caller's to report
+        sums = [_FORWARD["sum"]({"axis": None, "keepdims": False}, g.value * g.value)
+                for _, g in grads]
     return const(np.sqrt(functools.reduce(np.add, sums)))
 
 
-def clip_by_norm(grads: GradMap, threshold: float,
-                 norm: Expr | None = None) -> GradMap:
+def clip_by_norm(grads: GradMap, threshold: float, norm: Expr) -> GradMap:
     """Scale the whole GradMap so its global L2 norm is at most ``threshold``.
 
-    ``norm`` is ``global_norm(grads)`` if the caller already has it. The
-    branch is decided eagerly on its value; when scaling is active on graph
-    gradients, the norm is built as a graph, so the scale stays differentiable.
+    ``norm`` is ``global_norm(grads)``. The branch is decided eagerly on its
+    value; when scaling is active on graph gradients, the norm is built as a
+    graph, so the scale stays differentiable.
     """
     if threshold <= 0:
         raise ValueError("clip threshold must be positive")
-    if norm is None:
-        norm = global_norm(grads)
     if float(norm.value) <= threshold:
         return grads
     if any(g.op != "const" for _, g in grads):
@@ -514,15 +511,13 @@ def recompute(root: Expr, overrides: dict[int, np.ndarray]) -> np.ndarray:
     return values.get(root.id, root.value)
 
 
-def finite_diff_check(scalar: Expr, params: Sequence[Expr],
-                      h: float = 1e-5) -> float:
-    """Max relative error between grad() and central finite differences.
+def finite_diff_check(scalar: Expr, params: Sequence[Expr]) -> float:
+    """Max relative error between grad() and central differences of step 1e-5.
 
     Relative error is |a - b| / max(1, |a|, |b|), maximized over every
     component of every parameter.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = 1e-5
     with values_only():
         gm = grad(scalar, params)
     worst = 0.0

@@ -12,6 +12,7 @@ drifting cue generalizes worse to held-out rotations.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -217,21 +218,29 @@ def csv_cell(path, row: int, column: str, text: str | None, kind=float):
     return value
 
 
+def _text_file(path: str | Path) -> io.StringIO:
+    """File ``path`` as UTF-8 text, its line ends kept for the csv module; a
+    file that is not UTF-8 is a ValueError naming it."""
+    try:
+        return io.StringIO(Path(path).read_bytes().decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}, byte {exc.start}: not UTF-8 ({exc.reason})") from None
+
+
 def import_csv(path: str | Path) -> list[DomainDataset]:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])  # [] for an empty file
-        if header[:2] != ["domain", "label"]:
-            raise ValueError(f"{path}: no 'domain,label,...' CSV header")
-        kinds = [int, int] + [float] * (len(header) - 2)
-        rows = []
-        for row in filter(None, reader):  # blank lines hold no sample
-            if len(row) > len(header):
-                raise ValueError(f"{path}, row {reader.line_num}: more cells than columns")
-            row += [None] * (len(header) - len(row))
-            dom, label, *x = (csv_cell(path, reader.line_num, *cell)
-                              for cell in zip(header, row, kinds))
-            rows.append((dom, label, np.array(x)))
+    reader = csv.reader(_text_file(path))
+    header = next(reader, [])  # [] for an empty file
+    if header[:2] != ["domain", "label"]:
+        raise ValueError(f"{path}: no 'domain,label,...' CSV header")
+    kinds = [int, int] + [float] * (len(header) - 2)
+    rows = []
+    for row in filter(None, reader):  # blank lines hold no sample
+        if len(row) > len(header):
+            raise ValueError(f"{path}, row {reader.line_num}: more cells than columns")
+        row += [None] * (len(header) - len(row))
+        dom, label, *x = (csv_cell(path, reader.line_num, *cell)
+                          for cell in zip(header, row, kinds))
+        rows.append((dom, label, np.array(x)))
     if not rows:
         raise ValueError(f"{path}: CSV file has no samples")
     out = []

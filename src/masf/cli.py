@@ -57,7 +57,7 @@ def load_spec_file(path: str | Path, what: str = "benchmark spec") -> dict:
     spec: keys of bench.CANONICAL, the overrides bench.canonical_datasets
     takes. Anything else is a ValueError naming the file and ``what`` it
     holds."""
-    cfg = _read_yaml(Path(path).read_text(), f"{path}: {what}")
+    cfg = _read_yaml(bench._text_file(path).read(), f"{path}: {what}")
     if not isinstance(cfg, dict | None):
         raise ValueError(f"{path}: {what} must be a YAML mapping")
     return cfg or {}
@@ -174,9 +174,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    with open(args.metrics, newline="") as f:
-        reader = csv.DictReader(f)
-        rows = [(reader.line_num, r) for r in reader]
+    reader = csv.DictReader(bench._text_file(args.metrics))
+    rows = [(reader.line_num, r) for r in reader]
     available = reader.fieldnames or []
     unknown = [col for col in args.columns if col not in available]
     if unknown:

@@ -63,13 +63,13 @@ class Hyperparams:
     use_local: bool = True
     n_meta_train: InitVar[int | None] = None  # unread; test_acceptance passes it
 
-    def validate(self, num_classes: int | None = None) -> None:
+    def validate(self, num_classes: int) -> None:
         """Check each field by its keys.CONFIG rule, and the batch size."""
         for f in fields(self):
             # keys.read takes YAML's exponent strings; a field holds the number
             if keys.read(f.name, value := getattr(self, f.name)) != value:
                 raise ValueError(f"{f.name} must be a number, not the string {value!r}")
-        if num_classes is not None and self.batch_size < 2 * num_classes:
+        if self.batch_size < 2 * num_classes:
             raise ValueError(f"batch_size must be at least 2 * num_classes = "
                              f"{2 * num_classes}, got {self.batch_size}")
 

@@ -304,7 +304,7 @@ _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def write_svg_lines(path: Path, series: dict[str, list[float]],
-                    title: str = "") -> None:
+                    title: str) -> None:
     """Plot one polyline per named series into a standalone 640 x 400 SVG."""
     all_vals = [v for vals in series.values() for v in vals]
     if not all_vals:

@@ -12,7 +12,8 @@ bits, column) per row, and an exact lexsort of the rows with a near-tie, a
 -0.0, an inf or a NaN. A class member's slot in its anchor's row then counts
 the negatives no farther than it, and its semi-hard negative is the first
 negative after it; the triplets come in the row sort's order (by anchor,
-then nearest positive first). Labels are whole numbers.
+then nearest positive first). Labels are whole numbers. The library has no
+logger: a loss reports nothing but its value.
 
 Both semantic terms are one pairwise quadratic form (``_pair_form``): of
 the soft rows and their logs, and of the embeddings with themselves.
@@ -25,8 +26,6 @@ read that one rule; the hinge reads it at its triplets' cells only.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from . import autodiff as ad
@@ -35,13 +34,11 @@ from .autodiff import Expr
 from .bench import as_labels
 from .nets import ParamSet
 
-log = logging.getLogger(__name__)
-
 
 def task_loss(logits: Expr, labels: np.ndarray) -> Expr:
     """Mean cross-entropy of softmax(logits) against integer labels."""
     labels = as_labels(labels, logits.shape[1])
-    lse = ad.log_sum_exp(logits, axis=-1)
+    lse = ad.log_sum_exp(logits)
     picked = ad.gather_rows(logits, labels)
     return ad.mean(ad.sub(lse, picked))
 
@@ -269,11 +266,11 @@ def triplet_loss_semihard(embeddings: Expr, labels: np.ndarray,
     triplet adds +1/T to W[a, p] and -1/T to W[a, n], so the mean of their
     d(a,p)^2 - d(a,n)^2 is sum_ab W[a, b] d^2(a, b), the pair form of E with
     itself with whole-count weights -T W, plus xi / T per active triplet.
+    A batch with no triplet has loss 0; a training batch always has one.
     """
     anchors, positives, negatives = mine_semihard_triplets(
         embeddings.value, labels)
     if anchors.size == 0:
-        log.warning("no valid triplet in batch; local loss is 0")
         return ad.const(0.0)
     n, t = embeddings.shape[0], anchors.size
     d2 = _sq_dists(embeddings.value, anchors, np.stack((positives, negatives)))

@@ -50,7 +50,7 @@ CONFIGS = {  # batch size per source domain, local loss on or off
 # op; wide_triplet shares full_triplet's table, as its counts must be equal
 BUDGET = {
     "full_triplet": {
-        "graph": {"add": 6, "broadcast": 2, "const": 33, "div": 2, "exp": 3,
+        "graph": {"add": 6, "broadcast": 2, "const": 31, "div": 2, "exp": 3,
                   "gather_rows": 1, "leaf": 10, "log": 3, "matmul": 16,
                   "mul": 16, "neg": 1, "relu": 5, "scatter_rows": 1,
                   "sqrt": 1, "square": 1, "sub": 10, "sum": 9},
@@ -58,7 +58,7 @@ BUDGET = {
                    "mul": 38, "neg": 11, "scatter_rows": 1, "sum": 12},
     },
     "episodic_global": {
-        "graph": {"add": 4, "broadcast": 2, "const": 25, "div": 1, "exp": 3,
+        "graph": {"add": 4, "broadcast": 2, "const": 23, "div": 1, "exp": 3,
                   "gather_rows": 1, "leaf": 6, "log": 3, "matmul": 13,
                   "mul": 14, "neg": 1, "relu": 4, "scatter_rows": 1,
                   "sub": 10, "sum": 7},
@@ -74,7 +74,7 @@ CALL_MODULES = ("masf.autodiff", "masf.engine", "masf.losses", "masf.nets")
 # of CALL_MODULES (see max_calls); wide_triplet shares full_triplet's table
 CALLS = {
     "full_triplet": {
-        "autodiff.<lambda>": 267, "autodiff.Expr.__init__": 120,
+        "autodiff.<lambda>": 267, "autodiff.Expr.__init__": 118,
         "autodiff.GradMap.__getitem__": 16, "autodiff.GradMap.__init__": 3,
         "autodiff.GradMap.__init__.<locals>.<dictcomp>": 3,
         "autodiff.GradMap.__iter__": 2, "autodiff._broadcast": 13,
@@ -87,7 +87,7 @@ CALLS = {
         "autodiff._sum_to": 69, "autodiff._sum_to.<locals>.<genexpr>": 8,
         "autodiff._vjp_matmul_a": 13, "autodiff._vjp_matmul_b": 20,
         "autodiff.add": 5, "autodiff.as_expr": 47, "autodiff.clip_by_norm": 2,
-        "autodiff.const": 33, "autodiff.div": 1, "autodiff.exp": 3,
+        "autodiff.const": 31, "autodiff.div": 1, "autodiff.exp": 3,
         "autodiff.gather_rows": 1, "autodiff.global_norm": 2,
         "autodiff.global_norm.<locals>.<listcomp>": 2, "autodiff.grad": 3,
         "autodiff.grad.<locals>.<listcomp>": 3,
@@ -118,10 +118,10 @@ CALLS = {
         "nets.ParamSet.replace": 5, "nets.__create_fn__.<locals>.__init__": 5,
         "nets._mlp": 5, "nets.feature_forward": 2, "nets.metric_forward": 1,
         "nets.sgd_step": 2, "nets.sgd_step.<locals>.<listcomp>": 2,
-        "nets.task_forward": 2, "total": 1396
+        "nets.task_forward": 2, "total": 1398
     },
     "episodic_global": {
-        "autodiff.<lambda>": 204, "autodiff.Expr.__init__": 95,
+        "autodiff.<lambda>": 204, "autodiff.Expr.__init__": 93,
         "autodiff.GradMap.__getitem__": 12, "autodiff.GradMap.__init__": 2,
         "autodiff.GradMap.__init__.<locals>.<dictcomp>": 2,
         "autodiff.GradMap.__iter__": 2, "autodiff._broadcast": 9,
@@ -134,7 +134,7 @@ CALLS = {
         "autodiff._sum_to.<locals>.<genexpr>": 4,
         "autodiff._vjp_matmul_a": 10, "autodiff._vjp_matmul_b": 16,
         "autodiff.add": 3, "autodiff.as_expr": 43, "autodiff.clip_by_norm": 2,
-        "autodiff.const": 25, "autodiff.exp": 3, "autodiff.gather_rows": 1,
+        "autodiff.const": 23, "autodiff.exp": 3, "autodiff.gather_rows": 1,
         "autodiff.global_norm": 2,
         "autodiff.global_norm.<locals>.<listcomp>": 2, "autodiff.grad": 2,
         "autodiff.grad.<locals>.<listcomp>": 2,
@@ -161,7 +161,7 @@ CALLS = {
         "nets.ParamSet.replace": 4, "nets.__create_fn__.<locals>.__init__": 4,
         "nets._mlp": 4, "nets.feature_forward": 2, "nets.sgd_step": 2,
         "nets.sgd_step.<locals>.<listcomp>": 2, "nets.task_forward": 2,
-        "total": 1062
+        "total": 1064
     },
 }
 CALLS["wide_triplet"] = CALLS["full_triplet"]

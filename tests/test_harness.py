@@ -503,15 +503,17 @@ class TestSvg:
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            harness.write_svg_lines(tmp_path / "x.svg", {"a": []})
+            harness.write_svg_lines(tmp_path / "x.svg", {"a": []}, title="t")
 
     def test_empty_series_creates_no_directory(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to plot"):
-            harness.write_svg_lines(tmp_path / "sub" / "x.svg", {"a": []})
+            harness.write_svg_lines(tmp_path / "sub" / "x.svg", {"a": []},
+                                    title="t")
         assert not (tmp_path / "sub").exists()
 
     def test_constant_series_no_division_error(self, tmp_path):
-        harness.write_svg_lines(tmp_path / "c.svg", {"a": [2.0, 2.0, 2.0]})
+        harness.write_svg_lines(tmp_path / "c.svg", {"a": [2.0, 2.0, 2.0]},
+                                title="t")
 
     def test_series_of_one_point_is_skipped(self, tmp_path):
         path = tmp_path / "s.svg"
@@ -549,10 +551,11 @@ class TestCli:
         ("noise_sigma: .nan", "noise_sigma"),
         ("base_seed: -1", "base_seed"), ("base_seed: 1.5", "base_seed"),
         ("1: 2\nfoo: 3", "unknown benchmark keys: ['foo', 1]"),
-        ("scales: [", "spec.yaml: benchmark spec is not valid YAML")])
+        ("scales: [", "spec.yaml: benchmark spec is not valid YAML"),
+        ("\xff\xfe: 1", "spec.yaml, byte 0: not UTF-8 (invalid start byte)")])
     def test_bench_gen_bad_spec_is_config_error(self, tmp_path, monkeypatch,
                                                 capsys, spec, key):
-        (tmp_path / "spec.yaml").write_text(spec + "\n")
+        (tmp_path / "spec.yaml").write_text(spec + "\n", encoding="latin-1")
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "out"))
         assert cli.main(["bench-gen", "--spec", str(tmp_path / "spec.yaml")]) == 1
         err = capsys.readouterr().err
@@ -730,12 +733,15 @@ class TestCli:
     def test_overflowing_grad_norm_is_run_failure(self, tmp_path, monkeypatch,
                                                   capsys):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = cli.main(["train", "--set", "iterations=3",
-                             "--set", "tau=1e-300"])
-        assert code == 2
-        assert capsys.readouterr().err == ("run failure: outer gradient norm is "
-                                           "non-finite at iteration 0: inf\n")
+        # a tiny tau, and a benchmark whose gradient squares overflow in
+        # global_norm: the engine reports the inf norm, and numpy nothing
+        for item in ["tau=1e-300", "bench_overrides={variant_radius: 1e100}"]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy warning reaches the user
+                code = cli.main(["train", "--set", "iterations=3", "--set", item])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "run failure: outer gradient norm is non-finite at iteration 0: inf\n")
 
     def test_eval_rejects_task_net_of_another_width(self, tmp_path, capsys):
         psi, _, _ = nets.init_params(ARCH, 0)
@@ -755,10 +761,12 @@ class TestCli:
         ("domain,label,f0,f1\n0,1,0.5\n",
          "row 2, column 'f1': expected float, got no cell"),
         ("domain,label,f0\n0,1,0.5,0.25\n", "row 2: more cells than columns"),
-    ], ids=["bad-label", "short-row", "long-row"])
+        ("domain,label,f0,f1\n0,1,0.5,\xff\n",
+         "byte 27: not UTF-8 (invalid start byte)"),
+    ], ids=["bad-label", "short-row", "long-row", "not-utf8"])
     def test_eval_names_bad_csv_cell(self, tmp_path, capsys, text, where):
         data = tmp_path / "data.csv"
-        data.write_text(text)
+        data.write_text(text, encoding="latin-1")
         assert cli.main(["eval", "--ckpt", str(tmp_path), "--data", str(data)]) == 1
         assert capsys.readouterr().err == f"config error: {data}, {where}\n"
 
@@ -818,10 +826,12 @@ class TestCli:
          "row 3, column 'task_loss': expected a finite float, got 'nan'"),
         ("iteration,task_loss\n0,-inf\n1,0.5\n",
          "row 2, column 'task_loss': expected a finite float, got '-inf'"),
-    ], ids=["bad-cell", "short-row", "nan", "-inf"])
+        ("iteration,task_loss\n0,1.0\n1,\xff\n",
+         "byte 28: not UTF-8 (invalid start byte)"),
+    ], ids=["bad-cell", "short-row", "nan", "-inf", "not-utf8"])
     def test_plot_names_bad_csv_cell(self, tmp_path, capsys, text, where):
         metrics = tmp_path / "m.csv"
-        metrics.write_text(text)
+        metrics.write_text(text, encoding="latin-1")
         out = tmp_path / "m.svg"
         assert cli.main(["plot", "--metrics", str(metrics),
                          "--out", str(out)]) == 1
@@ -911,12 +921,14 @@ class TestCli:
                                                    capsys):
         monkeypatch.setenv("MASF_OUT_DIR", str(tmp_path / "out"))
         path = tmp_path / "cfg.yaml"
-        path.write_text("alpha: [\n")
-        assert cli.main(["train", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            f"config error: {path}: config is not valid YAML: expected the "
-            "node content, but found '<stream end>' at line 2, column 1\n")
-        assert not (tmp_path / "out").exists()
+        for data, message in [
+                (b"alpha: [\n", ": config is not valid YAML: expected the node "
+                 "content, but found '<stream end>' at line 2, column 1"),
+                (b"\xff\xfe: 1\n", ", byte 0: not UTF-8 (invalid start byte)")]:
+            path.write_bytes(data)
+            assert cli.main(["train", "--config", str(path)]) == 1
+            assert capsys.readouterr().err == f"config error: {path}{message}\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n_te", [0, 3])
     def test_n_meta_test_rule_is_the_engine_s(self, tmp_path, monkeypatch,

@@ -1,9 +1,10 @@
-"""What a training run imports: no YAML parser and no masked arrays.
+"""What a training run imports: no YAML parser, no masked arrays, no logging.
 
 Only the command line reads YAML, so ``import masf`` must not load PyYAML;
-and no training or diagnostics call may reach ``numpy.ma`` (in numpy 2.4,
-``np.unique`` without ``return_inverse`` imports it). Each module costs
-every run its resident memory. The run happens in a fresh interpreter, as
+no training or diagnostics call may reach ``numpy.ma`` (in numpy 2.4,
+``np.unique`` without ``return_inverse`` imports it); and the library has no
+logger, so nothing loads ``logging``. Each module costs every run its
+resident memory. The run happens in a fresh interpreter, as
 pytest itself may have imported either module already.
 """
 
@@ -37,7 +38,8 @@ for part in holdout.values():
     z = nets.feature_forward(state.psi, ad.const(part.features))
     harness.silhouette_score(nets.metric_forward(state.phi, z).value,
                              part.labels)
-print("after run:", "yaml" in sys.modules, "numpy.ma" in sys.modules)
+print("after run:", "yaml" in sys.modules, "numpy.ma" in sys.modules,
+      "logging" in sys.modules)
 import masf.cli
 print("after cli:", "yaml" in sys.modules)
 """
@@ -49,4 +51,4 @@ def test_training_run_imports_no_yaml_and_no_masked_arrays():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["after run: False False", "after cli: True"]
+    assert out.splitlines() == ["after run: False False False", "after cli: True"]

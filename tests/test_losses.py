@@ -1,5 +1,6 @@
 import functools
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masf import autodiff as ad
-from masf import losses, nets
+from masf import bench, engine, harness, losses, nets
 
 ARCH = nets.Architecture(input_dim=4, num_classes=3,
                          feature_widths=(6, 5), metric_widths=(5, 4))
@@ -933,6 +934,15 @@ class TestKeySortRepair:
         assert_mined_exactly(e, labels)
 
 
+@functools.cache
+def canonical_training_splits():
+    """The canonical config and each canonical domain's training split."""
+    cfg = harness.canonical_experiment_config()
+    rng = np.random.default_rng(0)
+    return cfg, {k: bench.train_test_split(d, cfg.train_fraction, rng)[0]
+                 for k, d in bench.canonical_datasets().items()}
+
+
 class TestTriplet:
     def test_easy_triplet_zero(self):
         # d(a,p)=0, d(a,n)=2, margin 1 -> max(0, 0 - 4 + 1) = 0
@@ -968,12 +978,31 @@ class TestTriplet:
         picked = {(ai, pi): ni for ai, pi, ni in zip(a, p, n)}
         assert picked[(0, 1)] == 3
 
-    def test_no_triplet_warns_and_returns_zero(self, caplog):
+    def test_no_triplet_returns_zero(self):
         e = ad.leaf([[0.0, 1.0], [1.0, 0.0]])
-        with caplog.at_level("WARNING"):
-            loss = losses.triplet_loss_semihard(e, [0, 1], 1.0)
+        loss = losses.triplet_loss_semihard(e, [0, 1], 1.0)
         assert float(loss.value) == 0.0
-        assert any("no valid triplet" in m for m in caplog.messages)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_every_training_draw_holds_a_triplet(self, data):
+        # validate asks for two rows per class and every draw is stratified,
+        # so the stacked sources of a step always hold a triplet
+        cfg, splits = canonical_training_splits()
+        ids = data.draw(st.lists(st.sampled_from(sorted(splits)), min_size=1,
+                                 unique=True), label="sources")
+        classes = max(splits[k].num_classes for k in ids)
+        size = data.draw(st.integers(2 * classes,
+                                     min(len(splits[k]) for k in ids)),
+                         label="batch_size")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="run seed")
+        hp = replace(cfg.hp, batch_size=size)
+        state = engine.make_state(harness.architecture(cfg, splits), hp, seed)
+        batches = engine.draw_batches({k: splits[k] for k in ids}, size,
+                                      state.data_rng)
+        features, labels = (np.concatenate(part) for part in zip(*batches.values()))
+        anchors, _, _ = losses.mine_semihard_triplets(features, labels)
+        assert anchors.size > 0
 
     def test_permutation_invariant_value(self):
         rng = np.random.default_rng(6)
