@@ -163,8 +163,8 @@ def cmd_ablate(args) -> int:
     datasets, _ = _datasets(config, config.rows[0], config.targets or slice(None))
     out_dir = config.resolved_out_dir()
     _dump_resolved(config, out_dir, "ablate")
-    report = harness.run_experiment(config, datasets)
-    for flags, mean, std, failed in report.summary():
+    rows = harness.run_experiment(config, datasets)
+    for flags, mean, std, failed in harness.summary(rows):
         e, g, l = ("x" if v else "-" for v in flags)
         std_s = "n/a" if np.isnan(std) else f"{std:.4f}"
         print(f"episodic {e}  global {g}  local {l}  "

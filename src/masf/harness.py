@@ -46,11 +46,6 @@ def evaluate_accuracy(psi: ParamSet, theta: ParamSet,
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def _embed(psi: ParamSet, phi: ParamSet, features: np.ndarray) -> np.ndarray:
-    z = nets.feature_forward(psi, ad.const(features))
-    return nets.metric_forward(phi, z).value
-
-
 def margin_triples(domain_a: DomainDataset, domain_b: DomainDataset,
                    n_pairs: int, rng: np.random.Generator
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,8 +86,9 @@ def margin_statistic(psi: ParamSet, phi: ParamSet, domain_a: DomainDataset,
     pairs :func:`margin_triples` draws."""
     anchors, positives, negatives = margin_triples(domain_a, domain_b,
                                                    n_pairs, rng)
-    e_a = _embed(psi, phi, domain_a.features)
-    e_b = _embed(psi, phi, domain_b.features)
+    e_a, e_b = (nets.metric_forward(
+        phi, nets.feature_forward(psi, ad.const(d.features))).value
+        for d in (domain_a, domain_b))
     # a stacked row-by-column matmul takes each row's dot product, the same
     # sum np.linalg.norm takes of a single row
     rows_a = e_a[anchors]
@@ -168,28 +164,25 @@ def canonical_experiment_config(**overrides) -> ExperimentConfig:
     """The canonical study, ExperimentConfig(), with fields overridden."""
     unknown = set(overrides) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
-        raise ValueError(f"unknown config field {sorted(unknown)[0]!r}")
+        raise ValueError(f"unknown config fields: {sorted(unknown, key=repr)}")
     return replace(ExperimentConfig(), **overrides)
 
 
-@dataclass
-class Report:
-    rows: list  # (target, episodic, use_global, use_local, seed, accuracy)
-
-    def summary(self) -> list[tuple]:
-        """(flags, mean, std, failed) per ablation row; mean and std are over
-        the finished runs (nan for none, std nan for fewer than 2)."""
-        by_flags: dict[tuple, list[float]] = {}
-        for target, e, g, l, seed, acc in self.rows:
-            by_flags.setdefault((e, g, l), []).append(acc)
-        items = []
-        for flags, accs in sorted(by_flags.items()):
-            accs = np.asarray(accs)
-            done = accs[~np.isnan(accs)]
-            mean = float(done.mean()) if done.size else float("nan")
-            std = float(done.std(ddof=1)) if done.size >= 2 else float("nan")
-            items.append((flags, mean, std, accs.size - done.size))
-        return items
+def summary(rows: list[tuple]) -> list[tuple]:
+    """(flags, mean, std, failed) per ablation row of ``run_experiment``'s
+    rows; mean and std are over the finished runs (nan for none, std nan for
+    fewer than 2)."""
+    by_flags: dict[tuple, list[float]] = {}
+    for target, e, g, l, seed, acc in rows:
+        by_flags.setdefault((e, g, l), []).append(acc)
+    items = []
+    for flags, accs in sorted(by_flags.items()):
+        accs = np.asarray(accs)
+        done = accs[~np.isnan(accs)]
+        mean = float(done.mean()) if done.size else float("nan")
+        std = float(done.std(ddof=1)) if done.size >= 2 else float("nan")
+        items.append((flags, mean, std, accs.size - done.size))
+    return items
 
 
 def _run_seed(seed: int, target) -> int:
@@ -266,15 +259,17 @@ def write_metrics_csv(records, path: Path) -> None:
         [r.iteration] + [format(v, ".10g") for v in r.row()[1:]] for r in records])
 
 
-def write_report_csv(report: Report, path: Path) -> None:
+def write_report_csv(rows: list[tuple], path: Path) -> None:
     _write_csv(path, [["target", "episodic", "global", "local", "seed", "accuracy"]] + [
         [target, int(e), int(g), int(l), seed, format(acc, ".6f")]
-        for target, e, g, l, seed, acc in report.rows])
+        for target, e, g, l, seed, acc in rows])
 
 
 def run_experiment(config: ExperimentConfig,
-                   datasets: dict[int, DomainDataset]) -> Report:
-    """Full grid: every leave-one-out split x ablation row x seed."""
+                   datasets: dict[int, DomainDataset]) -> list[tuple]:
+    """Full grid: every leave-one-out split x ablation row x seed. Writes
+    ``report.csv`` and returns its rows, (target, episodic, use_global,
+    use_local, seed, accuracy) each."""
     targets = sorted(datasets) if config.targets is None else config.targets
 
     out_dir = config.resolved_out_dir()
@@ -291,9 +286,8 @@ def run_experiment(config: ExperimentConfig,
                     acc = float("nan")  # mark failed, keep going
                 rows.append((target, e, g, l, seed, acc))
 
-    report = Report(rows)
-    write_report_csv(report, out_dir / "report.csv")
-    return report
+    write_report_csv(rows, out_dir / "report.csv")
+    return rows
 
 
 # ---------------------------------------------------------------------------

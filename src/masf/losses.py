@@ -126,10 +126,6 @@ def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
     return _pair_form(soft, ad.log(soft), w, 2 * len(pairs))
 
 
-def _row_sq_dists(a: Expr, b: Expr) -> Expr:
-    return ad.reduce_sum(ad.square(ad.sub(a, b)), axis=-1)
-
-
 def contrastive_loss(embeddings: Expr, labels: np.ndarray, margin: float,
                      rng: np.random.Generator) -> Expr:
     """O(N) contrastive loss: shuffle, then pair consecutive samples.
@@ -152,7 +148,7 @@ def contrastive_loss_on_pairs(embeddings: Expr, labels: np.ndarray,
     labels = as_labels(labels)
     a = ad.select_rows(embeddings, first)
     b = ad.select_rows(embeddings, second)
-    d2 = _row_sq_dists(a, b)
+    d2 = ad.reduce_sum(ad.square(ad.sub(a, b)), axis=-1)
     d = ad.sqrt(d2)
     same = (labels[first] == labels[second]).astype(np.float64)[:, None]
     hinge = ad.square(ad.relu(ad.sub(ad.const(margin), d)))

@@ -16,6 +16,11 @@ A second pass of the same steps counts Python calls (``sys.setprofile``
 of each code object of ``autodiff``, ``engine``, ``losses`` and ``nets``, so
 added bookkeeping fails here too. Neither pass changes a computed value.
 
+The same node and value-op counters also run over the first steps of a few
+cells of every ablation row, with each local loss, and find one count table
+per (row, local loss, inner clip fired, outer clip fired), so a step whose
+graph depends on the data it draws fails here.
+
 The peak memory of one triplet loss, miner and hinge, is bounded the same
 way: the bytes that ``tracemalloc`` sees at its peak, in units of one [N, N]
 float64 buffer, so a change that adds such a buffer fails here.
@@ -167,6 +172,11 @@ CALLS = {
 CALLS["wide_triplet"] = CALLS["full_triplet"]
 
 
+# the (target, seed) cells whose steps the step-shape test compares; past
+# iteration 3 no canonical step clipped, so SHAPE_STEPS steps reach unclipped ones
+SHAPE_CELLS = [(0, 0), (1, 1), (2, 2), (3, 3)]  # one per target
+SHAPE_STEPS = 6
+
 # per batch size N (75 and 150 are the benchmark's): the peak bytes traced
 # during one triplet_loss_semihard call, in units of N^2 * 8
 TRIPLET_PEAK = {75: 4.392, 150: 3.777}
@@ -205,9 +215,8 @@ def initial_state(name: str) -> tuple[engine.EpisodeState, dict]:
     return engine.make_state(harness.architecture(cfg, datasets), hp, SEED), sources
 
 
-def step_counts(name: str, monkeypatch) -> list[dict[str, Counter]]:
-    """Graph nodes and value-mode op calls by op, one entry per step."""
-    state, sources = initial_state(name)
+def install_counters(monkeypatch) -> dict[str, Counter]:
+    """Count graph nodes and value-mode op calls by op from now on."""
     count = {"graph": Counter(), "values": Counter()}
 
     def counted(kind, fn, op_of):
@@ -226,16 +235,31 @@ def step_counts(name: str, monkeypatch) -> list[dict[str, Counter]]:
     monkeypatch.setattr(ad, "const", counted("graph", ad.const, lambda a: "const"))
     monkeypatch.setattr(ad, "_on_values",
                         counted("values", ad._on_values, lambda a: a[0]))
+    return count
 
-    steps = []
+
+def counted_steps(state: engine.EpisodeState, sources: dict, steps: int,
+                  count: dict[str, Counter]
+                  ) -> list[tuple[engine.MetricsRecord, dict[str, Counter]]]:
+    """Each step's record and the counts of :func:`install_counters`."""
+    out = []
 
     def sink(record):
-        steps.append({kind: Counter(c) for kind, c in count.items()})
+        out.append((record, {kind: Counter(c) for kind, c in count.items()}))
         for c in count.values():
             c.clear()
 
-    engine.train(state, sources, STEPS, sink)
-    return steps
+    for c in count.values():
+        c.clear()
+    engine.train(state, sources, steps, sink)
+    return out
+
+
+def step_counts(name: str, monkeypatch) -> list[dict[str, Counter]]:
+    """Graph nodes and value-mode op calls by op, one entry per step."""
+    state, sources = initial_state(name)
+    count = install_counters(monkeypatch)
+    return [counts for _, counts in counted_steps(state, sources, STEPS, count)]
 
 
 def max_counts(steps: list[dict[str, Counter]]) -> dict[str, dict[str, int]]:
@@ -323,6 +347,43 @@ def test_counts_do_not_grow_with_batch_size(monkeypatch):
         return counts, max_calls(step_calls(name))
 
     assert measured("wide_triplet") == measured("full_triplet")
+
+
+def step_shapes(monkeypatch) -> dict[tuple, set]:
+    """The distinct per-op count tables of the steps of each (row, local
+    loss, inner clip fired, outer clip fired): SHAPE_STEPS steps of each
+    SHAPE_CELLS cell, for every row with the triplet loss and every local
+    row with the contrastive loss. A clip fires when its norm exceeds the
+    threshold, as ``ad.clip_by_norm`` decides."""
+    cfg = harness.canonical_experiment_config()
+    datasets = bench.canonical_datasets()
+    count = install_counters(monkeypatch)
+    shapes = {}
+    for flags in harness.ALL_ROWS:
+        kinds = (engine.TRIPLET, engine.CONTRASTIVE) if flags[2] else (engine.TRIPLET,)
+        for kind in kinds:
+            config = replace(cfg, hp=replace(cfg.hp, local_loss_kind=kind))
+            for target, seed in SHAPE_CELLS:
+                state, train, _ = harness.prepare_run(
+                    config, flags, datasets, target, harness._run_seed(seed, target))
+                clip = state.hp.clip_threshold
+                for r, counts in counted_steps(state, train, SHAPE_STEPS, count):
+                    key = (flags, kind, r.inner_grad_norm > clip,
+                           r.outer_grad_norm > clip)
+                    shapes.setdefault(key, set()).add(tuple(
+                        (k, tuple(sorted(c.items()))) for k, c in counts.items()))
+    return shapes
+
+
+def test_one_step_shape_per_row_loss_and_clips(monkeypatch):
+    """Every cell of an ablation row builds the same graph and value-mode
+    ops in a step whose clips fire alike, whatever its data: a batch of
+    cells can then share one step's graph."""
+    shapes = step_shapes(monkeypatch)
+    unclipped = {key[:2] for key in shapes if not any(key[2:])}
+    assert len(unclipped) == 12, "a (row, loss) pair never trained unclipped"
+    many = {key: len(tables) for key, tables in shapes.items() if len(tables) > 1}
+    assert not many, f"count tables per (row, loss, inner clip, outer clip): {many}"
 
 
 @pytest.mark.parametrize("n", sorted(TRIPLET_PEAK))

@@ -159,8 +159,9 @@ def reference_margin_statistic(psi, phi, domain_a, domain_b, triples):
     """The statistic as a per-pair loop of ``np.linalg.norm`` over the drawn
     (anchor, positive, negative) indices; margin_statistic must give the
     same float on the same indices."""
-    e_a = harness._embed(psi, phi, domain_a.features)
-    e_b = harness._embed(psi, phi, domain_b.features)
+    e_a, e_b = (nets.metric_forward(
+        phi, nets.feature_forward(psi, ad.const(d.features))).value
+        for d in (domain_a, domain_b))
     pos, neg = [], []
     for a, p, n in zip(*triples):
         pos.append(np.linalg.norm(e_a[a] - e_b[p]))
@@ -289,10 +290,10 @@ class TestMarginStatistic:
         psi, phi = self._nets()
         ds = small_datasets(2)
 
-        def no_embed(*args):
+        def no_forward(*args):
             raise AssertionError("embedded before n_pairs was checked")
 
-        monkeypatch.setattr(harness, "_embed", no_embed)
+        monkeypatch.setattr(nets, "feature_forward", no_forward)
         with pytest.raises(ValueError, match="n_pairs"):
             harness.margin_statistic(psi, phi, ds[0], ds[1], n_pairs,
                                      np.random.default_rng(0))
@@ -409,9 +410,9 @@ class TestRunExperiment:
         ds = small_datasets()
         r1 = harness.run_experiment(cfg, ds)
         r2 = harness.run_experiment(cfg, ds)
-        assert len(r1.rows) == 3 * 2 * 2  # targets x rows x seeds
-        assert [r[0] for r in r1.rows[::4]] == [0, 1, 2]  # each domain once
-        assert r1.rows == r2.rows
+        assert len(r1) == 3 * 2 * 2  # targets x rows x seeds
+        assert [r[0] for r in r1[::4]] == [0, 1, 2]  # each domain once
+        assert r1 == r2
 
     def test_report_csv_byte_identical(self, tmp_path):
         ds = small_datasets()
@@ -427,7 +428,7 @@ class TestRunExperiment:
         rows = [(0, False, False, False, 0, 0.5),
                 (1, False, False, False, 0, 0.7),
                 (0, True, True, True, 0, 0.9)]
-        summary = harness.Report(rows).summary()
+        summary = harness.summary(rows)
         as_dict = {flags: (m, s) for flags, m, s, _ in summary}
         assert as_dict[(False, False, False)][0] == pytest.approx(0.6)
         assert np.isnan(as_dict[(True, True, True)][1])  # single run
@@ -438,7 +439,7 @@ class TestRunExperiment:
                 (1, True, True, True, 0, nan),
                 (2, True, True, True, 0, 0.7),
                 (0, False, False, False, 0, nan)]
-        summary = {flags: rest for flags, *rest in harness.Report(rows).summary()}
+        summary = {flags: rest for flags, *rest in harness.summary(rows)}
         mean, std, failed = summary[(True, True, True)]
         assert mean == pytest.approx(0.6) and failed == 1
         assert std == pytest.approx(np.std([0.5, 0.7], ddof=1))
@@ -483,8 +484,8 @@ class TestCanonicalConfig:
         assert cfg.seeds == [0, 1, 2, 3, 4]
 
     def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError):
-            harness.canonical_experiment_config(bogus=1)
+        with pytest.raises(ValueError, match=r"\['bogus', 'zzz'\]"):
+            harness.canonical_experiment_config(zzz=2, bogus=1)
 
     def test_defaults_are_the_canonical_study(self):
         for command in cli.UNREAD:
