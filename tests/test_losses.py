@@ -474,6 +474,24 @@ def by_anchor_then_positive(triplets):
 
 
 class TestMiner:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 151))
+        e = rng.normal(size=(n, int(rng.integers(1, 9))))
+        labels = rng.integers(0, int(rng.integers(2, 8)), size=n)
+        assert_semihard_rule(e, labels)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_reference_with_ties(self, seed):
+        # integer grid coordinates: many equal distances, and coincident
+        # points with zero distance
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 151))
+        e = np.round(rng.normal(size=(n, 2)) * (seed % 3 + 1))
+        labels = rng.integers(0, 5, size=n)
+        assert_semihard_rule(e, labels)
+
     def test_singleton_classes(self):
         rng = np.random.default_rng(3)
         labels = np.array([0, 1, 1, 2, 3, 3, 3, 4])
