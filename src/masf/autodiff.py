@@ -30,6 +30,14 @@ so neither mode builds an identity op. ``global_norm`` works on values too;
 ``clip_by_norm`` builds the norm as a graph only when it scales graph-mode
 gradients.
 
+A step can be recorded and replayed. Inside ``recording(tape)``, ``_make``
+and ``_on_values`` add each ``_FORWARD`` call to the :class:`Tape`, and
+:func:`host` each call that derives a value from the data outside
+``_FORWARD`` (an index, a selector, a mask, a norm). Its :class:`Plan` makes
+the same calls in order on new inputs, with no node, ``_path`` or VJP rule,
+and keeps no value of the recorded step but literals; a host call that
+returns a bool is a guard. Off, each hook costs one ``is None`` test.
+
 Numerical conventions:
   * everything is float64,
   * ``log`` and ``div`` are guarded with an additive epsilon of 1e-12,
@@ -42,6 +50,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Sequence
@@ -84,7 +94,10 @@ def leaf(value) -> Expr:
 def const(value, copy: bool = True) -> Expr:
     """Non-differentiable node (masks, selectors, hyperparameter scalars);
     with ``copy=False``, a float64 array is frozen as it is, not copied."""
-    return Expr("const", (), np.array(value, dtype=np.float64, copy=copy or None))
+    node = Expr("const", (), np.array(value, dtype=np.float64, copy=copy or None))
+    if Tape.active is not None:
+        Tape.active.const(value, node.value)
+    return node
 
 
 def as_expr(x) -> Expr:
@@ -158,7 +171,10 @@ def _make(op: str, inputs: tuple[Expr, ...], attrs: dict | None = None) -> Expr:
     else:  # a matmul with a bias
         value = _FORWARD[op](attrs, inputs[0].value, inputs[1].value, inputs[2].value)
     # a whole sum, or an op on 0-d arrays, gives a float64 NumPy scalar
-    return Expr(op, inputs, np.asarray(value), attrs)
+    node = Expr(op, inputs, np.asarray(value), attrs)
+    if Tape.active is not None:
+        Tape.active.op(op, attrs, [x.value for x in inputs], node.value)
+    return node
 
 
 # elementwise ops (numpy broadcasting allowed)
@@ -245,19 +261,27 @@ def _indices(idx, bound: int, op: str) -> np.ndarray:
     return idx
 
 
+def _entry_index(idx, width: int) -> tuple:
+    idx = _indices(idx, width, "gather_rows")
+    return np.arange(len(idx))[:, None], idx[:, None]
+
+
+def _row_index(idx, bound: int) -> tuple:
+    return (_indices(idx, bound, "select_rows"),)
+
+
 def gather_rows(a: Expr, idx: np.ndarray) -> Expr:
     """Pick a[i, idx[i]] for every row i, as an [N, 1] column."""
     if a.value.ndim != 2 or np.ndim(idx) != 1 or len(idx) != a.shape[0]:
         raise ValueError("gather_rows expects a [N, C] tensor and N indices")
-    idx = _indices(idx, a.shape[1], "gather_rows")
-    return _gather(a, (np.arange(a.shape[0])[:, None], idx[:, None]))
+    return _gather(a, host(_entry_index, idx, a.shape[1]))
 
 
 def select_rows(a: Expr, idx: np.ndarray) -> Expr:
     """Rows a[idx] of a tensor with at least one axis; indices may repeat."""
     if a.value.ndim < 1:
         raise ValueError("select_rows expects a tensor with rows")
-    return _gather(a, (_indices(idx, a.shape[0], "select_rows"),))
+    return _gather(a, host(_row_index, idx, a.shape[0]))
 
 
 # composites
@@ -270,8 +294,12 @@ def log_sum_exp(a: Expr) -> Expr:
     """Stable log-sum-exp over the last axis, which stays with length 1 as in
     ``reduce_sum``; the subtracted max is one constant, read by the ``sub``
     and the ``add``, which leaves both the value and the derivatives exact."""
-    m = const(a.value.max(axis=-1, keepdims=True))
+    m = const(host(_row_max, a.value))
     return add(log(reduce_sum(exp(sub(a, m)), axis=-1)), m)
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    return a.max(axis=-1, keepdims=True)
 
 
 def log_softmax(a: Expr) -> Expr:
@@ -333,6 +361,10 @@ def _vjp_matmul_b(O, node, g, a, b, *bias):
     return O("matmul", g, a, ta=True, tb=ta) if tb else O("matmul", a, g, ta=not ta)
 
 
+def _positive(a: np.ndarray) -> np.ndarray:
+    return (a > 0).astype(np.float64)
+
+
 _VJP: dict[str, tuple[Callable, ...]] = {
     "add": (lambda O, node, g, a, b: _sum_to(O, g, a.shape),
             lambda O, node, g, a, b: _sum_to(O, g, b.shape)),
@@ -347,8 +379,7 @@ _VJP: dict[str, tuple[Callable, ...]] = {
     "neg": (lambda O, node, g, a: O("neg", g),),
     "matmul": (_vjp_matmul_a, _vjp_matmul_b,
                lambda O, node, g, a, b, bias: _sum_to(O, g, bias.shape)),
-    "relu": (lambda O, node, g, a: O(
-        "mul", g, (a.value > 0).astype(np.float64)),),
+    "relu": (lambda O, node, g, a: O("mul", g, host(_positive, a.value)),),
     "exp": (lambda O, node, g, a: O("mul", g, node),),
     "log": (lambda O, node, g, a: O("div", g, a),),
     "sqrt": (lambda O, node, g, a: O("div", O("mul", g, 0.5), node),),
@@ -369,12 +400,13 @@ def _on_graph(op: str, *operands, **attrs) -> Expr:
 
 def _on_values(op: str, a, b=None, **attrs) -> np.ndarray:
     """Value mode: the op's forward function on arrays; a node operand stands
-    for its value. Every op a rule builds has one or two operands, spelled out
-    here because this runs once per op of every value-mode sweep."""
+    for its value. Every op a rule builds has one or two operands."""
     a = a.value if isinstance(a, Expr) else a
-    if b is None:
-        return _FORWARD[op](attrs, a)
-    return _FORWARD[op](attrs, a, b.value if isinstance(b, Expr) else b)
+    operands = (a,) if b is None else (a, b.value if isinstance(b, Expr) else b)
+    out = _FORWARD[op](attrs, *operands)
+    if Tape.active is not None:
+        Tape.active.op(op, attrs, operands, out)
+    return out
 
 
 _sweep_op: ContextVar[Callable] = ContextVar("sweep_op", default=_on_graph)
@@ -470,10 +502,17 @@ def grad(scalar: Expr, params: Sequence[Expr]) -> GradMap:
 
 def global_norm(grads: GradMap) -> Expr:
     """A ``const`` holding the value of the norm graph in ``clip_by_norm``."""
+    return const(host(_norm, *[g.value for _, g in grads]))
+
+
+def _norm(*values: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):  # an inf norm is the caller's to report
-        sums = [_FORWARD["sum"]({"axis": None, "keepdims": False}, g.value * g.value)
-                for _, g in grads]
-    return const(np.sqrt(functools.reduce(np.add, sums)))
+        sums = [(v * v).sum() for v in values]  # square and sum, as the graph does
+    return np.sqrt(functools.reduce(np.add, sums))
+
+
+def _at_most(value: np.ndarray, bound: float) -> bool:
+    return float(value) <= bound
 
 
 def clip_by_norm(grads: GradMap, threshold: float, norm: Expr) -> GradMap:
@@ -485,12 +524,175 @@ def clip_by_norm(grads: GradMap, threshold: float, norm: Expr) -> GradMap:
     """
     if threshold <= 0:
         raise ValueError("clip threshold must be positive")
-    if float(norm.value) <= threshold:
+    if host(_at_most, norm.value, threshold):
         return grads
     if any(g.op != "const" for _, g in grads):
         norm = sqrt(functools.reduce(add, [reduce_sum(square(g)) for _, g in grads]))
     scale = div(const(threshold), norm)
     return GradMap(grads.params, [mul(g, scale) for _, g in grads])
+
+
+# ---------------------------------------------------------------------------
+# recording a step as a plan, and replaying it
+
+
+def host(fn: Callable, *args):
+    """``fn(*args)``: a value a step derives from its data outside
+    ``_FORWARD``, which a replay of a recorded step computes again. A call
+    that returns a bool is a guard: a replay that gets the other bool stops."""
+    out = fn(*args)
+    if Tape.active is not None:
+        Tape.active.call(fn, args, out)
+    return out
+
+
+def _plain(x) -> bool:
+    """Whether a plan may keep ``x`` as it was recorded: None, a bool, int,
+    float or str, or a tuple, list or dict of them."""
+    if type(x) in (tuple, list, dict):
+        return all(map(_plain, x.values() if type(x) is dict else x))
+    return type(x) in (bool, int, float, str, type(None))
+
+
+def _expect(expected: bool, fn: Callable, *args) -> None:
+    if fn(*args) != expected:
+        raise ArithmeticError("a guard of the recorded step failed")
+
+
+def _attrs_with(static: dict, names: tuple, *values) -> dict:
+    return {**static, **dict(zip(names, values))}
+
+
+_float64 = functools.partial(np.asarray, dtype=np.float64)
+
+
+class Tape:
+    """The recording of one step: each ``_FORWARD`` call of ``_make`` and
+    ``_on_values`` and each :func:`host` call, in order, as an entry
+    (function, operand slots, result slot). A slot holds an input, a literal
+    or a result, and an object is found in its slot by ``id``, so the tape
+    keeps what it has seen alive, but for an array, whose ``id`` it drops
+    when the array is freed. An operand in no slot that is not
+    :func:`_plain` (an array, say), or a host result that is an int or None,
+    voids the tape: the plan would freeze a value of the recorded step."""
+
+    active: "Tape | None" = None  # the recording in progress, if any
+
+    def __init__(self, inputs: Sequence):
+        self.slots: dict[int, int] = {}
+        self.literals: dict[int, object] = {}  # by slot
+        self.kept, self.entries, self.void, self.n_slots = [], [], False, 0
+        for x in inputs:
+            self._new(x)
+        self.n_inputs = len(inputs)
+
+    def _new(self, obj, literal: bool = False) -> int:
+        """A new slot, where ``obj`` is found from now on; it holds ``obj``
+        itself if ``literal``."""
+        self._find(obj, self.n_slots)
+        self.n_slots += 1
+        if literal:
+            self.literals[self.n_slots - 1] = obj
+        return self.n_slots - 1
+
+    def _find(self, obj, slot: int) -> None:
+        """Find ``obj`` in ``slot`` while it lives."""
+        self.slots[id(obj)] = slot
+        if type(obj) is np.ndarray:  # freed as the step goes, like its graph
+            obj = weakref.ref(obj, lambda _, key=id(obj), slots=self.slots:
+                              slots.pop(key, None))
+        self.kept.append(obj)
+
+    def _slot(self, obj) -> int:
+        slot = self.slots.get(id(obj))
+        if slot is None:
+            self.void |= not _plain(obj)
+            slot = self._new(obj, literal=True)
+        return slot
+
+    def _result(self, out) -> int:
+        self.void |= out is None or type(out) is int
+        return self._new(out)
+
+    def call(self, fn: Callable, args: tuple, out) -> None:
+        slots = tuple(map(self._slot, args))
+        if type(out) is bool:
+            self.entries.append((functools.partial(_expect, out, fn), slots, None))
+            return
+        slot = self._result(out)
+        self.entries.append((fn, slots, slot))
+        for i, item in enumerate(out if type(out) is tuple else ()):
+            self.entries.append((operator.getitem, (slot, self._slot(i)),
+                                 self._result(item)))
+
+    def op(self, op: str, attrs: dict, operands: list, out) -> None:
+        dynamic = [k for k, v in attrs.items() if not _plain(v)]  # a row index
+        if dynamic:  # a replay builds these attrs from its own index
+            static = {k: v for k, v in attrs.items() if k not in dynamic}
+            self.entries.append((functools.partial(_attrs_with, static, tuple(dynamic)),
+                                 tuple(self._slot(attrs[k]) for k in dynamic),
+                                 self._new(attrs)))
+        self.entries.append((_FORWARD[op], (self._slot(attrs), *map(self._slot, operands)),
+                             self._result(out)))
+
+    def const(self, value, array: np.ndarray) -> None:
+        """A const node's array: in the slot of ``value`` if that is a
+        float64 array, converted from it by an entry if it is another
+        result, or else a literal."""
+        slot = self.slots.get(id(value))
+        if slot is None:
+            self.void |= not _plain(value)
+            self._new(array, literal=True)
+        elif type(value) is np.ndarray and value.dtype == np.float64:
+            self._find(array, slot)
+        else:
+            self.entries.append((_float64, (slot,), self._new(array)))
+
+    def plan(self, outputs: Sequence, key) -> "Plan | None":
+        """The step as a plan that returns ``outputs``; None if void."""
+        slots = [self._slot(x) for x in outputs]
+        return None if self.void else Plan(self, slots, key)
+
+
+class Plan:
+    """A recorded step, run on new inputs by one generated function: the
+    tape's calls in order, each result in a local, and each local deleted
+    after the call that reads it last, as a graph step frees what it no
+    longer needs. ``key`` says what the step was recorded for."""
+
+    def __init__(self, tape: Tape, outputs: list[int], key):
+        self.key = key
+        last = {}  # per slot, the last call that makes or reads it
+        for k, (_, args, out) in enumerate(tape.entries):
+            last.update(dict.fromkeys((*args, out), k))
+        kept = {None, *outputs, *tape.literals, *range(tape.n_inputs)}
+        dead = {}  # per call, the locals that no later call reads
+        for i, k in last.items():
+            if i not in kept:
+                dead.setdefault(k, []).append(i)
+        v = "v{}".format
+        names = {"__name__": __name__, **{v(i): x for i, x in tape.literals.items()}}
+        lines = [f"def run({', '.join(map(v, range(tape.n_inputs)))}):"]
+        for k, (fn, args, out) in enumerate(tape.entries):
+            names[f"f{k}"] = fn
+            call = f"f{k}({', '.join(map(v, args))})"
+            lines.append(f"    {call}" if out is None else f"    v{out} = {call}")
+            if k in dead:
+                lines.append(f"    del {', '.join(map(v, dead[k]))}")
+        lines.append(f"    return [{', '.join(map(v, outputs))}]")
+        exec("\n".join(lines), names)  # no loop, list or index around the calls
+        self.run = names["run"]
+
+
+@contextmanager
+def recording(tape: Tape | None):
+    """Record every op and host call inside the block on ``tape``, if it is
+    not None."""
+    Tape.active = tape
+    try:
+        yield
+    finally:
+        Tape.active = None
 
 
 # ---------------------------------------------------------------------------

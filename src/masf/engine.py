@@ -9,6 +9,14 @@ parameters, of the source batches stacked in sorted domain-id order. The
 metric net gets its own update from the local loss only. Nothing
 differentiates those two gradients again, so their sweeps run in value mode.
 
+The graph engine defines a step. The first step of a state in which neither
+gradient clips is recorded as an ``ad.Plan``, and later steps of the same
+shapes replay it on their own data, computing again every value derived from
+it (split, stacks, indices, selectors, pair weights, masks, triplets, norms);
+the learning rate, the descent and the record are computed outside the plan.
+A replay that fails a guard (a clip, a non-finite value) or raises reruns on
+the graph engine from ``algo_rng``'s state at step start.
+
 A run draws from three generators: ``data_rng`` (batches), ``algo_rng``
 (domain split, pair shuffling) and ``harness.prepare_run``'s split generator,
 whose ``SeedSequence(run_seed, spawn_key=(1,))`` is ``algo_rng``'s, so the two
@@ -18,9 +26,11 @@ stream, so all ablation rows of one seed see identical data.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import itertools
 import math
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -85,6 +95,7 @@ class EpisodeState:
     data_rng: np.random.Generator
     algo_rng: np.random.Generator
     t: int = 0
+    plan: ad.Plan | None = field(default=None, repr=False, compare=False)
 
 
 def make_state(arch: nets.Architecture, hp: Hyperparams, seed: int) -> EpisodeState:
@@ -139,22 +150,25 @@ def decayed_lr(eta0: float, t: int, decay_rate: float, decay_every: int) -> floa
 def _finite(node: Expr, name: str, iteration: int | None = None) -> float:
     """The value of a scalar node as a float; a NonFiniteLossError naming
     it if that float is NaN or infinite."""
-    value = float(node.value)
-    if not math.isfinite(value):
+    value = ad.host(float, node.value)
+    if not ad.host(math.isfinite, value):
         at = "" if iteration is None else f" at iteration {iteration}"
         raise NonFiniteLossError(f"{name} is non-finite{at}: {value}")
     return value
 
 
-def _stack(batches) -> tuple[np.ndarray, np.ndarray]:
-    return (np.concatenate([b[0] for b in batches]),
-            np.concatenate([b[1] for b in batches]))
+def _stack(batches, keys=None) -> tuple[np.ndarray, np.ndarray]:
+    """The features and the labels of ``batches[k]`` for each of ``keys``
+    (all of a list by default), stacked in that order."""
+    keys = range(len(batches)) if keys is None else keys
+    return (np.concatenate([batches[k][0] for k in keys]),
+            np.concatenate([batches[k][1] for k in keys]))
 
 
-def _mean_task_loss(psi: ParamSet, theta: ParamSet, batches) -> Expr:
-    """Task loss of the stacked rows: the mean of the per-domain losses,
-    as ``draw_batches`` gives every domain the same number of rows."""
-    x, labels = _stack(batches)
+def _mean_task_loss(psi: ParamSet, theta: ParamSet, batches, keys=None) -> Expr:
+    """Task loss of the rows ``_stack`` stacks: the mean of the per-domain
+    losses, as ``draw_batches`` gives every domain the same number of rows."""
+    x, labels = ad.host(_stack, batches, keys)
     logits = nets.task_forward(theta, nets.feature_forward(psi, ad.as_expr(x)))
     return losses.task_loss(logits, labels)
 
@@ -190,46 +204,53 @@ def _local_loss(z: Expr, labels: np.ndarray, phi: ParamSet, hp: Hyperparams,
     return losses.triplet_loss_semihard(e, labels, hp.xi)
 
 
-def _descend(pset: ParamSet, grads: GradMap, lr: float) -> ParamSet:
+def _descend(pset: ParamSet, grads: list[np.ndarray], lr: float) -> ParamSet:
     """The next step's parameters: fresh leaves holding t - lr * grad."""
-    return pset.replace([ad.leaf(t.value - lr * grads[t].value)
-                         for t in pset.tensors])
+    return pset.replace([ad.leaf(t.value - lr * g)
+                         for t, g in zip(pset.tensors, grads)])
 
 
-def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, MetricsRecord]:
-    """One full episode. ``batches`` maps domain id -> (features, labels).
+def _cross(d_tr: list, d_te: list) -> list:
+    return list(itertools.product(d_tr, d_te))
 
-    The domain split is always drawn (even when episodic training is off) so
-    the algorithmic RNG stream advances identically across ablation rows.
-    """
+
+def _episode(state: EpisodeState, batches: dict) -> list:
+    """One episode on the graph engine: the clipped outer gradient of psi
+    and theta and the metric net's gradient, as arrays, then the record's
+    losses and gradient norms. Every value derived from the data goes
+    through ``ad.host``, so that a recording replays on other data."""
     hp = state.hp
     ids = sorted(batches)
-    d_tr, d_te = split_domains(ids, hp.n_meta_test, state.algo_rng)
+    d_tr, d_te = ad.host(split_domains, ids, hp.n_meta_test, state.algo_rng)
 
-    task_batches = [batches[k] for k in (d_tr if hp.episodic else ids)]
-    l_task = _mean_task_loss(state.psi, state.theta, task_batches)
+    l_task = _mean_task_loss(state.psi, state.theta, batches,
+                             d_tr if hp.episodic else ids)
     task = _finite(l_task, "task loss", state.t)
-
-    inner_norm = 0.0
-    psi2, theta2 = state.psi, state.theta
-    if hp.episodic:
-        grads, inner_norm = _clipped_grads(l_task, psi2.tensors + theta2.tensors,
-                                           hp.clip_threshold, "inner", state.t)
-        psi2 = nets.sgd_step(psi2, grads, hp.alpha)
-        theta2 = nets.sgd_step(theta2, grads, hp.alpha)
 
     use_global = hp.use_global and hp.beta1 > 0
     use_local = hp.use_local and hp.beta2 > 0
-    if use_global or use_local:
+    meta = use_global or use_local  # a meta loss reads psi' and theta'
+    inner_norm = 0.0
+    psi2, theta2 = state.psi, state.theta
+    if hp.episodic:
+        # without a meta loss the inner step gives the record its norm only
+        with contextlib.nullcontext() if meta else ad.values_only():
+            grads, inner_norm = _clipped_grads(l_task, psi2.tensors + theta2.tensors,
+                                               hp.clip_threshold, "inner", state.t)
+    if hp.episodic and meta:
+        psi2 = nets.sgd_step(psi2, grads, hp.alpha)
+        theta2 = nets.sgd_step(theta2, grads, hp.alpha)
+
+    if meta:
         # one F_psi' forward of every source batch, which both losses read
-        x, labels = _stack([batches[k] for k in ids])
+        x, labels = ad.host(_stack, batches, ids)
         z = nets.feature_forward(psi2, ad.as_expr(x))
 
     outer_obj, glob, local = l_task, 0.0, 0.0
     if use_global:
         # without the split, align over all unordered domain pairs
-        pairs = (itertools.product(d_tr, d_te) if hp.episodic
-                 else itertools.combinations(ids, 2))
+        pairs = (ad.host(_cross, d_tr, d_te) if hp.episodic
+                 else list(itertools.combinations(ids, 2)))
         l_global = losses.global_alignment_loss(batches, pairs, psi2, theta2,
                                                 hp.tau, theta2.out_width, z=z)
         glob = _finite(l_global, "global alignment loss", state.t)
@@ -244,15 +265,57 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
         grads, outer_norm = _clipped_grads(
             outer_obj, state.psi.tensors + state.theta.tensors,
             hp.clip_threshold, "outer", state.t)
-    eta_t = decayed_lr(hp.eta, state.t, hp.decay_rate, hp.decay_every)
-    new_psi = _descend(state.psi, grads, eta_t)
-    new_theta = _descend(state.theta, grads, eta_t)
+        out = [g.value for _, g in grads]
+        if use_local:
+            out += [g.value for _, g in ad.grad(l_local, state.phi.tensors)]
+    return out + [task, glob, local, inner_norm, outer_norm]
 
+
+def _replay(plan: ad.Plan, inputs: list, rng: np.random.Generator) -> list | None:
+    """``_episode``'s result from ``plan``; None, with ``rng`` put back, if
+    a guard fails or anything raises (a NumPy warning too, so a step that
+    would warn reruns on the graph engine, which warns)."""
+    saved = rng.bit_generator.state
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return plan.run(*inputs)
+    except Exception:  # a guard failed, or the graph engine has a message
+        rng.bit_generator.state = saved
+        return None
+
+
+def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, MetricsRecord]:
+    """One full episode. ``batches`` maps domain id -> (features, labels)
+    arrays.
+
+    The domain split is always drawn (even when episodic training is off) so
+    the algorithmic RNG stream advances identically across ablation rows.
+    A state's plan replays when the hyperparameters and the shapes match.
+    """
+    hp, plan = state.hp, state.plan
+    params = [t.value for p in (state.psi, state.theta, state.phi) for t in p.tensors]
+    inputs = [batches, state.algo_rng, *params]
+    key = (hp, [(k, x.shape, x.dtype, y.shape, y.dtype) for k, (x, y) in batches.items()],
+           [p.shape for p in params])
+    found = None
+    if plan is not None and plan.key == key:
+        found = _replay(plan, inputs, state.algo_rng)
+    if found is None:
+        tape = ad.Tape(inputs) if plan is None else None
+        with ad.recording(tape):
+            found = _episode(state, batches)
+        if tape is not None and max(found[-2:]) <= hp.clip_threshold:
+            plan = tape.plan(found, (copy.copy(hp), *key[1:]))
+
+    *grads, task, glob, local, inner_norm, outer_norm = found
+    eta_t = decayed_lr(hp.eta, state.t, hp.decay_rate, hp.decay_every)
+    n_psi = len(state.psi.tensors)
+    n_pt = n_psi + len(state.theta.tensors)
+    new_psi = _descend(state.psi, grads[:n_psi], eta_t)
+    new_theta = _descend(state.theta, grads[n_psi:n_pt], eta_t)
     new_phi = state.phi
-    if use_local:
-        with ad.values_only():
-            phi_grads = ad.grad(l_local, state.phi.tensors)
-        new_phi = _descend(state.phi, phi_grads, hp.gamma)
+    if grads[n_pt:]:
+        new_phi = _descend(state.phi, grads[n_pt:], hp.gamma)
 
     record = MetricsRecord(
         iteration=state.t,
@@ -264,7 +327,7 @@ def meta_step(state: EpisodeState, batches: dict) -> tuple[EpisodeState, Metrics
         outer_grad_norm=outer_norm,
     )
     return EpisodeState(new_psi, new_theta, new_phi, hp, state.data_rng,
-                        state.algo_rng, state.t + 1), record
+                        state.algo_rng, state.t + 1, plan), record
 
 
 def draw_batches(datasets: dict, batch_size: int,

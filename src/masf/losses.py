@@ -37,7 +37,7 @@ from .nets import ParamSet
 
 def task_loss(logits: Expr, labels: np.ndarray) -> Expr:
     """Mean cross-entropy of softmax(logits) against integer labels."""
-    labels = as_labels(labels, logits.shape[1])
+    labels = ad.host(as_labels, labels, logits.shape[1])
     lse = ad.log_sum_exp(logits)
     picked = ad.gather_rows(logits, labels)
     return ad.mean(ad.sub(lse, picked))
@@ -49,11 +49,17 @@ def class_means(z: Expr, labels: np.ndarray, num_classes: int) -> tuple[Expr, np
     Rows of absent classes are zero and masked out; callers must exclude
     them downstream.
     """
+    sel, present = ad.host(_class_selector, labels, num_classes)
+    return ad.matmul(ad.const(sel), z), present
+
+
+def _class_selector(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The [C, N] matrix that averages rows by class, and which classes occur."""
     labels = as_labels(labels)
     counts = np.bincount(labels, minlength=num_classes)
     sel = np.arange(num_classes)[:, None] == labels
     sel = sel / np.maximum(counts, 1)[:, None]
-    return ad.matmul(ad.const(sel), z), counts > 0
+    return sel, counts > 0
 
 
 def soft_label_matrix(theta: ParamSet, means: Expr, tau: float) -> Expr:
@@ -77,14 +83,20 @@ def symm_kl(p: Expr, q: Expr) -> Expr:
 
 def _pair_form(a: Expr, b: Expr, w: np.ndarray, scale: float) -> Expr:
     """sum_ij -w[i, j] / scale * (a_i - a_j).(b_i - b_j) over rows [N, k],
-    as sum(a * (L @ b)): L * scale is w + w^T with its column sums (a column
-    sum of w^T is a row sum of w) taken off the diagonal, exact in float64
-    for integer ``w``. Only the constant L is [N, N]."""
+    as sum(a * (L @ b)). Only the constant L is [N, N]."""
+    lap = ad.host(_laplacian, w, scale)
+    return ad.reduce_sum(ad.mul(a, ad.matmul(ad.const(lap, copy=False), b)))
+
+
+def _laplacian(w: np.ndarray, scale: float) -> np.ndarray:
+    """``_pair_form``'s L: L * scale is w + w^T with its column sums (a
+    column sum of w^T is a row sum of w) taken off the diagonal, exact in
+    float64 for integer ``w``."""
     lap = w.astype(np.float64)
     lap += w.T  # casts one operand, chunk by chunk: the least peak memory
     lap.flat[::len(w) + 1] -= lap.sum(axis=0)
     lap /= scale
-    return ad.reduce_sum(ad.mul(a, ad.matmul(ad.const(lap, copy=False), b)))
+    return lap
 
 
 def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
@@ -100,17 +112,26 @@ def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
     stack, if the caller has it already (the meta step shares it with the
     local loss); otherwise the stack goes through the feature extractor here.
     """
+    cells, w, scale, x = ad.host(_alignment_data, batches, pairs, num_classes,
+                                 z is None)
+    if z is None:
+        z = nets.feature_forward(psi, ad.as_expr(x))
+    means, _ = class_means(z, cells, len(w))
+    soft = soft_label_matrix(theta, means, tau)
+    return _pair_form(soft, ad.log(soft), w, scale)
+
+
+def _alignment_data(batches, pairs, num_classes: int, stack: bool):
+    """The global loss's (domain, class) cell of each stacked row, its pair
+    form's weights and scale, and, if ``stack``, the stacked features."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one domain pair")
     ids = sorted({k for pair in pairs for k in pair})
     labels = [as_labels(batches[k][1], num_classes) for k in ids]
-    if z is None:
-        z = nets.feature_forward(
-            psi, ad.as_expr(np.concatenate([batches[k][0] for k in ids])))
     cells = np.concatenate([p * num_classes + l for p, l in enumerate(labels)])
-    means, present = class_means(z, cells, len(ids) * num_classes)
-    soft = soft_label_matrix(theta, means, tau)
+    n = len(ids) * num_classes
+    present = np.bincount(cells, minlength=n) > 0
     # a row's symmetrized KL is half of (S_r - S_s).(log S_r - log S_s), so
     # each pair puts -1/(shared classes) on its cells r, s of each shared
     # class; bincount adds in input order, so a repeated pair sums as -= does
@@ -119,11 +140,11 @@ def global_alignment_loss(batches, pairs, psi: ParamSet, theta: ParamSet,
     n_shared = shared.sum(axis=1)
     if not n_shared.all():
         raise ValueError("no shared class between a domain pair")
-    n = len(present)
     pair, cls = np.nonzero(shared)
     r, s = at[pair].T * num_classes + cls  # each shared cell's row and column
     w = np.bincount(r * n + s, -1.0 / n_shared[pair], n * n).reshape(n, n)
-    return _pair_form(soft, ad.log(soft), w, 2 * len(pairs))
+    x = np.concatenate([batches[k][0] for k in ids]) if stack else np.empty(0)
+    return cells, w, float(2 * len(pairs)), x
 
 
 def contrastive_loss(embeddings: Expr, labels: np.ndarray, margin: float,
@@ -132,28 +153,38 @@ def contrastive_loss(embeddings: Expr, labels: np.ndarray, margin: float,
 
     Same-class pairs contribute d^2, different-class pairs (max(0, xi-d))^2.
     """
-    labels = as_labels(labels)
+    labels = ad.host(as_labels, labels)
     _check_local_batch(embeddings.shape, labels)
     n = embeddings.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples for contrastive pairs")
-    perm = rng.permutation(n)
-    first, second = perm[0::2][: n // 2], perm[1::2]
+    first, second = ad.host(_shuffled_pairs, rng, n)
     return contrastive_loss_on_pairs(embeddings, labels, first, second, margin)
+
+
+def _shuffled_pairs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    perm = rng.permutation(n)
+    return perm[0::2][: n // 2], perm[1::2]
+
+
+def _same_class(labels, first: np.ndarray, second: np.ndarray):
+    """Per pair, as a column: 1.0 where both rows share a class, and 1 - that."""
+    labels = as_labels(labels)
+    same = (labels[first] == labels[second]).astype(np.float64)[:, None]
+    return same, 1.0 - same
 
 
 def contrastive_loss_on_pairs(embeddings: Expr, labels: np.ndarray,
                               first: np.ndarray, second: np.ndarray,
                               margin: float) -> Expr:
-    labels = as_labels(labels)
     a = ad.select_rows(embeddings, first)
     b = ad.select_rows(embeddings, second)
     d2 = ad.reduce_sum(ad.square(ad.sub(a, b)), axis=-1)
     d = ad.sqrt(d2)
-    same = (labels[first] == labels[second]).astype(np.float64)[:, None]
+    same, other = ad.host(_same_class, labels, first, second)
     hinge = ad.square(ad.relu(ad.sub(ad.const(margin), d)))
     per_pair = ad.add(ad.mul(ad.const(same), d2),
-                      ad.mul(ad.const(1.0 - same), hinge))
+                      ad.mul(ad.const(other), hinge))
     return ad.mean(per_pair)
 
 
@@ -264,15 +295,26 @@ def triplet_loss_semihard(embeddings: Expr, labels: np.ndarray,
     itself with whole-count weights -T W, plus xi / T per active triplet.
     A batch with no triplet has loss 0; a training batch always has one.
     """
-    anchors, positives, negatives = mine_semihard_triplets(
-        embeddings.value, labels)
-    if anchors.size == 0:
+    triplets = ad.host(mine_semihard_triplets, embeddings.value, labels)
+    if not ad.host(_any_triplet, triplets[0]):
         return ad.const(0.0)
-    n, t = embeddings.shape[0], anchors.size
-    d2 = _sq_dists(embeddings.value, anchors, np.stack((positives, negatives)))
+    w, t, tail = ad.host(_hinge, embeddings.value, *triplets, margin)
+    quad = _pair_form(embeddings, embeddings, w, t)
+    return ad.add(quad, ad.const(tail))
+
+
+def _any_triplet(anchors: np.ndarray) -> bool:
+    return anchors.size > 0
+
+
+def _hinge(values: np.ndarray, anchors: np.ndarray, positives: np.ndarray,
+           negatives: np.ndarray, margin: float) -> tuple[np.ndarray, float, float]:
+    """The hinge's pair-form weights [N, N] from its active triplets, their
+    scale T and the margin term xi * (active triplets) / T."""
+    n, t = len(values), anchors.size
+    d2 = _sq_dists(values, anchors, np.stack((positives, negatives)))
     active = (d2[0] - d2[1]) + margin > 0.0
     ap, an = anchors * n + positives, anchors * n + negatives
     w = np.bincount(an[active], minlength=n * n)
     w -= np.bincount(ap[active], minlength=n * n)
-    quad = _pair_form(embeddings, embeddings, w.reshape(n, n), t)
-    return ad.add(quad, ad.const(margin * np.count_nonzero(active) / t))
+    return w.reshape(n, n), float(t), margin * np.count_nonzero(active) / t

@@ -10,7 +10,10 @@ The tool copies ``src/``, ``tests/``, ``perfbench/``, ``tools/``,
 ``BENCHMARK.json`` and ``pyproject.toml`` into a temporary directory, and
 for each mutant writes the mutated module there, runs pytest there with
 tier-1's options (leaving out ``tests/test_mutants.py``, which checks this
-table against the unmutated source) and restores the module. It prints
+table against the unmutated source) and restores the module. Unless the
+arguments name tests, tier-1's files run in name order with
+``tests/test_acceptance.py`` last: its ablation test alone takes 20-30 s,
+and most mutants fail a faster test first. It prints
 ``killed`` and the failing tests, or ``SURVIVED``, writes nothing in the
 working tree, and exits 1 if a mutant of MUTANTS survives or one of
 EQUIVALENT is killed. Arguments replace pytest's ``-x``:
@@ -36,6 +39,7 @@ MODULES = ("autodiff", "bench", "cli", "engine", "harness", "keys", "losses", "n
 COPIED = ("src", "tests", "perfbench", "tools", "BENCHMARK.json", "pyproject.toml")
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
           "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
+LAST = "tests/test_acceptance.py"  # the slowest file
 TIMEOUT = 600  # seconds; tier-1 takes under a minute
 
 
@@ -48,7 +52,12 @@ class Mutant(NamedTuple):
 
 M = Mutant
 MUTANTS = [
-    M("autodiff", "if float(norm.value) <= threshold:", "if float(norm.value) < threshold:",
+    M("autodiff", '    "relu": (lambda O, node, g, a: O("mul", g, host(_positive, a.value)),),',
+      '    "relu": (lambda O, node, g, a: O("mul", g, _positive(a.value)),),',
+      "the ReLU mask is taken outside host, so no plan is recorded"),
+    M("autodiff", "    if fn(*args) != expected:", "    if False:",
+      "a replay goes on past a guard that failed"),
+    M("autodiff", "return float(value) <= bound", "return float(value) < bound",
       "clip_by_norm scales a gradient whose norm equals the threshold"),
     M("autodiff", "    if threshold <= 0:\n",
       "    if norm is None:\n        norm = global_norm(grads)\n    if threshold <= 0:\n",
@@ -66,8 +75,8 @@ MUTANTS = [
       "the adjoint of an operand read transposed reads b the wrong way"),
     M("autodiff", '    np.add.at(out, attrs["index"], a)', '    out[attrs["index"]] = a',
       "the row scatter keeps the last of repeated indices instead of summing"),
-    M("autodiff", "    m = const(a.value.max(axis=-1, keepdims=True))",
-      "    m = const(0.0 * a.value.max(axis=-1, keepdims=True))",
+    M("autodiff", "    return a.max(axis=-1, keepdims=True)",
+      "    return 0.0 * a.max(axis=-1, keepdims=True)",
       "log_sum_exp subtracts no row max, so large logits overflow"),
     M("bench", "    except UnicodeDecodeError as exc:", "    except LookupError as exc:",
       "a file that is not UTF-8 is reported without its name and byte"),
@@ -90,23 +99,27 @@ MUTANTS = [
       "the inner step of psi is first order: its gradient is a constant"),
     M("engine", "(t // decay_every)", "(t / decay_every)",
       "the learning rate decays every step, not every decay_every steps"),
-    M("engine", "        new_phi = _descend(state.phi, phi_grads, hp.gamma)",
-      "        new_phi = _descend(state.phi, phi_grads, hp.eta)",
+    M("engine", "        new_phi = _descend(state.phi, grads[n_pt:], hp.gamma)",
+      "        new_phi = _descend(state.phi, grads[n_pt:], hp.eta)",
       "the metric net steps at the outer lr eta instead of gamma"),
-    M("engine", "        pairs = (itertools.product(d_tr, d_te) if hp.episodic",
-      "        pairs = (itertools.combinations(ids, 2) if hp.episodic",
+    M("engine", "        pairs = (ad.host(_cross, d_tr, d_te) if hp.episodic",
+      "        pairs = (list(itertools.combinations(ids, 2)) if hp.episodic",
       "the episodic global loss aligns every pair of sources"),
     M("engine", "        z = nets.feature_forward(psi2, ad.as_expr(x))",
       "        z = nets.feature_forward(state.psi, ad.as_expr(x))",
       "the meta losses read psi, not the inner-updated psi'"),
-    M("engine", "    task_batches = [batches[k] for k in (d_tr if hp.episodic else ids)]",
-      "    task_batches = [batches[k] for k in ids]",
+    M("engine", "                             d_tr if hp.episodic else ids)",
+      "                             ids)",
       "the episodic task loss covers the meta-test domain too"),
     M("engine", "ad.mul(ad.const(hp.beta2), l_local)",
       "ad.mul(ad.const(hp.beta1 * hp.beta2 / hp.beta1), l_local)",
       "beta2 written as beta1 * beta2 / beta1: a ZeroDivisionError at beta1 = 0"),
     M("engine", '    checked = _finite(norm, f"{name} gradient norm", iteration)',
       "    checked = float(norm.value)", "a non-finite gradient norm goes unreported"),
+    M("engine", "        rng.bit_generator.state = saved", "        pass",
+      "a replay that stops leaves algo_rng where it stopped"),
+    M("engine", "    if plan is not None and plan.key == key:", "    if plan is not None:",
+      "a plan replays batches of another shape than it was recorded for"),
     M("harness", "np.random.SeedSequence(entropy=run_seed, spawn_key=(1,))",
       "np.random.SeedSequence(entropy=run_seed, spawn_key=(2,))",
       "prepare_run's split stream changes"),
@@ -150,8 +163,8 @@ MUTANTS = [
       "    active = (d2[0] - d2[1]) + margin > 0.0\n"
       "    if np.count_nonzero(active) % 2:\n        ad.const(0.0)\n",
       "the hinge builds one more node for an odd active-triplet count"),
-    M("losses", "ad.const(margin * np.count_nonzero(active) / t)",
-      "ad.const(margin * active.size / t)", "the hinge adds the margin of inactive triplets"),
+    M("losses", "margin * np.count_nonzero(active) / t", "margin * active.size / t",
+      "the hinge adds the margin of inactive triplets"),
     M("losses", "-1.0 / n_shared[pair], n * n)",
       "-1.0 / shared.shape[1] * np.ones(pair.size), n * n)",
       "the global loss averages over every class, not the shared ones"),
@@ -161,6 +174,9 @@ MUTANTS = [
       "a repeated domain pair counts once in the global loss"),
     M("losses", "    sq = gram.diagonal().copy()", "    sq = np.square(values).sum(axis=1)",
       "squared norms from a second sum: the distance diagonal is not exactly 0"),
+    M("losses", "    return ad.add(quad, ad.const(tail))",
+      "    return ad.add(quad, ad.const(tail + 0.0))",
+      "a replay keeps the recorded step's hinge margin term"),
     M("nets", "np.sqrt(2.0 / fan_in)", "np.sqrt(1.0 / fan_in)",
       "weights start at half the He variance"),
     M("nets", "if relu_last or i < len(layers):", "if relu_last or i <= len(layers):",
@@ -194,6 +210,9 @@ def run(mutant: Mutant, copy: Path, args: list[str]) -> str:
     path.write_text(source.replace(mutant.old, mutant.new))
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
         filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))}
+    if not any(Path(copy, a.split("::")[0]).exists() for a in args if a[0] != "-"):
+        files = sorted(str(p.relative_to(copy)) for p in copy.glob("tests/test_*.py"))
+        args = args + [f for f in files if f not in (LAST, "tests/test_mutants.py")] + [LAST]
     try:
         proc = subprocess.run(PYTEST + args, cwd=copy, env=env, text=True, timeout=TIMEOUT,
                               stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
